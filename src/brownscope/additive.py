@@ -91,17 +91,29 @@ def T_additive(mu_x: SpectralMeasure, lam):
     return 1.0 / neg2_trace(mu_x, lam)
 
 
-def sigma_additive_membership(mu_x: SpectralMeasure, lam, t: float,
-                              tol: float = MEMBERSHIP_TOL) -> Membership:
-    """Classify lam against Sigma_t with a relative tolerance band around
-    the level T = t."""
-    T = float(T_additive(mu_x, lam))
+def _band_membership(T: float, t: float, tol: float) -> Membership:
+    """Classify a lifetime value T against the level t with a relative
+    tolerance band; shared by every model's membership test."""
     band = tol * max(abs(t), 1e-300)
     if T < t - band:
         return Membership.INSIDE
     if T > t + band:
         return Membership.OUTSIDE
     return Membership.BOUNDARY
+
+
+def _require_outside(membership: Membership, lam) -> None:
+    """Guard of the push-forward maps: refuse lam unless it is strictly
+    outside the closed time-t domain."""
+    if membership is not Membership.OUTSIDE:
+        raise InsideDomain(f"lam = {lam} is not strictly outside the domain")
+
+
+def sigma_additive_membership(mu_x: SpectralMeasure, lam, t: float,
+                              tol: float = MEMBERSHIP_TOL) -> Membership:
+    """Classify lam against Sigma_t with a relative tolerance band around
+    the level T = t."""
+    return _band_membership(float(T_additive(mu_x, lam)), t, tol)
 
 
 def spectral_test_additive(mu_x: SpectralMeasure, sigma_x_distance, lam,
@@ -241,9 +253,7 @@ def phi_map(mu_x: SpectralMeasure, params: ModelParams, lam):
     """Push-forward map on the exterior of the closed time-t domain.
     Raises InsideDomain unless lam is strictly outside (boundary included
     in the refusal; use phi_formula for limiting boundary evaluation)."""
-    m = sigma_additive_membership(mu_x, lam, params.t)
-    if m is not Membership.OUTSIDE:
-        raise InsideDomain(f"lam = {lam} is not strictly outside the domain")
+    _require_outside(sigma_additive_membership(mu_x, lam, params.t), lam)
     if np.min(mu_x.support_distance(lam)) <= mu_x.guard_band:
         raise InsideDomain(f"lam = {lam} touches the reference support")
     return phi_formula(mu_x, params.gamma, lam)

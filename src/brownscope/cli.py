@@ -14,6 +14,7 @@ JSON object.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -27,7 +28,20 @@ from .errors import (BadGamma, BlowUp, BrownscopeError, ContinuationFailed,
                      InversionFailed, TMaxExceeded, WrongSupportKind)
 from .measures import SpectralMeasure
 
-MODELS = ("add-circ", "add-elliptic", "mult-unitary", "mult-positive", "rdiag")
+# The model table: the support kind a model's measure needs (None: any),
+# its lifetime (mu, z) and its push-forward map (mu, gamma, z).  Values
+# stay plain module functions, so they can be rebound after import.
+_SUPPORT = {"add-circ": None, "add-elliptic": None, "mult-unitary": "circle",
+            "mult-positive": "nonneg", "rdiag": "nonneg"}
+_LIFETIME = {"add-circ": additive.T_additive,
+             "add-elliptic": additive.T_additive,
+             "mult-unitary": multiplicative.T_mult_unitary,
+             "mult-positive": multiplicative._T_positive_values}
+_MAP = {"add-circ": additive.phi_formula,
+        "add-elliptic": additive.phi_formula,
+        "mult-unitary": multiplicative.psi_formula,
+        "mult-positive": multiplicative.f_gamma_formula}
+MODELS = tuple(_SUPPORT)
 
 
 class ConfigError(Exception):
@@ -142,12 +156,10 @@ def resolve_measure(cfg: dict) -> SpectralMeasure:
         mu = SpectralMeasure.load(cfg["measure"])
     except (OSError, ValueError, KeyError, WrongSupportKind) as exc:
         raise ConfigError(f"bad measure: {exc}") from exc
-    model = cfg["model"]
-    need = {"mult-unitary": ("circle",), "mult-positive": ("nonneg",),
-            "rdiag": ("nonneg",)}.get(model)
-    if need and mu.support not in need:
+    need = _SUPPORT[cfg["model"]]
+    if need and mu.support != need:
         raise ConfigError(
-            f"model {model} needs a measure supported on {need[0]}")
+            f"model {cfg['model']} needs a measure supported on {need}")
     return mu
 
 
@@ -159,65 +171,50 @@ def _meta(cfg, command) -> dict:
     return {"command": command, "config": config_hash(cfg)}
 
 
-def _lifetime_fn(cfg, mu):
-    model = cfg["model"]
-    if model in ("add-circ", "add-elliptic"):
-        return lambda z: additive.T_additive(mu, z)
-    if model == "mult-unitary":
-        return lambda z: multiplicative.T_mult_unitary(mu, z)
-    if model == "mult-positive":
-        return lambda z: multiplicative._T_positive_values(mu, np.asarray(z, dtype=complex))
-    raise ConfigError(f"model {model} has no lifetime function")
-
-
-def _grid_bounds(cfg):
-    g = cfg["grid"]
-    return (g["re_min"], g["re_max"], g["im_min"], g["im_max"]), g["nx"], g["ny"]
+def _lifetime_grid(cfg, mu) -> region_mod.Grid:
+    model, g = cfg["model"], cfg["grid"]
+    if model not in _LIFETIME:
+        raise ConfigError(f"model {model} has no lifetime function")
+    return region_mod.evaluate_grid(
+        functools.partial(_LIFETIME[model], mu),
+        (g["re_min"], g["re_max"], g["im_min"], g["im_max"]), g["nx"], g["ny"])
 
 
 def cmd_lifetime(cfg, args) -> bytes:
-    mu = resolve_measure(cfg)
-    bounds, nx, ny = _grid_bounds(cfg)
-    grid = region_mod.evaluate_grid(_lifetime_fn(cfg, mu), bounds, nx, ny)
+    grid = _lifetime_grid(cfg, resolve_measure(cfg))
     return region_mod.emit(grid, cfg["format"], meta=_meta(cfg, "lifetime"))
 
 
-def _extract_domain(cfg, mu):
-    model = cfg["model"]
+def _extract_domain(cfg, mu) -> region_mod.Boundary:
     t = cfg["t"]
-    if model in ("add-circ", "add-elliptic"):
-        bounds, nx, ny = _grid_bounds(cfg)
-        return additive.sigma_boundary(mu, t, bounds, nx, ny)
-    if model == "mult-unitary":
-        bounds, nx, ny = _grid_bounds(cfg)
-        return multiplicative.sigma_boundary_unitary(mu, t, bounds, nx, ny)
-    if model == "mult-positive":
+    if cfg["model"] == "mult-positive":
+        # the domain hugs the origin, so it is extracted on a log-polar grid
         rg = cfg["rgrid"]
         return multiplicative.sigma_boundary_positive(
             mu, t, r_min=rg["r_min"], r_max=rg["r_max"],
             n_r=rg["n_r"], n_theta=rg["n_theta"])
-    raise ConfigError(f"model {model} has no domain boundary")
+    return region_mod.extract_levelset(_lifetime_grid(cfg, mu), t)
 
 
 def _domain_map_fn(cfg, mu):
     model = cfg["model"]
-    gamma = _gamma(cfg)
-    if model in ("add-circ", "add-elliptic"):
-        return lambda z: additive.phi_formula(mu, gamma, z)
-    if model == "mult-unitary":
-        return lambda z: multiplicative.psi_formula(mu, gamma, z)
-    if model == "mult-positive":
-        return lambda z: multiplicative.f_gamma_formula(mu, gamma, z)
-    raise ConfigError(f"model {model} has no push-forward map")
+    if model not in _MAP:
+        raise ConfigError(f"model {model} has no push-forward map")
+    return functools.partial(_MAP[model], mu, _gamma(cfg))
+
+
+def _mapped(cfg, mu, sigma) -> region_mod.Boundary:
+    """Image of the domain boundary under the model map (the boundary
+    itself at gamma = 0)."""
+    if _gamma(cfg) == 0:
+        return sigma
+    return region_mod.map_boundary(sigma, _domain_map_fn(cfg, mu))
 
 
 def cmd_domain(cfg, args) -> bytes:
     mu = resolve_measure(cfg)
     sigma = _extract_domain(cfg, mu)
-    if _gamma(cfg) == 0:
-        mapped = sigma
-    else:
-        mapped = region_mod.map_boundary(sigma, _domain_map_fn(cfg, mu))
+    mapped = _mapped(cfg, mu, sigma)
     fmt = cfg["format"]
     meta = _meta(cfg, "domain")
     if fmt == "json":
@@ -272,33 +269,25 @@ def cmd_map(cfg, args) -> bytes:
 def cmd_spectest(cfg, args) -> bytes:
     mu = resolve_measure(cfg)
     model = cfg["model"]
+    if model not in _LIFETIME:
+        raise ConfigError("spectest supports the add and mult models")
     t = cfg["t"]
     z = complex(args.re, args.im)
-    params = additive.ModelParams(t, _gamma(cfg))
     doc = {"schema": "brownscope-spectest/1", "meta": _meta(cfg, "spectest"),
            "model": model, "point": [args.re, args.im], "t": t,
            "gamma": cfg["gamma"], "zero_atom": None}
-    if model in ("add-circ", "add-elliptic"):
+    family, _, kind = model.partition("-")
+    if family == "add":
         verdict = additive.spectral_test_additive(
             mu, lambda w: float(np.min(mu.support_distance(w))), z, t)
-        doc["verdict"] = verdict.value
-        doc["lifetime"] = float(additive.T_additive(mu, z))
-    elif model == "mult-unitary":
-        res = multiplicative.spectral_test_mult("unitary", mu, z, params)
-        doc["verdict"] = res.verdict.value
-        doc["lifetime"] = float(multiplicative.T_mult_unitary(mu, z))
-    elif model == "mult-positive":
-        res = multiplicative.spectral_test_mult("positive", mu, z, params)
-        doc["verdict"] = res.verdict.value
-        doc["zero_atom"] = res.zero_atom
     else:
-        raise ConfigError("spectest supports the add and mult models")
+        res = multiplicative.spectral_test_mult(
+            kind, mu, z, additive.ModelParams(t, _gamma(cfg)))
+        verdict, doc["zero_atom"] = res.verdict, res.zero_atom
+    doc["verdict"] = verdict.value
+    if kind != "positive":  # the positive-case lifetime excludes z = 0
+        doc["lifetime"] = float(_LIFETIME[model](mu, z))
     return (json.dumps(doc, sort_keys=True) + "\n").encode()
-
-
-def _default_probes(cfg, mu):
-    r = mu.support_radius() + np.sqrt(cfg["t"]) + 1.0
-    return [[r, 0.0, 1e-3], [0.0, r, 1e-3], [-r, 0.0, 1e-3]]
 
 
 def cmd_oracle(cfg, args) -> bytes:
@@ -308,6 +297,7 @@ def cmd_oracle(cfg, args) -> bytes:
     gamma = _gamma(cfg)
     o = cfg["oracle"]
     n, k, seed = int(o["n"]), int(o["k"]), int(o["seed"])
+    dil = float(o["dilation"] if o["dilation"] is not None else 3.0 / np.sqrt(n))
     report = {"schema": "brownscope-oracle/1", "meta": _meta(cfg, "oracle"),
               "model": model, "n": n, "t": t,
               "gamma": [gamma.real, gamma.imag], "seed": seed}
@@ -330,62 +320,54 @@ def cmd_oracle(cfg, args) -> bytes:
             except TMaxExceeded:
                 report["predicted_inner"] = 0.0
         else:
-            slack = o["dilation"] if o["dilation"] is not None else 3.0 / np.sqrt(n)
-            inside = (moduli >= ann.inner * (1 - slack)) & \
-                     (moduli <= ann.outer * (1 + slack))
+            inside = (moduli >= ann.inner * (1 - dil)) & \
+                     (moduli <= ann.outer * (1 + dil))
             report["support"] = {"fraction": float(np.mean(inside)),
-                                 "dilation": float(slack)}
+                                 "dilation": dil}
         return (json.dumps(report, sort_keys=True) + "\n").encode()
 
     if mu.kind != "atomic":
         raise ConfigError("the oracle command needs an atomic measure")
 
-    if model in ("add-circ", "add-elliptic"):
-        x = rmt.sample_atomic(n, mu.positions, mu.weights, seed, stream=0)
-        g = rmt.sample_elliptic(n, t, gamma, seed, stream=1)
-        a = x + g
+    # resolve_measure has checked the support, so one diagonal sampler
+    # serves every model
+    x = rmt.sample_atomic(n, mu.positions, mu.weights, seed, stream=0)
+    additive_model = model.startswith("add-")
+    if additive_model:
+        a = x + rmt.sample_elliptic(n, t, gamma, seed, stream=1)
     else:
-        if model == "mult-unitary":
-            x = rmt.sample_atomic_unitary(n, mu, seed, stream=0)
-        else:
-            x = rmt.sample_atomic_positive(n, mu, seed, stream=0)
-        b = rmt.sample_b(n, t, gamma, k=k, seed=seed, stream=1)
-        a = x @ b
+        a = x @ rmt.sample_b(n, t, gamma, k=k, seed=seed, stream=1)
         report["k"] = k
     eig = rmt.eigenvalues(a)
     spectrum = rmt.EmpiricalSpectrum(eig, {"model": model, "n": n, "t": t,
                                            "gamma": [gamma.real, gamma.imag],
                                            "seed": seed})
-    sigma = _extract_domain(cfg, mu)
-    mapped = sigma if gamma == 0 else region_mod.map_boundary(
-        sigma, _domain_map_fn(cfg, mu))
-    dil = o["dilation"] if o["dilation"] is not None else 3.0 / np.sqrt(n)
+    mapped = _mapped(cfg, mu, _extract_domain(cfg, mu))
     report["support"] = rmt.support_report(spectrum, boundary=mapped,
-                                           dilation=float(dil))
+                                           dilation=dil)
 
-    probes = o["probes"] if o["probes"] is not None else _default_probes(cfg, mu)
-    a0 = None
-    if model in ("mult-unitary", "mult-positive"):
+    probes = o["probes"]
+    if probes is None:
+        r = mu.support_radius() + np.sqrt(t) + 1.0
+        probes = [[r, 0.0, 1e-3], [0.0, r, 1e-3], [-r, 0.0, 1e-3]]
+    if not additive_model:
         # second draw with the rotation turned off, for the pairing below
         a0 = x @ rmt.sample_b(n, t, 0.0, k=k, seed=seed, stream=2)
     probe_rows = []
     for pre, pim, eps in probes:
         lam = complex(pre, pim)
         row = {"lambda": [pre, pim], "eps": eps}
-        if model in ("add-circ", "add-elliptic"):
+        if additive_model:
             row["empirical"] = float(rmt.empirical_dSde(a, lam, eps))
             try:
                 row["reference"] = float(additive.analytic_extension_trace(
                     mu, lam, t, eps))
-            except (InversionFailed, BrownscopeError) as exc:
+            except BrownscopeError as exc:
                 row["reference_error"] = str(exc)
         else:
             # pairing check: the rotated flow probed at the mapped point
             # should agree with the plain flow probed at the source point
-            if model == "mult-unitary":
-                target = complex(multiplicative.psi_formula(mu, gamma, lam))
-            else:
-                target = complex(multiplicative.f_gamma_formula(mu, gamma, lam))
+            target = complex(_MAP[model](mu, gamma, lam))
             row["empirical"] = float(rmt.empirical_dSde(a, target, eps))
             row["reference"] = float(rmt.empirical_dSde(a0, lam, eps))
             row["mapped_lambda"] = [target.real, target.imag]

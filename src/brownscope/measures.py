@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,10 +98,7 @@ class SpectralMeasure:
         if mass <= 0:
             raise ValueError("measure has no mass")
         # Normalize exactly; loaders warn separately when the input was off.
-        if qw is None:
-            w = w / mass
-        else:
-            w = w / mass
+        w = w / mass
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "quad_weights", qw)

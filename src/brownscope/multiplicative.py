@@ -43,12 +43,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import region as _region
-from .additive import MEMBERSHIP_TOL, Membership, ModelParams, Verdict
+from .additive import (MEMBERSHIP_TOL, Membership, ModelParams,
+                       _band_membership, _require_outside)
 from .errors import (BlowUp, ContinuationFailed, EvaluationOnSupport,
-                     InsideDomain, OriginExcluded, WrongSupportKind)
+                     OriginExcluded, WrongSupportKind)
 from .measures import (SpectralMeasure, _blocked_sum, cauchy_transform,
                        herglotz, reg_resolvent)
 
@@ -121,28 +121,26 @@ def T_mult_unitary(mu_u: SpectralMeasure, lam):
 
 def membership_unitary(mu_u: SpectralMeasure, lam, t: float,
                        tol: float = MEMBERSHIP_TOL) -> Membership:
-    T = float(T_mult_unitary(mu_u, lam))
-    band = tol * max(abs(t), 1e-300)
-    if T < t - band:
-        return Membership.INSIDE
-    if T > t + band:
-        return Membership.OUTSIDE
-    return Membership.BOUNDARY
+    return _band_membership(float(T_mult_unitary(mu_u, lam)), t, tol)
 
 
 def psi_formula(mu_u: SpectralMeasure, gamma: complex, lam):
     """lam * exp(gamma * J(lam)) with J the half-plane transform of mu_u;
-    the exterior evaluation of the unitary push-forward map."""
+    the exterior evaluation of the unitary push-forward map.  The same
+    formula, with J taken against a law on the half-line, is the
+    positive-case map f_gamma_formula."""
     arr = np.asarray(lam, dtype=complex)
     out = arr * np.exp(gamma * herglotz(mu_u, arr))
     return out[()] if arr.ndim == 0 else out
 
 
+f_gamma_formula = psi_formula
+
+
 def psi_map(mu_u: SpectralMeasure, params: ModelParams, lam):
     """Unitary push-forward map, refused unless lam is strictly outside
     the closed time-t domain (psi_formula is the boundary-limit escape)."""
-    if membership_unitary(mu_u, lam, params.t) is not Membership.OUTSIDE:
-        raise InsideDomain(f"lam = {lam} is not strictly outside the domain")
+    _require_outside(membership_unitary(mu_u, lam, params.t), lam)
     return psi_formula(mu_u, params.gamma, lam)
 
 
@@ -215,6 +213,7 @@ def hamilton_flow_mult(mu_u: SpectralMeasure, lam0, eps0: float, t: float,
     tail of the frozen-coefficient Riccati equation, so the estimate is
     far more precise than the threshold itself).
     """
+    from scipy.integrate import solve_ivp  # costly import, off the CLI paths
     lam0 = complex(lam0)
     eps0 = float(eps0)
     if eps0 < 0:
@@ -318,27 +317,12 @@ def T_mult_positive(mu_x: SpectralMeasure, lam) -> float:
 
 def membership_positive(mu_x: SpectralMeasure, lam, t: float,
                         tol: float = MEMBERSHIP_TOL) -> Membership:
-    T = float(T_mult_positive(mu_x, lam))
-    band = tol * max(abs(t), 1e-300)
-    if T < t - band:
-        return Membership.INSIDE
-    if T > t + band:
-        return Membership.OUTSIDE
-    return Membership.BOUNDARY
-
-
-def f_gamma_formula(mu_x: SpectralMeasure, gamma: complex, lam):
-    """lam * exp(gamma * J(lam)): exterior evaluation of the positive-case
-    push-forward map."""
-    arr = np.asarray(lam, dtype=complex)
-    out = arr * np.exp(gamma * herglotz(mu_x, arr))
-    return out[()] if arr.ndim == 0 else out
+    return _band_membership(float(T_mult_positive(mu_x, lam)), t, tol)
 
 
 def f_gamma_map(mu_x: SpectralMeasure, params: ModelParams, lam):
-    if complex(lam) != 0 and \
-            membership_positive(mu_x, lam, params.t) is not Membership.OUTSIDE:
-        raise InsideDomain(f"lam = {lam} is not strictly outside the domain")
+    if complex(lam) != 0:  # the origin is exempt from the domain test
+        _require_outside(membership_positive(mu_x, lam, params.t), lam)
     return f_gamma_formula(mu_x, params.gamma, lam)
 
 
