@@ -6,9 +6,9 @@ parameters; individual flags override config entries.  Every emitted
 document carries a short hash of the effective config so outputs can be
 traced back to their inputs.
 
-Exit codes: 0 on success, 2 on config or validation problems, 3 on
-numerical failures.  Errors are printed to stderr as one machine-readable
-JSON object.
+Exit codes: 0 on success, 2 on config or validation problems (a measure
+of the wrong support kind included), 3 on every other package error.
+Errors are printed to stderr as one machine-readable JSON object.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import numpy as np
 
 from . import additive, multiplicative, rdiagonal, rmt
 from . import region as region_mod
-from .errors import (BadGamma, BlowUp, BrownscopeError, ContinuationFailed,
-                     InversionFailed, TMaxExceeded, WrongSupportKind)
+from .errors import BadGamma, BrownscopeError, TMaxExceeded, WrongSupportKind
 from .measures import SpectralMeasure
 
 # The model table: the support kind a model's measure needs (None: any),
@@ -97,6 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 def load_config(args) -> dict:
     cfg = json.loads(json.dumps(_DEFAULTS))  # deep copy
     if args.config:
@@ -107,8 +114,12 @@ def load_config(args) -> dict:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(user, dict):
+            raise ConfigError("config must be a JSON object")
         for key, val in user.items():
-            if key in ("grid", "rgrid", "oracle") and isinstance(val, dict):
+            if key in ("grid", "rgrid", "oracle"):
+                if not isinstance(val, dict):
+                    raise ConfigError(f"{key} must be a JSON object")
                 cfg[key].update(val)
             else:
                 cfg[key] = val
@@ -130,9 +141,24 @@ def load_config(args) -> dict:
         raise ConfigError("config must supply a measure")
     if not (isinstance(cfg["t"], (int, float)) and cfg["t"] > 0):
         raise ConfigError("t must be a positive number")
+    if cfg["format"] not in ("csv", "json", "pgm"):
+        raise ConfigError("format must be csv, json or pgm")
     g = cfg["gamma"]
-    if not (isinstance(g, (list, tuple)) and len(g) == 2):
-        raise ConfigError("gamma must be [re, im]")
+    if not (isinstance(g, (list, tuple)) and len(g) == 2
+            and all(map(_number, g))):
+        raise ConfigError("gamma must be [re, im] numbers")
+    grid, rg, o = cfg["grid"], cfg["rgrid"], cfg["oracle"]
+    if not all(_number(grid[k]) for k in ("re_min", "re_max", "im_min",
+                                          "im_max")):
+        raise ConfigError("grid bounds must be numbers")
+    if not all(map(_count, (grid["nx"], grid["ny"], rg["n_r"], rg["n_theta"],
+                            o["n"], o["k"]))):
+        raise ConfigError("grid.nx, grid.ny, rgrid.n_r, rgrid.n_theta, "
+                          "oracle.n and oracle.k must be integers >= 1")
+    if o["probes"] is not None and not (isinstance(o["probes"], list) and all(
+            isinstance(row, list) and len(row) == 3 and all(map(_number, row))
+            for row in o["probes"])):
+        raise ConfigError("oracle.probes must be [re, im, eps] number rows")
     if cfg["model"] == "add-circ" and (g[0] != 0 or g[1] != 0):
         raise ConfigError("add-circ is the gamma = 0 model; use add-elliptic")
     if abs(complex(g[0], g[1])) > cfg["t"] * (1 + 1e-12):
@@ -301,6 +327,8 @@ def cmd_oracle(cfg, args) -> bytes:
     report = {"schema": "brownscope-oracle/1", "meta": _meta(cfg, "oracle"),
               "model": model, "n": n, "t": t,
               "gamma": [gamma.real, gamma.imag], "seed": seed}
+    if mu.kind != "atomic":
+        raise ConfigError("the oracle command needs an atomic measure")
 
     if model == "rdiag":
         h = rmt.sample_atomic_positive(n, mu, seed, stream=0)
@@ -325,9 +353,6 @@ def cmd_oracle(cfg, args) -> bytes:
             report["support"] = {"fraction": float(np.mean(inside)),
                                  "dilation": dil}
         return (json.dumps(report, sort_keys=True) + "\n").encode()
-
-    if mu.kind != "atomic":
-        raise ConfigError("the oracle command needs an atomic measure")
 
     # resolve_measure has checked the support, so one diagonal sampler
     # serves every model
@@ -437,11 +462,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         out = _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, WrongSupportKind) as exc:
         return _fail(2, "config", str(exc))
     except BadGamma as exc:
         return _fail(2, "config", f"requires |gamma| <= t: {exc}")
-    except (BlowUp, ContinuationFailed, InversionFailed, TMaxExceeded) as exc:
+    except BrownscopeError as exc:
         return _fail(3, "numerical", str(exc))
     except np.linalg.LinAlgError as exc:
         return _fail(3, "numerical", f"linear algebra failure: {exc}")

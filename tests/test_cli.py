@@ -254,3 +254,103 @@ def test_radii_json_past_cap(tmp_path):
     assert sweep[0]["inner_radius"] == pytest.approx(np.sqrt(1.6))
     assert sweep[1]["inner_radius"] == pytest.approx(np.sqrt(0.6))
     assert np.isnan(sweep[2]["inner_radius"])
+
+
+# --- error contract and config validation -------------------------------------------
+
+def error_objects(err):
+    return [json.loads(line) for line in err.splitlines() if line.strip()]
+
+
+def test_domain_density_map_failure_is_numerical(tmp_path, capfd):
+    # the map is evaluated within the density's guard band of its support
+    x = np.linspace(-2.0, 2.0, 401)
+    semi = {"kind": "density", "support": "real",
+            "grid": [[v, np.sqrt(max(4.0 - v * v, 0.0)) / (2 * np.pi)]
+                     for v in x]}
+    c = cfg_file(tmp_path, "c.json", {
+        "model": "add-elliptic", "measure": semi, "t": 0.05,
+        "gamma": [0.02, 0.0], "grid": {"nx": 128, "ny": 128}})
+    assert cli.main(["domain", "--config", c]) == 3
+    out, err = capfd.readouterr()
+    assert out == "" and "Traceback" not in err
+    [doc] = error_objects(err)
+    assert doc["error"]["code"] == 3
+    assert doc["error"]["kind"] == "numerical"
+
+
+def test_oracle_rdiag_density_is_config_error(tmp_path, capfd):
+    flat = {"kind": "density", "support": "nonneg",
+            "grid": [[x, 0.5] for x in np.linspace(0.5, 2.5, 21)]}
+    c = cfg_file(tmp_path, "c.json", {
+        "model": "rdiag", "measure": flat, "t": 0.3, "oracle": {"n": 40}})
+    assert cli.main(["oracle", "--config", c]) == 2
+    [doc] = error_objects(capfd.readouterr().err)
+    assert doc["error"]["kind"] == "config"
+
+
+@pytest.mark.parametrize("command,override", [
+    ("lifetime", {"format": "xml"}),
+    ("lifetime", {"grid": {"nx": 0}}),
+    ("lifetime", {"grid": {"nx": "a"}}),
+    ("lifetime", {"gamma": [None, 0]}),
+    ("oracle", {"oracle": {"n": 0}}),
+    ("oracle", {"oracle": {"n": 30, "k": 2, "probes": [[1, 2]]}}),
+])
+def test_bad_config_values_are_config_errors(tmp_path, capfd, command,
+                                             override):
+    cfg = {"model": "add-elliptic", "measure": BERN_REAL, "t": 1.0,
+           "grid": {"nx": 16, "ny": 16}}
+    cfg.update(override)
+    c = cfg_file(tmp_path, "c.json", cfg)
+    assert cli.main([command, "--config", c]) == 2
+    [doc] = error_objects(capfd.readouterr().err)
+    assert doc["error"]["kind"] == "config"
+
+
+# --- every model through every command ----------------------------------------------
+
+MATRIX_MODELS = {
+    "add-circ": {"measure": BERN_REAL, "t": 1.0},
+    "add-elliptic": {"measure": BERN_REAL, "t": 1.0, "gamma": [0.3, 0.1]},
+    "mult-unitary": {"measure": FOURTH_ROOTS, "t": 1.0, "gamma": [0.0, -0.5]},
+    "mult-positive": {"measure": TWO_ATOMS, "t": 0.5, "gamma": [0.2, 0.0]},
+    "rdiag": {"measure": TWO_ATOMS, "t": 0.5},
+}
+MATRIX_COMMANDS = {
+    "lifetime": [], "domain": [], "map": ["--in", "ring.json"],
+    "spectest": ["--re", "3", "--im", "0.5"], "oracle": [],
+    "radii": ["--steps", "5"],
+}
+
+
+@pytest.mark.parametrize("model", MATRIX_MODELS)
+def test_model_command_matrix(tmp_path, capfd, monkeypatch, model):
+    monkeypatch.chdir(tmp_path)
+    ring = [[3.0 * np.cos(a), 3.0 * np.sin(a)]
+            for a in np.linspace(0.0, 2 * np.pi, 24, endpoint=False)]
+    (tmp_path / "ring.json").write_text(json.dumps({
+        "schema": "brownscope-region/1", "kind": "boundary", "level": 1.0,
+        "polylines": [{"closed": True, "points": ring}]}))
+    c = cfg_file(tmp_path, "c.json", dict(
+        MATRIX_MODELS[model], model=model,
+        grid={"re_min": -3.0, "re_max": 3.0, "im_min": -3.0, "im_max": 3.0,
+              "nx": 48, "ny": 48},
+        rgrid={"n_r": 48, "n_theta": 48},
+        oracle={"n": 60, "k": 6, "seed": 5}))
+    for command, extra in MATRIX_COMMANDS.items():
+        for fmt in ("json", "csv"):
+            argv = [command, "--config", c, "--format", fmt, *extra]
+            outs = []
+            for rep in range(2):
+                out = tmp_path / f"{command}.{fmt}.{rep}"
+                code = cli.main(argv + ["--out", str(out)])
+                assert code in (0, 2, 3), (command, fmt)
+                err = capfd.readouterr().err
+                if code:
+                    [doc] = error_objects(err)
+                    assert doc["error"]["code"] == code
+                    break
+                outs.append(out.read_bytes())
+            if outs:
+                assert outs[0] == outs[1], (command, fmt)
