@@ -155,6 +155,9 @@ def load_config(args) -> dict:
                             o["n"], o["k"]))):
         raise ConfigError("grid.nx, grid.ny, rgrid.n_r, rgrid.n_theta, "
                           "oracle.n and oracle.k must be integers >= 1")
+    if not (isinstance(o["seed"], int)
+            and (o["dilation"] is None or _number(o["dilation"]))):
+        raise ConfigError("oracle seed must be an integer, dilation a number")
     if o["probes"] is not None and not (isinstance(o["probes"], list) and all(
             isinstance(row, list) and len(row) == 3 and all(map(_number, row))
             for row in o["probes"])):
@@ -212,14 +215,13 @@ def cmd_lifetime(cfg, args) -> bytes:
 
 
 def _extract_domain(cfg, mu) -> region_mod.Boundary:
-    t = cfg["t"]
     if cfg["model"] == "mult-positive":
         # the domain hugs the origin, so it is extracted on a log-polar grid
         rg = cfg["rgrid"]
         return multiplicative.sigma_boundary_positive(
-            mu, t, r_min=rg["r_min"], r_max=rg["r_max"],
+            mu, cfg["t"], r_min=rg["r_min"], r_max=rg["r_max"],
             n_r=rg["n_r"], n_theta=rg["n_theta"])
-    return region_mod.extract_levelset(_lifetime_grid(cfg, mu), t)
+    return region_mod.extract_levelset(_lifetime_grid(cfg, mu), cfg["t"])
 
 
 def _domain_map_fn(cfg, mu):
@@ -329,11 +331,12 @@ def cmd_oracle(cfg, args) -> bytes:
               "gamma": [gamma.real, gamma.imag], "seed": seed}
     if mu.kind != "atomic":
         raise ConfigError("the oracle command needs an atomic measure")
+    # resolve_measure has checked the support, so one diagonal sampler
+    # serves every model
+    x = rmt.sample_atomic(n, mu.positions, mu.weights, seed, stream=0)
 
     if model == "rdiag":
-        h = rmt.sample_atomic_positive(n, mu, seed, stream=0)
-        u = rmt.sample_haar_unitary(n, seed, stream=1)
-        a = u @ h
+        a = rmt.sample_haar_unitary(n, seed, stream=1) @ x
         if t > 0:
             a = a + rmt.sample_ginibre(n, t, seed, stream=2)
         eig = rmt.eigenvalues(a)
@@ -354,9 +357,6 @@ def cmd_oracle(cfg, args) -> bytes:
                                  "dilation": dil}
         return (json.dumps(report, sort_keys=True) + "\n").encode()
 
-    # resolve_measure has checked the support, so one diagonal sampler
-    # serves every model
-    x = rmt.sample_atomic(n, mu.positions, mu.weights, seed, stream=0)
     additive_model = model.startswith("add-")
     if additive_model:
         a = x + rmt.sample_elliptic(n, t, gamma, seed, stream=1)

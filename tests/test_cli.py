@@ -296,6 +296,8 @@ def test_oracle_rdiag_density_is_config_error(tmp_path, capfd):
     ("lifetime", {"gamma": [None, 0]}),
     ("oracle", {"oracle": {"n": 0}}),
     ("oracle", {"oracle": {"n": 30, "k": 2, "probes": [[1, 2]]}}),
+    ("oracle", {"oracle": {"n": 30, "k": 2, "seed": "a"}}),
+    ("oracle", {"oracle": {"n": 30, "k": 2, "dilation": "a"}}),
 ])
 def test_bad_config_values_are_config_errors(tmp_path, capfd, command,
                                              override):
