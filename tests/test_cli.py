@@ -279,16 +279,6 @@ def test_domain_density_map_failure_is_numerical(tmp_path, capfd):
     assert doc["error"]["kind"] == "numerical"
 
 
-def test_oracle_rdiag_density_is_config_error(tmp_path, capfd):
-    flat = {"kind": "density", "support": "nonneg",
-            "grid": [[x, 0.5] for x in np.linspace(0.5, 2.5, 21)]}
-    c = cfg_file(tmp_path, "c.json", {
-        "model": "rdiag", "measure": flat, "t": 0.3, "oracle": {"n": 40}})
-    assert cli.main(["oracle", "--config", c]) == 2
-    [doc] = error_objects(capfd.readouterr().err)
-    assert doc["error"]["kind"] == "config"
-
-
 @pytest.mark.parametrize("command,override", [
     ("lifetime", {"format": "xml"}),
     ("lifetime", {"grid": {"nx": 0}}),
@@ -298,6 +288,10 @@ def test_oracle_rdiag_density_is_config_error(tmp_path, capfd):
     ("oracle", {"oracle": {"n": 30, "k": 2, "probes": [[1, 2]]}}),
     ("oracle", {"oracle": {"n": 30, "k": 2, "seed": "a"}}),
     ("oracle", {"oracle": {"n": 30, "k": 2, "dilation": "a"}}),
+    # the oracle samples atomic laws only, rdiag included
+    ("oracle", {"model": "rdiag", "oracle": {"n": 30},
+                "measure": {"kind": "density", "support": "nonneg",
+                            "grid": [[0.5, 0.5], [2.5, 0.5]]}}),
 ])
 def test_bad_config_values_are_config_errors(tmp_path, capfd, command,
                                              override):
