@@ -6,8 +6,9 @@ from .errors import (BadGamma, BlowUp, BrownscopeError, ContinuationFailed,
                      LifetimeExceeded, MapEvaluationError, NegativeEpsilon,
                      OriginExcluded, OutsideOmega, TMaxExceeded,
                      WrongSupportKind)
-from .measures import (SpectralMeasure, cauchy_transform, herglotz,
-                       log_potential, neg2_trace, neg4_trace, reg_resolvent,
+from .measures import (SpectralMeasure, cauchy_derivative, cauchy_transform,
+                       herglotz, log_potential, neg2_moments, neg2_trace,
+                       neg4_trace, reg_cauchy_transform, reg_resolvent,
                        reg_resolvent_deps, symmetrize)
 from .region import (Boundary, Chain, Grid, distance_to_boundary, emit,
                      evaluate_grid, extract_levelset, level_crossing_on_ray,
@@ -46,17 +47,18 @@ __all__ = [
     "MultVerdict", "NegativeEpsilon", "OriginExcluded", "OutsideOmega",
     "SpectralMeasure", "TMaxExceeded", "T_additive", "T_mult_positive",
     "T_mult_unitary", "Verdict", "WrongSupportKind",
-    "analytic_extension_trace", "biane_Ht", "blow_up_time", "cauchy_transform",
-    "circ_inner_radius", "curvature_check_circle", "d_region_membership",
-    "distance_to_boundary", "e_region", "eigenvalues", "emit", "empirical_S",
-    "empirical_dSde", "evaluate_grid", "extension_margin", "extract_levelset",
-    "f_gamma_formula", "f_gamma_map", "flow_additive", "hamilton_flow_mult",
-    "herglotz", "hl_radii", "laplacian_identity_check",
-    "level_crossing_on_ray", "log_potential", "map_boundary",
-    "membership_positive", "membership_unitary", "multiplicities",
-    "neg2_trace", "neg4_trace", "p0_p2_positive", "p_tilde_unitary",
-    "parse_pgm", "perturbed_symmetrized_law", "phi_formula", "phi_map",
-    "point_in_region", "psi_formula", "psi_map", "reg_resolvent",
+    "analytic_extension_trace", "biane_Ht", "blow_up_time",
+    "cauchy_derivative", "cauchy_transform", "circ_inner_radius",
+    "curvature_check_circle", "d_region_membership", "distance_to_boundary",
+    "e_region", "eigenvalues", "emit", "empirical_S", "empirical_dSde",
+    "evaluate_grid", "extension_margin", "extract_levelset", "f_gamma_formula",
+    "f_gamma_map", "flow_additive", "hamilton_flow_mult", "herglotz",
+    "hl_radii", "laplacian_identity_check", "level_crossing_on_ray",
+    "log_potential", "map_boundary", "membership_positive",
+    "membership_unitary", "multiplicities", "neg2_moments", "neg2_trace",
+    "neg4_trace", "p0_p2_positive", "p_tilde_unitary", "parse_pgm",
+    "perturbed_symmetrized_law", "phi_formula", "phi_map", "point_in_region",
+    "psi_formula", "psi_map", "reg_cauchy_transform", "reg_resolvent",
     "reg_resolvent_deps", "sample_atomic", "sample_atomic_positive",
     "sample_atomic_unitary", "sample_b", "sample_elliptic", "sample_ginibre",
     "sample_haar_unitary", "shifted_singular_values",

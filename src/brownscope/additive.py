@@ -245,8 +245,7 @@ def phi_formula(mu_x: SpectralMeasure, gamma: complex, lam):
     """lam + gamma * G(lam): the exterior evaluation of the push-forward
     map, valid up to (and limiting onto) the domain boundary."""
     arr = np.asarray(lam, dtype=complex)
-    out = arr + gamma * cauchy_transform(mu_x, arr)
-    return out[()] if arr.ndim == 0 else out
+    return arr + gamma * cauchy_transform(mu_x, arr)
 
 
 def phi_map(mu_x: SpectralMeasure, params: ModelParams, lam):

@@ -268,16 +268,19 @@ def cmd_domain(cfg, args) -> bytes:
 
 
 def _boundary_from_doc(doc) -> region_mod.Boundary:
-    if doc.get("schema") != "brownscope-region/1":
-        raise ConfigError("input is not a brownscope-region/1 document")
-    if doc.get("kind") == "domain":
-        doc = doc["sigma"]
-    if doc.get("kind") != "boundary":
-        raise ConfigError("input document does not hold a boundary")
-    chains = [region_mod.Chain(
-        np.asarray([complex(p[0], p[1]) for p in ch["points"]]),
-        bool(ch["closed"])) for ch in doc["polylines"]]
-    return region_mod.Boundary(chains, float(doc.get("level", 0.0)))
+    try:
+        if doc.get("schema") != "brownscope-region/1":
+            raise ConfigError("input is not a brownscope-region/1 document")
+        if doc.get("kind") == "domain":
+            doc = doc["sigma"]
+        if doc.get("kind") != "boundary":
+            raise ConfigError("input document does not hold a boundary")
+        chains = [region_mod.Chain(
+            np.asarray([complex(p[0], p[1]) for p in ch["points"]]),
+            bool(ch["closed"])) for ch in doc["polylines"]]
+        return region_mod.Boundary(chains, float(doc.get("level", 0.0)))
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed boundary document: {exc!r}") from exc
 
 
 def cmd_map(cfg, args) -> bytes:
@@ -336,25 +339,17 @@ def cmd_oracle(cfg, args) -> bytes:
     x = rmt.sample_atomic(n, mu.positions, mu.weights, seed, stream=0)
 
     if model == "rdiag":
-        a = rmt.sample_haar_unitary(n, seed, stream=1) @ x
-        if t > 0:
-            a = a + rmt.sample_ginibre(n, t, seed, stream=2)
-        eig = rmt.eigenvalues(a)
+        a = (rmt.sample_haar_unitary(n, seed, stream=1) @ x
+             + rmt.sample_ginibre(n, t, seed, stream=2))
+        moduli = np.abs(rmt.eigenvalues(a))
         ann = rdiagonal.hl_radii(mu)
-        moduli = np.abs(eig)
         report["annulus"] = {"inner": ann.inner, "outer": ann.outer}
         report["min_modulus"] = float(moduli.min())
         report["max_modulus"] = float(moduli.max())
-        if t > 0:
-            try:
-                report["predicted_inner"] = rdiagonal.circ_inner_radius(mu, t)
-            except TMaxExceeded:
-                report["predicted_inner"] = 0.0
-        else:
-            inside = (moduli >= ann.inner * (1 - dil)) & \
-                     (moduli <= ann.outer * (1 + dil))
-            report["support"] = {"fraction": float(np.mean(inside)),
-                                 "dilation": dil}
+        try:
+            report["predicted_inner"] = rdiagonal.circ_inner_radius(mu, t)
+        except TMaxExceeded:
+            report["predicted_inner"] = 0.0
         return (json.dumps(report, sort_keys=True) + "\n").encode()
 
     additive_model = model.startswith("add-")

@@ -3,10 +3,13 @@
 A measure is stored either as a finite family of weighted atoms or as a
 density sampled on a fixed quadrature grid: Gauss-Legendre nodes on an
 interval of the real line, equispaced trapezoid nodes on the unit circle.
-Everything downstream (lifetime functions, push-forward maps, annulus
-radii) consumes measures only through the transforms defined here, so the
-two storage variants share one code path: a list of node positions and a
-list of effective probability weights.
+Both variants are a list of node positions and effective probability
+weights.  Every sum over the nodes at evaluation points is computed here,
+by a named transform: cauchy_transform (G), reg_cauchy_transform,
+cauchy_derivative (G'), herglotz (J), reg_resolvent, reg_resolvent_deps,
+neg2_trace, neg2_moments, neg4_trace and log_potential.  Lifetime
+functions and push-forward maps consume measures only through them.
+|lam - xi|^2 is formed in real arithmetic, never as a complex modulus.
 
 Transforms are vectorized over the evaluation point.  Scalars in give
 scalars out; arrays in give arrays of the same shape out.  Quantities that
@@ -26,7 +29,7 @@ from .errors import EvaluationOnSupport, NegativeEpsilon, WrongSupportKind
 
 SUPPORT_KINDS = ("real", "nonneg", "circle", "complex")
 
-# Keep broadcast buffers (points x nodes) under ~2^24 complex entries.
+# Keep each (points x nodes) float buffer under 2^24 entries (128 MiB).
 _BLOCK_ELEMENTS = 1 << 24
 
 _LOAD_RENORM_WARN = 1e-9
@@ -143,13 +146,10 @@ class SpectralMeasure:
 
     def min_node_distance(self, lam) -> np.ndarray | float:
         arr, scalar = _as_complex_points(lam)
-        out = np.empty(arr.shape, dtype=float)
-        flat = arr.reshape(-1)
-        res = out.reshape(-1)
-        block = max(1, _BLOCK_ELEMENTS // max(len(self.positions), 1))
-        for i in range(0, len(flat), block):
-            d = np.abs(flat[i : i + block, None] - self.positions[None, :])
-            res[i : i + block] = d.min(axis=1)
+        out = np.empty(arr.size)
+        for rows, zb, xb in _blocks(self, arr.reshape(-1)):
+            out[rows] = _sq_dist(zb, xb).min(axis=1)
+        out = np.sqrt(out).reshape(arr.shape)
         return float(out) if scalar else out
 
     def support_distance(self, lam) -> np.ndarray | float:
@@ -184,7 +184,8 @@ class SpectralMeasure:
         """Density f on the interval [a, b], Gauss-Legendre with n nodes."""
         if support not in ("real", "nonneg"):
             raise WrongSupportKind("interval densities live on the real line")
-        nodes, gl_w = np.polynomial.legendre.leggauss(n)
+        from scipy.special import roots_legendre  # costly import, off the CLI paths
+        nodes, gl_w = roots_legendre(n)
         x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
         qw = 0.5 * (b - a) * gl_w
         vals = np.asarray([float(f(xi)) for xi in x], dtype=float)
@@ -277,51 +278,77 @@ class SpectralMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _blocked_sum(mu: SpectralMeasure, lam, node_fn):
-    """Sum_j w_j * node_fn(lam - xi_j etc) evaluated in memory-bounded blocks.
-
-    node_fn receives (points_block[:, None], positions[None, :]) and returns
-    the summand array; the weighted sum over nodes is accumulated here.
-    """
-    arr, scalar = _as_complex_points(lam)
-    flat = arr.reshape(-1)
-    w = mu.prob_weights
-    out = np.empty(flat.shape, dtype=None)
-    first = True
-    block = max(1, _BLOCK_ELEMENTS // max(len(mu.positions), 1))
+def _blocks(mu: SpectralMeasure, flat):
+    """Yield (rows, points column, node row) over memory-bounded row blocks
+    of the flat points.  Real-line nodes come as a float row (no imag part)."""
+    nodes = mu.positions.real if mu.support in ("real", "nonneg") else mu.positions
+    block = max(1, _BLOCK_ELEMENTS // len(nodes))
     for i in range(0, len(flat), block):
-        vals = node_fn(flat[i : i + block, None], mu.positions[None, :])
-        s = vals @ w
-        if first:
-            out = np.empty(flat.shape, dtype=s.dtype)
-            first = False
-        out[i : i + block] = s
-    out = out.reshape(arr.shape)
-    if scalar:
-        return out[()]
-    return out
+        yield slice(i, i + block), flat[i : i + block, None], nodes[None, :]
+
+
+def _sq_dist(zb, xb):
+    """|zb - xb|^2 in real arithmetic, in one fresh buffer kernels may reuse."""
+    r2 = zb.real - xb.real
+    r2 *= r2
+    r2 += (zb.imag - xb.imag) ** 2 if np.iscomplexobj(xb) else zb.imag ** 2
+    return r2
+
+
+def _inv(r2, eps):
+    """1 / (r2 + eps), computed over the buffer of r2."""
+    r2 += eps
+    return np.reciprocal(r2, out=r2)
+
+
+def _blocked_sum(mu: SpectralMeasure, lam, node_fn, weights=None):
+    """Sum_j w_j * node_fn(lam, xi_j, |lam - xi_j|^2) in memory-bounded
+    blocks: node_fn gets one block of _blocks and its _sq_dist buffer.
+    weights defaults to the probability weights; an (m, c) matrix gives c
+    sums per point on a trailing axis.  Scalars in give scalars out."""
+    arr = np.asarray(lam, dtype=complex)
+    flat = arr.reshape(-1)
+    w = mu.prob_weights if weights is None else weights
+    out = np.empty(flat.shape + w.shape[1:])
+    for rows, zb, xb in _blocks(mu, flat):
+        s = node_fn(zb, xb, _sq_dist(zb, xb)) @ w
+        out = out.astype(s.dtype, copy=False)
+        out[rows] = s
+    return out.reshape(arr.shape + w.shape[1:])[()]
+
+
+def reg_cauchy_transform(mu: SpectralMeasure, lam, eps):
+    """G_eps(lam) = integral of conj(lam - xi) / (|lam - xi|^2 + eps) d mu(xi),
+    the Cauchy transform regularized by eps >= 0; unguarded."""
+    eps = float(eps)
+    return _blocked_sum(mu, lam, lambda zb, xb, r2: (
+        np.conj(zb) - np.conj(xb)) * _inv(r2, eps))
 
 
 def cauchy_transform(mu: SpectralMeasure, z):
-    """G(z) = integral of 1/(z - xi) d mu(xi).
+    """G(z) = integral of 1/(z - xi) d mu(xi), reg_cauchy_transform at eps = 0.
 
     Requires z off the support: exact atoms for atomic measures, a guard
     band of 10x node spacing for density grids (the quadrature cannot be
     trusted closer than that).
     """
-    dist = mu.min_node_distance(z)
-    if np.min(dist) <= mu.guard_band:
+    if np.min(mu.min_node_distance(z)) <= mu.guard_band:
         raise EvaluationOnSupport(
             f"cauchy transform requested within {mu.guard_band:.3g} of the support")
-    return _blocked_sum(mu, z, lambda zb, xb: 1.0 / (zb - xb))
+    return reg_cauchy_transform(mu, z, 0.0)
+
+
+def cauchy_derivative(mu: SpectralMeasure, z):
+    """G'(z) = -integral of 1/(z - xi)^2 d mu(xi); unguarded, so callers
+    evaluate cauchy_transform at the same point first."""
+    return _blocked_sum(mu, z, lambda zb, xb, r2: -(
+        (np.conj(zb) - np.conj(xb)) * _inv(r2, 0.0)) ** 2)
 
 
 def herglotz(mu: SpectralMeasure, lam):
     """J(lam) = 1/2 - lam * G(lam); equals 1/2 at lam = 0 for any measure."""
-    arr, scalar = _as_complex_points(lam)
-    g = cauchy_transform(mu, arr)
-    out = 0.5 - arr * g
-    return out[()] if scalar else out
+    arr = np.asarray(lam, dtype=complex)
+    return 0.5 - arr * cauchy_transform(mu, arr)
 
 
 def reg_resolvent(mu: SpectralMeasure, lam, eps):
@@ -339,18 +366,14 @@ def reg_resolvent(mu: SpectralMeasure, lam, eps):
             raise NegativeEpsilon(
                 f"eps = {eps:.3g} turns the integrand singular at distance {dist:.3g}")
     with np.errstate(divide="ignore"):
-        return _blocked_sum(
-            mu, lam,
-            lambda zb, xb: 1.0 / (np.abs(xb - zb) ** 2 + eps))
+        return _blocked_sum(mu, lam, lambda zb, xb, r2: _inv(r2, eps))
 
 
 def reg_resolvent_deps(mu: SpectralMeasure, lam, eps):
     """d/d eps of reg_resolvent: -integral of (|xi - lam|^2 + eps)^-2."""
     eps = float(eps)
     with np.errstate(divide="ignore"):
-        return _blocked_sum(
-            mu, lam,
-            lambda zb, xb: -1.0 / (np.abs(xb - zb) ** 2 + eps) ** 2)
+        return _blocked_sum(mu, lam, lambda zb, xb, r2: -_inv(r2, eps) ** 2)
 
 
 def neg2_trace(mu: SpectralMeasure, lam):
@@ -358,18 +381,25 @@ def neg2_trace(mu: SpectralMeasure, lam):
     return reg_resolvent(mu, lam, 0.0)
 
 
+def neg2_moments(mu: SpectralMeasure, lam):
+    """Integrals of |xi - lam|^-2 and |xi|^2 |xi - lam|^-2 d mu(xi) from one
+    pass over the nodes, as a pair of extended reals."""
+    w = mu.prob_weights
+    w2 = np.stack([w, w * _sq_dist(mu.positions, 0.0)], axis=1)
+    with np.errstate(divide="ignore"):
+        both = _blocked_sum(mu, lam, lambda zb, xb, r2: _inv(r2, 0.0), w2)
+    return both[..., 0][()], both[..., 1][()]
+
+
 def neg4_trace(mu: SpectralMeasure, lam):
     """Integral of |xi - lam|^-4 d mu(xi); +inf exactly at an atom."""
-    with np.errstate(divide="ignore"):
-        return _blocked_sum(mu, lam, lambda zb, xb: np.abs(xb - zb) ** -4.0)
+    return -reg_resolvent_deps(mu, lam, 0.0)
 
 
 def log_potential(mu: SpectralMeasure, lam):
     """Integral of log |xi - lam|^2 d mu(xi); -inf exactly at an atom."""
     with np.errstate(divide="ignore"):
-        return _blocked_sum(
-            mu, lam,
-            lambda zb, xb: np.log(np.abs(xb - zb) ** 2))
+        return _blocked_sum(mu, lam, lambda zb, xb, r2: np.log(r2, out=r2))
 
 
 def symmetrize(mu: SpectralMeasure) -> SpectralMeasure:

@@ -49,8 +49,9 @@ from .additive import (MEMBERSHIP_TOL, Membership, ModelParams,
                        _band_membership, _require_outside)
 from .errors import (BlowUp, ContinuationFailed, EvaluationOnSupport,
                      OriginExcluded, WrongSupportKind)
-from .measures import (SpectralMeasure, _blocked_sum, cauchy_transform,
-                       herglotz, reg_resolvent)
+from .measures import (SpectralMeasure, cauchy_derivative, cauchy_transform,
+                       herglotz, neg2_moments, neg2_trace, neg4_trace,
+                       reg_cauchy_transform, reg_resolvent)
 
 _SERIES_SWITCH = 1e-8
 
@@ -130,8 +131,7 @@ def psi_formula(mu_u: SpectralMeasure, gamma: complex, lam):
     formula, with J taken against a law on the half-line, is the
     positive-case map f_gamma_formula."""
     arr = np.asarray(lam, dtype=complex)
-    out = arr * np.exp(gamma * herglotz(mu_u, arr))
-    return out[()] if arr.ndim == 0 else out
+    return arr * np.exp(gamma * herglotz(mu_u, arr))
 
 
 f_gamma_formula = psi_formula
@@ -165,23 +165,13 @@ def curvature_check_circle(mu_u: SpectralMeasure, theta: float) -> float:
     z = np.exp(1j * float(theta))
     if float(np.min(mu_u.min_node_distance(z))) <= mu_u.guard_band:
         raise EvaluationOnSupport(f"theta = {theta:.6g} touches the support")
-    phi = np.angle(mu_u.positions)
-    c = np.cos(float(theta) - phi)
-    val = 0.5 * np.sum(mu_u.prob_weights * (2.0 + c) / (1.0 - c) ** 2)
-    return float(val)
+    # |z - xi|^2 = 2 - 2cos(theta - phi) makes it 6 |z - xi|^-4 - |z - xi|^-2
+    return float(6.0 * neg4_trace(mu_u, z) - neg2_trace(mu_u, z))
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonian flow (unitary-case PDE characteristics)
 # ---------------------------------------------------------------------------
-
-
-def _p_lambda_init(mu: SpectralMeasure, lam0: complex, eps0: float) -> complex:
-    # p_lam(0) = - integral conj(xi - lam0) / (|xi - lam0|^2 + eps0) dmu;
-    # at eps0 = 0 this is the Cauchy transform at lam0
-    return complex(_blocked_sum(
-        mu, lam0,
-        lambda zb, xb: -np.conj(xb - zb) / (np.abs(xb - zb) ** 2 + eps0)))
 
 
 def _mult_rhs(_t, y):
@@ -221,7 +211,7 @@ def hamilton_flow_mult(mu_u: SpectralMeasure, lam0, eps0: float, t: float,
     pe0 = float(reg_resolvent(mu_u, lam0, eps0))
     if np.isinf(pe0):
         raise BlowUp(0.0, "initial momentum already divergent")
-    pl0 = _p_lambda_init(mu_u, lam0, eps0)
+    pl0 = complex(reg_cauchy_transform(mu_u, lam0, eps0))
     y0 = [lam0.real, lam0.imag, eps0, pl0.real, pl0.imag, pe0]
     p_max = 1.0 / float(tolerance)
 
@@ -278,12 +268,7 @@ def p0_p2_positive(mu_x: SpectralMeasure, lam):
     inverse-square integral of a nonnegative-line law.  Extended reals."""
     if mu_x.support != "nonneg":
         raise WrongSupportKind("p0_p2_positive needs a nonneg-supported law")
-    with np.errstate(divide="ignore"):
-        p0 = _blocked_sum(mu_x, lam,
-                          lambda zb, xb: 1.0 / np.abs(xb - zb) ** 2)
-        p2 = _blocked_sum(mu_x, lam,
-                          lambda zb, xb: (xb.real ** 2) / np.abs(xb - zb) ** 2)
-    return p0, p2
+    return neg2_moments(mu_x, lam)
 
 
 def _T_positive_values(mu_x: SpectralMeasure, arr):
@@ -326,16 +311,11 @@ def f_gamma_map(mu_x: SpectralMeasure, params: ModelParams, lam):
     return f_gamma_formula(mu_x, params.gamma, lam)
 
 
-def _herglotz_dlam(mu_x: SpectralMeasure, lam):
-    # dJ/dlam = -G(lam) - lam G'(lam), G'(lam) = -sum w/(lam - xi)^2
-    g = cauchy_transform(mu_x, lam)
-    gp = _blocked_sum(mu_x, lam, lambda zb, xb: -1.0 / (zb - xb) ** 2)
-    return -g - np.asarray(lam) * gp
-
-
 def _f_gamma_deriv(mu_x, gamma, lam):
-    j = herglotz(mu_x, lam)
-    return np.exp(gamma * j) * (1.0 + lam * gamma * _herglotz_dlam(mu_x, lam))
+    # f = lam exp(gamma J) with J = 1/2 - lam G, so dJ/dlam = -G - lam G'
+    g = cauchy_transform(mu_x, lam)
+    dj = -g - lam * cauchy_derivative(mu_x, lam)
+    return np.exp(gamma * (0.5 - lam * g)) * (1.0 + lam * gamma * dj)
 
 
 def _f_gamma_preimage(mu_x: SpectralMeasure, gamma: complex, t: float, z):

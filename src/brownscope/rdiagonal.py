@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideOmega, TMaxExceeded, WrongSupportKind
-from .measures import (SpectralMeasure, _blocked_sum, cauchy_transform,
-                       symmetrize)
+from .measures import (SpectralMeasure, cauchy_derivative, cauchy_transform,
+                       reg_resolvent, symmetrize)
 
 _BISECT_TOL = 1e-10
 
@@ -104,17 +104,13 @@ def vt(mu_sym: SpectralMeasure, t: float, x: float) -> float:
         raise WrongSupportKind("vt needs a real-supported symmetrized law")
     if not t > 0:
         raise ValueError("t must be positive")
-    xs = mu_sym.positions.real
-    w = mu_sym.prob_weights
-
     def g(y):
-        with np.errstate(divide="ignore"):
-            return float(np.sum(w / ((x - xs) ** 2 + y * y)))
+        return float(reg_resolvent(mu_sym, x, y * y))
 
     target = 1.0 / t
     if g(0.0) <= target:
         return 0.0
-    diam = float(np.max(xs) - np.min(xs))
+    diam = float(np.ptp(mu_sym.positions.real))
     hi = np.sqrt(t) * (1.0 + diam)
     lo = 0.0
     # g(hi) <= 1/hi^2 < 1/t by construction
@@ -193,9 +189,7 @@ def _invert_Ht(mu_sym, t, target, z0):
         f = z + t * g - target
         if abs(f) <= 1e-13 * (1.0 + abs(target)):
             return z
-        gp = complex(_blocked_sum(mu_sym, z,
-                                  lambda zb, xb: -1.0 / (zb - xb) ** 2))
-        d = 1.0 + t * gp
+        d = 1.0 + t * complex(cauchy_derivative(mu_sym, z))
         if d == 0:
             break
         step = f / d

@@ -140,6 +140,22 @@ def test_map_identity_round_trip(tmp_path):
     assert mapped["polylines"] == doc["sigma"]["polylines"]
 
 
+@pytest.mark.parametrize("doc", [
+    {"schema": "brownscope-region/1", "kind": "boundary", "level": 1.0},
+    [1, 2],
+    {"schema": "brownscope-region/1", "kind": "boundary", "level": 1.0,
+     "polylines": [{"closed": True, "points": [[1]]}]},
+], ids=["no-polylines", "json-list", "short-point-row"])
+def test_map_malformed_boundary_is_config_error(tmp_path, capfd, doc):
+    c = cfg_file(tmp_path, "c.json", {
+        "model": "add-elliptic", "measure": BERN_REAL, "t": 1.0,
+        "gamma": [0.3, 0.0]})
+    (tmp_path / "b.json").write_text(json.dumps(doc))
+    assert cli.main(["map", "--config", c, "--in", str(tmp_path / "b.json")]) == 2
+    [err] = error_objects(capfd.readouterr().err)
+    assert err["error"]["kind"] == "config"
+
+
 # --- spectest ----------------------------------------------------------------------
 
 def test_spectest_additive(tmp_path):

@@ -5,11 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from brownscope import (EvaluationOnSupport, NegativeEpsilon, SpectralMeasure,
                         WrongSupportKind, cauchy_transform, herglotz,
-                        log_potential, neg2_trace, reg_resolvent, symmetrize)
+                        log_potential, neg2_trace, neg4_trace, p0_p2_positive,
+                        reg_resolvent, reg_resolvent_deps, symmetrize)
+from brownscope import measures
 
 
 def bernoulli():
@@ -284,3 +288,170 @@ def test_load_renormalizes_with_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         SpectralMeasure.from_json_dict(doc2)
+
+
+# --- the kernel layer against direct complex-arithmetic sums ---------------
+
+def _kernel_measures():
+    g = np.linspace(-1.0, 1.0, 7)
+    plane = (g[:, None] + 1j * g[None, :]).ravel()
+    return {
+        "atomic-real": SpectralMeasure.atomic(
+            [-1.5, 0.2, 1.0], [0.2, 0.5, 0.3], "real"),
+        "atomic-nonneg": SpectralMeasure.atomic(
+            [0.0, 0.7, 2.0], [0.3, 0.3, 0.4], "nonneg"),
+        "atomic-circle": SpectralMeasure.atomic(
+            np.exp(1j * np.array([0.3, 2.0, 4.0])), [0.2, 0.3, 0.5], "circle"),
+        "atomic-complex": SpectralMeasure.atomic(
+            [0.5 + 0.5j, -1j, 1.5], [0.2, 0.3, 0.5], "complex"),
+        "density-real": SpectralMeasure.from_density(
+            lambda v: 1.0 - v * v, -1.0, 1.0, "real", n=40),
+        "density-nonneg": SpectralMeasure.from_density(
+            lambda v: 1.0 + v, 0.0, 2.0, "nonneg", n=40),
+        "density-circle": SpectralMeasure.circle_density(
+            lambda th: 1.0 + 0.5 * np.cos(th), n=40),
+        "density-complex": SpectralMeasure(
+            "complex", plane, np.ones(plane.size), np.full(plane.size, 0.1)),
+    }
+
+
+KERNEL_MEASURES = _kernel_measures()
+NEG_EPS = -0.01
+
+# (name, kernel, direct summand of d = lam - xi, only off the guard band,
+#  only where |d|^2 > -NEG_EPS everywhere)
+KERNELS = [
+    ("cauchy_transform", measures.cauchy_transform, lambda d: 1.0 / d, True),
+    ("reg_cauchy_transform",
+     lambda mu, z: measures.reg_cauchy_transform(mu, z, 0.3),
+     lambda d: np.conj(d) / (np.abs(d) ** 2 + 0.3), False),
+    ("cauchy_derivative", measures.cauchy_derivative,
+     lambda d: -1.0 / d ** 2, True),
+    ("reg_resolvent eps > 0", lambda mu, z: reg_resolvent(mu, z, 0.3),
+     lambda d: 1.0 / (np.abs(d) ** 2 + 0.3), False),
+    ("reg_resolvent eps = 0", lambda mu, z: reg_resolvent(mu, z, 0.0),
+     lambda d: 1.0 / np.abs(d) ** 2, False),
+    ("reg_resolvent eps < 0", lambda mu, z: reg_resolvent(mu, z, NEG_EPS),
+     lambda d: 1.0 / (np.abs(d) ** 2 + NEG_EPS), False),
+    ("reg_resolvent_deps", lambda mu, z: reg_resolvent_deps(mu, z, 0.3),
+     lambda d: -1.0 / (np.abs(d) ** 2 + 0.3) ** 2, False),
+    ("neg4_trace", neg4_trace, lambda d: np.abs(d) ** -4.0, False),
+    ("log_potential", log_potential,
+     lambda d: np.log(np.abs(d) ** 2), False),
+]
+
+
+def _kernel_points(mu, guarded):
+    band = mu.guard_band if guarded else 0.2
+    rng = np.random.default_rng(5)
+    r = 2.5 + band
+    z = rng.uniform(-r, r, 400) + 1j * rng.uniform(-r, r, 400)
+    return z[mu.min_node_distance(z) > band][:60]
+
+
+def _direct(mu, z, summand):
+    return np.array([np.sum(mu.prob_weights * summand(p - mu.positions))
+                     for p in np.atleast_1d(z)])
+
+
+def _rel_err(got, ref):
+    return np.max(np.abs(np.asarray(got) - ref) / np.abs(ref))
+
+
+@pytest.mark.parametrize("name", list(KERNEL_MEASURES))
+def test_kernels_match_direct_complex_sums(name, monkeypatch):
+    mu = KERNEL_MEASURES[name]
+    # blocks of 7 points, so 60 points run several blocks and a ragged one
+    monkeypatch.setattr(measures, "_BLOCK_ELEMENTS", 7 * len(mu.positions) + 3)
+    for label, kernel, summand, guarded in KERNELS:
+        z = _kernel_points(mu, guarded)
+        assert len(z) == 60, label
+        ref = _direct(mu, z, summand)
+        assert _rel_err(kernel(mu, z), ref) <= 1e-13, label
+        assert _rel_err(kernel(mu, z.reshape(-1, 1)).ravel(), ref) <= 1e-13
+        for p, r in zip(z[:3], ref[:3]):
+            val = kernel(mu, complex(p))
+            assert np.ndim(val) == 0, label
+            assert _rel_err(val, r) <= 1e-13, label
+    if mu.support == "nonneg":
+        z = _kernel_points(mu, False)
+        p0, p2 = p0_p2_positive(mu, z)
+        assert _rel_err(p0, _direct(mu, z, lambda d: np.abs(d) ** -2.0)) <= 1e-13
+        xi2 = np.abs(mu.positions) ** 2
+        ref2 = np.array([np.sum(mu.prob_weights * xi2 / np.abs(p - mu.positions) ** 2)
+                         for p in z])
+        assert _rel_err(p2, ref2) <= 1e-13
+
+
+@pytest.mark.parametrize("name", [n for n in KERNEL_MEASURES
+                                  if n.startswith("atomic")])
+def test_kernels_exact_infinities_at_atoms(name, monkeypatch):
+    mu = KERNEL_MEASURES[name]
+    monkeypatch.setattr(measures, "_BLOCK_ELEMENTS", 2 * len(mu.positions))
+    atoms = mu.positions
+    for lam in (atoms, *atoms):
+        assert np.all(reg_resolvent(mu, lam, 0.0) == np.inf)
+        assert np.all(neg2_trace(mu, lam) == np.inf)
+        assert np.all(neg4_trace(mu, lam) == np.inf)
+        assert np.all(reg_resolvent_deps(mu, lam, 0.0) == -np.inf)
+        assert np.all(log_potential(mu, lam) == -np.inf)
+        assert np.all(np.isfinite(reg_resolvent(mu, lam, 0.3)))
+    if mu.support == "nonneg":
+        with np.errstate(invalid="ignore"):  # p2 is 0 * inf at an atom at 0
+            p0, p2 = p0_p2_positive(mu, atoms)
+        assert np.all(p0 == np.inf)
+        assert np.all(p2[atoms != 0] == np.inf)
+
+
+_coord = st.floats(-3.0, 3.0, allow_nan=False)
+_atoms = st.lists(st.tuples(_coord, st.floats(0.05, 1.0)), min_size=1,
+                  max_size=5)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_atoms, st.lists(st.tuples(_coord, _coord), min_size=1, max_size=8))
+def test_scalar_and_array_calls_agree(atoms, pts):
+    mu = SpectralMeasure.atomic([a for a, _ in atoms], [w for _, w in atoms],
+                                "real")
+    z = np.array([complex(a, b) for a, b in pts])
+    off = z[mu.min_node_distance(z) > 1e-3]
+    # (kernel, points, magnitude of one summand at lam - xi = d)
+    calls = [(lambda lam: reg_resolvent(mu, lam, 0.3), z,
+              lambda lam, d: 1.0 / (np.abs(d) ** 2 + 0.3)),
+             (lambda lam: neg2_trace(mu, lam), off,
+              lambda lam, d: np.abs(d) ** -2.0),
+             (lambda lam: log_potential(mu, lam), off,
+              lambda lam, d: np.abs(np.log(np.abs(d) ** 2))),
+             (lambda lam: cauchy_transform(mu, lam), off,
+              lambda lam, d: 1.0 / np.abs(d)),
+             (lambda lam: herglotz(mu, lam), off,
+              lambda lam, d: 0.5 + np.abs(lam / d))]
+    for kernel, lam, size in calls:
+        if lam.size == 0:
+            continue
+        batch = kernel(lam)
+        for i, p in enumerate(lam):
+            single = kernel(complex(p))
+            assert np.ndim(single) == 0
+            # one row and many rows may sum the nodes in another order, so
+            # they agree to rounding of the summed magnitudes
+            scale = np.sum(mu.prob_weights * size(p, p - mu.positions))
+            assert abs(single - batch[i]) <= 1e-14 * scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_atoms, _coord, st.floats(1e-3, 5.0), st.booleans(),
+       st.sampled_from(["atomic", "density"]))
+def test_poisson_identity_on_real_support(atoms, x, y, lower, kind):
+    # for real nodes Im 1/(x + iy - xi) = -y / |x + iy - xi|^2
+    if kind == "atomic":
+        mu = SpectralMeasure.atomic([a for a, _ in atoms],
+                                    [w for _, w in atoms], "real")
+    else:
+        mu = KERNEL_MEASURES["density-real"]
+    y = -y if lower else y
+    lam = complex(x, y)
+    if mu.min_node_distance(lam) <= mu.guard_band:
+        return
+    g = cauchy_transform(mu, lam)
+    assert -g.imag / y == pytest.approx(neg2_trace(mu, lam), rel=1e-13)
