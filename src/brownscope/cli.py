@@ -359,9 +359,9 @@ def cmd_oracle(cfg, args) -> bytes:
         a = x @ rmt.sample_b(n, t, gamma, k=k, seed=seed, stream=1)
         report["k"] = k
     eig = rmt.eigenvalues(a)
-    spectrum = rmt.EmpiricalSpectrum(eig, {"model": model, "n": n, "t": t,
-                                           "gamma": [gamma.real, gamma.imag],
-                                           "seed": seed})
+    report["sampler"] = rmt.SAMPLER_VERSION
+    spectrum = rmt.EmpiricalSpectrum(eig, {key: report[key] for key in (
+        "model", "n", "t", "gamma", "seed", "sampler")})
     mapped = _mapped(cfg, mu, _extract_domain(cfg, mu))
     report["support"] = rmt.support_report(spectrum, boundary=mapped,
                                            dilation=dil)

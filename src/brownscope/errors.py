@@ -53,7 +53,7 @@ class BadGamma(BrownscopeError):
 
 
 class ContinuationFailed(BrownscopeError):
-    """Newton path-following stalled before reaching the target point."""
+    """Path-following or a flow's ODE solver stalled before its target."""
 
 
 class MapEvaluationError(BrownscopeError):

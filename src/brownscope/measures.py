@@ -317,12 +317,16 @@ def _blocked_sum(mu: SpectralMeasure, lam, node_fn, weights=None):
     return out.reshape(arr.shape + w.shape[1:])[()]
 
 
+def _cauchy_nodes(zb, xb, r2, eps=0.0):
+    """conj(zb - xb) / (r2 + eps) per node, over the buffer of r2."""
+    return (np.conj(zb) - np.conj(xb)) * _inv(r2, eps)
+
+
 def reg_cauchy_transform(mu: SpectralMeasure, lam, eps):
     """G_eps(lam) = integral of conj(lam - xi) / (|lam - xi|^2 + eps) d mu(xi),
     the Cauchy transform regularized by eps >= 0; unguarded."""
     eps = float(eps)
-    return _blocked_sum(mu, lam, lambda zb, xb, r2: (
-        np.conj(zb) - np.conj(xb)) * _inv(r2, eps))
+    return _blocked_sum(mu, lam, lambda zb, xb, r2: _cauchy_nodes(zb, xb, r2, eps))
 
 
 def cauchy_transform(mu: SpectralMeasure, z):
@@ -330,19 +334,26 @@ def cauchy_transform(mu: SpectralMeasure, z):
 
     Requires z off the support: exact atoms for atomic measures, a guard
     band of 10x node spacing for density grids (the quadrature cannot be
-    trusted closer than that).
+    trusted closer than that); the distance comes from the sum's own pass.
     """
-    if np.min(mu.min_node_distance(z)) <= mu.guard_band:
+    nearest = [np.inf]
+
+    def guarded(zb, xb, r2):
+        nearest.append(r2.min())
+        return _cauchy_nodes(zb, xb, r2)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = _blocked_sum(mu, z, guarded)
+    if np.sqrt(min(nearest)) <= mu.guard_band:
         raise EvaluationOnSupport(
             f"cauchy transform requested within {mu.guard_band:.3g} of the support")
-    return reg_cauchy_transform(mu, z, 0.0)
+    return g
 
 
 def cauchy_derivative(mu: SpectralMeasure, z):
     """G'(z) = -integral of 1/(z - xi)^2 d mu(xi); unguarded, so callers
     evaluate cauchy_transform at the same point first."""
-    return _blocked_sum(mu, z, lambda zb, xb, r2: -(
-        (np.conj(zb) - np.conj(xb)) * _inv(r2, 0.0)) ** 2)
+    return _blocked_sum(mu, z, lambda zb, xb, r2: -_cauchy_nodes(zb, xb, r2) ** 2)
 
 
 def herglotz(mu: SpectralMeasure, lam):

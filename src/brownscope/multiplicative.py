@@ -201,7 +201,8 @@ def hamilton_flow_mult(mu_u: SpectralMeasure, lam0, eps0: float, t: float,
     Raises BlowUp when p_eps crosses 1/tolerance before time t; the
     exception carries the estimated blow-up time (event time plus the
     tail of the frozen-coefficient Riccati equation, so the estimate is
-    far more precise than the threshold itself).
+    far more precise than the threshold itself).  Raises ContinuationFailed
+    when the solver stops for any other reason.
     """
     from scipy.integrate import solve_ivp  # costly import, off the CLI paths
     lam0 = complex(lam0)
@@ -224,7 +225,7 @@ def hamilton_flow_mult(mu_u: SpectralMeasure, lam0, eps0: float, t: float,
     sol = solve_ivp(_mult_rhs, (0.0, float(t)), y0, method="RK45",
                     rtol=rtol, atol=atol, events=blow_event)
     if not sol.success and sol.status != 1:
-        raise RuntimeError(f"flow integration failed: {sol.message}")
+        raise ContinuationFailed(f"flow integration failed: {sol.message}")
     if sol.status == 1:  # event hit
         te = float(sol.t_events[0][0])
         ye = sol.y_events[0][0]

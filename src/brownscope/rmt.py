@@ -5,18 +5,18 @@ keyed by (seed, stream), so draws are reproducible independently of the
 order in which they happen.  Helper streams derived from a base stream
 use disjoint high bits, keeping parallel factor draws collision-free.
 
-Normalizations.  The Hermitian (GUE-type) family is scaled so the
-normalized trace of the square tends to 1 (semicircle on [-2, 2]).  The
-time-t rotation-invariant family has entry variance t/n, so its empirical
-spectrum fills the disk of radius sqrt(t).  The elliptic family with
-second mixed moment gamma is e^{i arg(gamma)/2} (a X + i b Y) with
-a^2 = (t + |gamma|)/2, b^2 = (t - |gamma|)/2 and X, Y independent
-Hermitian draws.  The time-t multiplicative family is approximated by the
-ordered product of k left factors
+Normalizations.  The time-t rotation-invariant (Ginibre) family has entry
+variance t/n, so its empirical spectrum fills the disk of radius sqrt(t).
+The elliptic family with second mixed moment gamma is a G + b G^* with G
+that family at t = 1 and a, b = (sqrt(t + |gamma|) +- sqrt(t - |gamma|))
+e^{i arg(gamma)/2} / 2, so that |a|^2 + |b|^2 = t and 2ab = gamma.  The
+time-t multiplicative family is approximated by the ordered product of k
+left factors
 
     I + i G_j / sqrt(k) - (gamma / (2k)) I,      G_j elliptic(t, gamma) draws
 
-with k = 200 by default.
+with k = 200 by default.  These are the draws of SAMPLER_VERSION 2; under
+version 1 a (seed, stream) key gave other elliptic matrices.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 from .errors import BadGamma
 from .region import Boundary, distance_to_boundary, point_in_region
 
+SAMPLER_VERSION = 2
 _DEFAULT_K = 200
 _STREAM_STRIDE = 1 << 20
 
@@ -45,11 +46,6 @@ def sample_ginibre(n: int, t: float, seed: int, stream: int = 0) -> np.ndarray:
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
-def _sample_hermitian(n: int, rng) -> np.ndarray:
-    a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-    return (a + a.conj().T) / np.sqrt(2.0 * n)
-
-
 def sample_elliptic(n: int, t: float, gamma: complex, seed: int,
                     stream: int = 0) -> np.ndarray:
     """Elliptic Gaussian matrix: trace of the square tends to gamma, trace
@@ -58,13 +54,13 @@ def sample_elliptic(n: int, t: float, gamma: complex, seed: int,
     gamma = complex(gamma)
     if abs(gamma) > t * (1 + 1e-12):
         raise BadGamma(f"|gamma| = {abs(gamma):.6g} exceeds t = {t:.6g}")
-    rng = _rng(seed, stream)
-    a = np.sqrt((t + abs(gamma)) / 2.0)
-    b = np.sqrt(max(t - abs(gamma), 0.0) / 2.0)
-    theta = 0.5 * np.angle(gamma) if gamma != 0 else 0.0
-    x = _sample_hermitian(n, rng)
-    y = _sample_hermitian(n, rng)
-    return np.exp(1j * theta) * (a * x + 1j * b * y)
+    g = sample_ginibre(n, 1.0, seed, stream)
+    plus, minus = np.sqrt(t + abs(gamma)), np.sqrt(max(t - abs(gamma), 0.0))
+    phase = 0.5 * np.exp(0.5j * np.angle(gamma))
+    z = ((plus + minus) * phase) * g
+    if plus != minus:  # gamma = 0 needs no G^* pass
+        z += ((plus - minus) * phase) * g.conj().T
+    return z
 
 
 def sample_haar_unitary(n: int, seed: int, stream: int = 0) -> np.ndarray:
@@ -120,14 +116,13 @@ def sample_b(n: int, t: float, gamma: complex, k: int = _DEFAULT_K,
     derived stream, so the draw set is independent of evaluation order."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    gamma = complex(gamma)
-    out = np.eye(n, dtype=complex)
-    drift = gamma / (2.0 * k)
+    scale = 1j / np.sqrt(k)
+    shift = 1.0 - gamma / (2.0 * k)
     for j in range(k):
-        g = sample_elliptic(n, t, gamma, seed, stream * _STREAM_STRIDE + j + 1)
-        factor = np.eye(n, dtype=complex) + 1j * g / np.sqrt(k) \
-            - drift * np.eye(n, dtype=complex)
-        out = out @ factor
+        factor = sample_elliptic(n, t, gamma, seed, stream * _STREAM_STRIDE + j + 1)
+        factor *= scale
+        factor.flat[:: n + 1] += shift
+        out = factor if j == 0 else out @ factor
     return out
 
 

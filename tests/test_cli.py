@@ -366,3 +366,20 @@ def test_model_command_matrix(tmp_path, capfd, monkeypatch, model):
                 outs.append(out.read_bytes())
             if outs:
                 assert outs[0] == outs[1], (command, fmt)
+
+
+# --- import cost -------------------------------------------------------------------
+
+def test_cli_import_leaves_costly_scipy_modules_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, brownscope.cli; print(sorted(m for m in "
+            "('scipy.integrate', 'scipy.special') if m in sys.modules))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.stdout.strip() == "[]"

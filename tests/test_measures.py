@@ -80,6 +80,20 @@ def test_cauchy_on_support_raises():
         cauchy_transform(mu, 1.0 + 0.1 * mu.guard_band)
 
 
+def test_cauchy_guard_raises_without_warnings():
+    mu = bernoulli()
+    density = SpectralMeasure.from_density(
+        lambda x: np.sqrt(max(4.0 - x * x, 0.0)), -2.0, 2.0, n=64)
+    cases = [(mu, 1.0), (mu, np.array([3.0, -1.0, 0.5j])),
+             (density, np.array([3.0, 0.3 + 0.5 * density.guard_band * 1j]))]
+    for measure, z in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationOnSupport,
+                               match="cauchy transform requested within"):
+                cauchy_transform(measure, z)
+
+
 def test_cauchy_upper_to_lower_half_plane():
     rng = np.random.default_rng(42)
     mu = bernoulli()

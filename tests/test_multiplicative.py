@@ -158,6 +158,23 @@ def test_flow_survives_before_lifetime():
     assert st.epsilon >= 0
 
 
+def test_flow_solver_failure_is_a_package_error(monkeypatch):
+    import types
+
+    import scipy.integrate
+
+    from brownscope import BrownscopeError, ContinuationFailed
+
+    def failing(*args, **kwargs):
+        return types.SimpleNamespace(success=False, status=-1,
+                                     message="step size fell below spacing")
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", failing)
+    with pytest.raises(ContinuationFailed, match="step size") as exc:
+        hamilton_flow_mult(delta1_circle(), 2.0, 0.1, 1.0)
+    assert isinstance(exc.value, BrownscopeError)
+
+
 # --- circle curvature ----------------------------------------------------------
 
 def test_curvature_closed_form_values():

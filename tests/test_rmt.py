@@ -174,3 +174,33 @@ def test_support_report_boundary_dilation():
         support_report(spec)
     with pytest.raises(ValueError):
         support_report(spec, region_test=lambda z: True, dilation=0.1)
+
+
+# --- sampler draws (SAMPLER_VERSION 2) ------------------------------------------
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.3j, 0.4 + 0.3j, 1.0])
+def test_elliptic_entry_covariances(gamma):
+    # each pair i < j is independent of the others, so the pair statistics
+    # below have CLT standard errors sd / sqrt(n (n - 1) / 2) ~ 0.0035
+    n, t = 400, 1.0
+    z = sample_elliptic(n, t, gamma, seed=21)
+    upper = np.triu_indices(n, 1)
+    zij, zji = np.sqrt(n) * z[upper], np.sqrt(n) * z.T[upper]
+    for stat, expected in ((0.5 * (abs(zij) ** 2 + abs(zji) ** 2), t),
+                           (zij * zji, gamma),
+                           (0.5 * (zij ** 2 + zji ** 2), 0.0)):
+        se = np.sqrt(np.var(stat.real) + np.var(stat.imag)) / np.sqrt(stat.size)
+        assert abs(np.mean(stat) - expected) <= 5.0 * se, expected
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_sample_b_is_the_product_of_its_factors(k):
+    from brownscope.rmt import _STREAM_STRIDE
+    n, t, gamma, seed, stream = 30, 0.5, 0.2 - 0.1j, 12, 3
+    expected = np.eye(n, dtype=complex)
+    for j in range(k):
+        z = sample_elliptic(n, t, gamma, seed, stream * _STREAM_STRIDE + j + 1)
+        expected = expected @ (np.eye(n) + 1j / np.sqrt(k) * z
+                               - gamma / (2 * k) * np.eye(n))
+    b = sample_b(n, t, gamma, k=k, seed=seed, stream=stream)
+    assert np.max(np.abs(b - expected)) <= 1e-14
