@@ -11,6 +11,12 @@ neg2_trace, neg2_moments, neg4_trace and log_potential.  Lifetime
 functions and push-forward maps consume measures only through them.
 |lam - xi|^2 is formed in real arithmetic, never as a complex modulus.
 
+Sums run over row blocks of 2^16 point x node floats, which stay in a
+core's cache.  Calls of 2^22 pairs or more spread their blocks over a pool
+with one thread per usable CPU (numpy and BLAS release the GIL); smaller
+and single-block calls run inline.  The blocks depend only on the block
+size and the node count, so results are the same bytes for any worker count.
+
 Transforms are vectorized over the evaluation point.  Scalars in give
 scalars out; arrays in give arrays of the same shape out.  Quantities that
 genuinely diverge (inverse-square trace at an atom, log potential at an
@@ -19,7 +25,10 @@ atom) come back as float infinities rather than raising.
 
 from __future__ import annotations
 
+import contextvars
 import json
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -29,8 +38,13 @@ from .errors import EvaluationOnSupport, NegativeEpsilon, WrongSupportKind
 
 SUPPORT_KINDS = ("real", "nonneg", "circle", "complex")
 
-# Keep each (points x nodes) float buffer under 2^24 entries (128 MiB).
-_BLOCK_ELEMENTS = 1 << 24
+# Points x nodes floats per block: 2^16 (512 KiB) stays in a core's cache.
+_BLOCK_ELEMENTS = 1 << 16
+# Calls of fewer point x node pairs, and single-block calls, run inline.
+_POOL_PAIRS = 1 << 22
+
+_pool = None
+_pool_lock = threading.Lock()
 
 _LOAD_RENORM_WARN = 1e-9
 
@@ -146,10 +160,8 @@ class SpectralMeasure:
 
     def min_node_distance(self, lam) -> np.ndarray | float:
         arr, scalar = _as_complex_points(lam)
-        out = np.empty(arr.size)
-        for rows, zb, xb in _blocks(self, arr.reshape(-1)):
-            out[rows] = _sq_dist(zb, xb).min(axis=1)
-        out = np.sqrt(out).reshape(arr.shape)
+        r2 = _map_blocks(self, arr.reshape(-1), lambda zb, xb, r2: r2.min(axis=1))
+        out = np.sqrt(r2).reshape(arr.shape)
         return float(out) if scalar else out
 
     def support_distance(self, lam) -> np.ndarray | float:
@@ -278,13 +290,60 @@ class SpectralMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _blocks(mu: SpectralMeasure, flat):
-    """Yield (rows, points column, node row) over memory-bounded row blocks
-    of the flat points.  Real-line nodes come as a float row (no imag part)."""
+def _executor():
+    """The thread pool, created on first use: one worker per usable CPU."""
+    global _pool
+    from concurrent.futures import ThreadPoolExecutor  # slow import, off small calls
+    with _pool_lock:
+        if _pool is None:
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count())
+            _pool = ThreadPoolExecutor(cpus, thread_name_prefix="measures")
+    return _pool
+
+
+# a forked child has none of the pool's threads, so it starts its own
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
+
+
+def _map_blocks(mu: SpectralMeasure, flat, block_fn):
+    """block_fn(zb, xb, r2) over blocks of _BLOCK_ELEMENTS // nodes flat
+    points (an empty call is one empty block), concatenated: zb is a block's
+    points as a column, xb the node row (real-line nodes as floats) and r2
+    = |zb - xb|^2 a fresh array that block_fn may overwrite.  Pooled tasks
+    run in a copy of the caller's context; the first error stops the call
+    and is raised once."""
     nodes = mu.positions.real if mu.support in ("real", "nonneg") else mu.positions
+    xb = nodes[None, :]
     block = max(1, _BLOCK_ELEMENTS // len(nodes))
-    for i in range(0, len(flat), block):
-        yield slice(i, i + block), flat[i : i + block, None], nodes[None, :]
+
+    def run(i):
+        zb = flat[i : i + block, None]
+        return block_fn(zb, xb, _sq_dist(zb, xb))
+
+    def task(blocks, err):
+        with np.errstate(**err):
+            return [run(i) for i in blocks]
+
+    starts = range(0, max(len(flat), 1), block)
+    if len(starts) == 1:
+        return run(0)
+    if len(flat) * len(nodes) < _POOL_PAIRS:
+        return np.concatenate([run(i) for i in starts])
+    # a task runs about a quarter of the pool threshold in blocks, with the
+    # caller's error state (numpy 1.x keeps it per thread, 2.x in the context)
+    per = max(1, (_POOL_PAIRS >> 2) // (block * len(nodes)))
+    pool = _executor()
+    futures = [pool.submit(contextvars.copy_context().run, task,
+                           starts[k : k + per], np.geterr())
+               for k in range(0, len(starts), per)]
+    try:
+        return np.concatenate([part for f in futures for part in f.result()])
+    finally:
+        for f in futures:
+            if not f.cancel():
+                f.exception()  # waits for a task already running
 
 
 def _sq_dist(zb, xb):
@@ -297,23 +356,19 @@ def _sq_dist(zb, xb):
 
 def _inv(r2, eps):
     """1 / (r2 + eps), computed over the buffer of r2."""
-    r2 += eps
+    if eps:
+        r2 += eps
     return np.reciprocal(r2, out=r2)
 
 
 def _blocked_sum(mu: SpectralMeasure, lam, node_fn, weights=None):
-    """Sum_j w_j * node_fn(lam, xi_j, |lam - xi_j|^2) in memory-bounded
-    blocks: node_fn gets one block of _blocks and its _sq_dist buffer.
+    """Sum_j w_j * node_fn(lam, xi_j, |lam - xi_j|^2) over the blocks of
+    _map_blocks: node_fn gets one block's points, nodes and r2 array.
     weights defaults to the probability weights; an (m, c) matrix gives c
     sums per point on a trailing axis.  Scalars in give scalars out."""
     arr = np.asarray(lam, dtype=complex)
-    flat = arr.reshape(-1)
     w = mu.prob_weights if weights is None else weights
-    out = np.empty(flat.shape + w.shape[1:])
-    for rows, zb, xb in _blocks(mu, flat):
-        s = node_fn(zb, xb, _sq_dist(zb, xb)) @ w
-        out = out.astype(s.dtype, copy=False)
-        out[rows] = s
+    out = _map_blocks(mu, arr.reshape(-1), lambda zb, xb, r2: node_fn(zb, xb, r2) @ w)
     return out.reshape(arr.shape + w.shape[1:])[()]
 
 
@@ -339,7 +394,7 @@ def cauchy_transform(mu: SpectralMeasure, z):
     nearest = [np.inf]
 
     def guarded(zb, xb, r2):
-        nearest.append(r2.min())
+        nearest.append(r2.min(initial=np.inf))
         return _cauchy_nodes(zb, xb, r2)
 
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -86,17 +86,17 @@ class Boundary:
 def evaluate_grid(f, bounds, nx: int, ny: int) -> Grid:
     """Sample f on an nx-by-ny cell-centered grid over bounds =
     (re_min, re_max, im_min, im_max).  f is tried once on the full complex
-    node array; if that fails or returns the wrong shape, it is called
-    pointwise."""
+    node array; if that raises TypeError (a scalar-only f) or returns the
+    wrong shape, it is called pointwise.  Any other error propagates."""
     re_min, re_max, im_min, im_max = map(float, bounds)
     g = Grid(re_min, re_max, im_min, im_max, nx, ny,
              np.zeros((nx, ny)))
     nodes = g.nodes()
     try:
         vals = np.asarray(f(nodes), dtype=float)
-        if vals.shape != nodes.shape:
-            raise ValueError
-    except Exception:
+    except TypeError:
+        vals = None
+    if vals is None or vals.shape != nodes.shape:
         vals = np.empty(nodes.shape, dtype=float)
         flat_nodes = nodes.reshape(-1)
         flat = vals.reshape(-1)

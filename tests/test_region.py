@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from brownscope import (Boundary, Chain, Grid, distance_to_boundary, emit,
-                        evaluate_grid, extract_levelset,
-                        level_crossing_on_ray, map_boundary, parse_pgm,
-                        point_in_region)
+from brownscope import (Boundary, Chain, EvaluationOnSupport, Grid,
+                        distance_to_boundary, emit, evaluate_grid,
+                        extract_levelset, level_crossing_on_ray, map_boundary,
+                        parse_pgm, point_in_region)
 
 
 def all_points(b: Boundary) -> np.ndarray:
@@ -48,6 +48,18 @@ def test_grid_pointwise_fallback():
     ga = evaluate_grid(f, (-1, 1, -1, 1), 5, 5)
     gb = evaluate_grid(sq_modulus, (-1, 1, -1, 1), 5, 5)
     assert np.allclose(ga.values, gb.values)
+
+
+def test_grid_vectorized_error_propagates_once():
+    # only TypeError or a wrong shape falls back to pointwise calls
+    calls = []
+
+    def f(z):
+        calls.append(np.shape(z))
+        raise EvaluationOnSupport("inside the guard band")
+    with pytest.raises(EvaluationOnSupport):
+        evaluate_grid(f, (-1, 1, -1, 1), 5, 5)
+    assert calls == [(5, 5)]
 
 
 # --- extract_levelset -------------------------------------------------------
