@@ -64,7 +64,7 @@ class MapEvaluationError(BrownscopeError):
         self.point = point
         self.cause = cause
         super().__init__(
-            f"boundary map failed at point {index} ({point!r}): {cause}"
+            f"boundary map failed at point {index} {complex(point)}: {cause}"
         )
 
 

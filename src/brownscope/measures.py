@@ -384,6 +384,20 @@ def reg_cauchy_transform(mu: SpectralMeasure, lam, eps):
     return _blocked_sum(mu, lam, lambda zb, xb, r2: _cauchy_nodes(zb, xb, r2, eps))
 
 
+def _sum_and_distance(mu: SpectralMeasure, lam, node_fn):
+    """_blocked_sum of node_fn, quietly, with the distance from lam to the
+    nearest node read off the same pass (r2 before node_fn overwrites it)."""
+    nearest = [np.inf]
+
+    def seen(zb, xb, r2):
+        nearest.append(r2.min(initial=np.inf))
+        return node_fn(zb, xb, r2)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = _blocked_sum(mu, lam, seen)
+    return out, np.sqrt(min(nearest))
+
+
 def cauchy_transform(mu: SpectralMeasure, z):
     """G(z) = integral of 1/(z - xi) d mu(xi), reg_cauchy_transform at eps = 0.
 
@@ -391,15 +405,8 @@ def cauchy_transform(mu: SpectralMeasure, z):
     band of 10x node spacing for density grids (the quadrature cannot be
     trusted closer than that); the distance comes from the sum's own pass.
     """
-    nearest = [np.inf]
-
-    def guarded(zb, xb, r2):
-        nearest.append(r2.min(initial=np.inf))
-        return _cauchy_nodes(zb, xb, r2)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = _blocked_sum(mu, z, guarded)
-    if np.sqrt(min(nearest)) <= mu.guard_band:
+    g, dist = _sum_and_distance(mu, z, _cauchy_nodes)
+    if dist <= mu.guard_band:
         raise EvaluationOnSupport(
             f"cauchy transform requested within {mu.guard_band:.3g} of the support")
     return g
@@ -426,13 +433,14 @@ def reg_resolvent(mu: SpectralMeasure, lam, eps):
     NegativeEpsilon is raised.  Strictly decreasing in eps.
     """
     eps = float(eps)
-    if eps < 0:
-        dist = np.min(mu.min_node_distance(lam))
-        if dist * dist <= -eps:
-            raise NegativeEpsilon(
-                f"eps = {eps:.3g} turns the integrand singular at distance {dist:.3g}")
-    with np.errstate(divide="ignore"):
-        return _blocked_sum(mu, lam, lambda zb, xb, r2: _inv(r2, eps))
+    if eps >= 0:
+        with np.errstate(divide="ignore"):
+            return _blocked_sum(mu, lam, lambda zb, xb, r2: _inv(r2, eps))
+    out, dist = _sum_and_distance(mu, lam, lambda zb, xb, r2: _inv(r2, eps))
+    if dist * dist <= -eps:
+        raise NegativeEpsilon(
+            f"eps = {eps:.3g} turns the integrand singular at distance {dist:.3g}")
+    return out
 
 
 def reg_resolvent_deps(mu: SpectralMeasure, lam, eps):

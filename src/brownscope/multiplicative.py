@@ -468,55 +468,13 @@ def sigma_boundary_positive(mu_x: SpectralMeasure, t: float,
                             ) -> _region.Boundary:
     """Positive-case domain boundary on a log-polar grid (the domain hugs
     the origin at small t near an atom at 0, so uniform rectangular grids
-    resolve it poorly).  The disk of radius r_min is excluded.  Chains cut
-    by the angular seam are stitched back together in the plane."""
+    resolve it poorly).  The disk of radius r_min is excluded.  The angle
+    axis is periodic, so chains crossing the positive axis close exactly."""
     if r_max is None:
         r_max = 4.0 * (mu_x.support_radius() + 1.0)
     bounds = (np.log(r_min), np.log(r_max), 0.0, 2.0 * np.pi)
     grid = _region.evaluate_grid(
         lambda w: _T_positive_values(mu_x, np.exp(w)), bounds, n_r, n_theta)
-    raw = _region.extract_levelset(grid, t)
-    cell = max((bounds[1] - bounds[0]) / n_r, 2.0 * np.pi / n_theta)
+    raw = _region.extract_levelset(grid, t, wrap_im=True)
     chains = [_region.Chain(np.exp(c.points), c.closed) for c in raw.polylines]
-    stitched = _stitch_chains(chains, rel_tol=3.0 * cell)
-    return _region.Boundary(stitched, float(t))
-
-
-def _stitch_chains(chains, rel_tol):
-    """Join open chains whose endpoints coincide within rel_tol times the
-    local modulus (seam repair after a periodic-coordinate extraction),
-    then close any chain whose own ends meet."""
-
-    def near(p, q):
-        return abs(p - q) < rel_tol * max(abs(p), abs(q), 1e-12)
-
-    open_pts = [list(c.points) for c in chains if not c.closed]
-    out = [c for c in chains if c.closed]
-    merged = True
-    while merged and len(open_pts) > 1:
-        merged = False
-        for i in range(len(open_pts)):
-            for j in range(i + 1, len(open_pts)):
-                a, b = open_pts[i], open_pts[j]
-                if near(a[-1], b[0]):
-                    open_pts[i] = a + b
-                elif near(a[-1], b[-1]):
-                    open_pts[i] = a + b[::-1]
-                elif near(a[0], b[-1]):
-                    open_pts[i] = b + a
-                elif near(a[0], b[0]):
-                    open_pts[i] = b[::-1] + a
-                else:
-                    continue
-                del open_pts[j]
-                merged = True
-                break
-            if merged:
-                break
-    for pts in open_pts:
-        arr = np.asarray(pts, dtype=complex)
-        if len(arr) > 2 and near(arr[0], arr[-1]):
-            out.append(_region.Chain(arr[:-1], True))
-        else:
-            out.append(_region.Chain(arr, False))
-    return out
+    return _region.Boundary(chains, float(t))

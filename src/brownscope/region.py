@@ -56,10 +56,6 @@ class Grid:
     def dim(self) -> float:
         return (self.im_max - self.im_min) / self.ny
 
-    @property
-    def cell(self) -> float:
-        return max(self.dre, self.dim)
-
     def node_re(self) -> np.ndarray:
         return self.re_min + (np.arange(self.nx) + 0.5) * self.dre
 
@@ -136,28 +132,36 @@ _SADDLE = {
 }
 
 
-def _edge_key(i, j, edge):
+def _edge_key(i, j, edge, period):
     # global identity of a grid edge; horizontal edges join node (i, j) to
-    # (i+1, j), vertical edges join (i, j) to (i, j+1)
+    # (i+1, j), vertical edges join (i, j) to (i, j+1); row `period` is row 0
     if edge == "b":
         return ("h", i, j)
     if edge == "t":
-        return ("h", i, j + 1)
+        return ("h", i, 0 if j + 1 == period else j + 1)
     if edge == "l":
         return ("v", i, j)
     return ("v", i + 1, j)
 
 
-def extract_levelset(grid: Grid, level: float) -> Boundary:
+def extract_levelset(grid: Grid, level: float, *, wrap_im: bool = False) -> Boundary:
     """Trace the level set {f = level} and assemble it into polylines.
 
     A corner counts as above when value > level, with +-inf clamped to
     +-1e30 first (so +inf is always above, -inf always below).  Values on
     shared edges are interpolated once per edge, which makes chains join
     exactly.  Closed chains are flagged.
+
+    wrap_im=True makes the imaginary axis periodic: the cells between the
+    last node row and the first are traced too, so chains crossing that seam
+    close like any other, with seam points up to half a cell above im_max.
     """
     v = np.nan_to_num(grid.values, nan=np.nan, posinf=_BIG, neginf=-_BIG)
     v = np.clip(v, -_BIG, _BIG)
+    xs, ys, period = grid.node_re(), grid.node_im(), None
+    if wrap_im:
+        v = np.concatenate([v, v[:, :1]], axis=1)
+        ys, period = np.append(ys, ys[-1] + grid.dim), grid.ny
     above = v > level
 
     a0 = above[:-1, :-1]
@@ -167,9 +171,6 @@ def extract_levelset(grid: Grid, level: float) -> Boundary:
     codes = (a0.astype(np.int8) + 2 * a1.astype(np.int8)
              + 4 * a2.astype(np.int8) + 8 * a3.astype(np.int8))
     mixed = (codes > 0) & (codes < 15)
-
-    xs = grid.node_re()
-    ys = grid.node_im()
 
     point_at = {}
 
@@ -201,8 +202,8 @@ def extract_levelset(grid: Grid, level: float) -> Boundary:
         else:
             pairs = _CASES[code]
         for ea, eb in pairs:
-            ka = _edge_key(int(i), int(j), ea)
-            kb = _edge_key(int(i), int(j), eb)
+            ka = _edge_key(int(i), int(j), ea, period)
+            kb = _edge_key(int(i), int(j), eb, period)
             edge_point(ka)
             edge_point(kb)
             segments.append((ka, kb))
@@ -501,7 +502,8 @@ def _emit_pgm(grid: Grid, meta) -> bytes:
 
 def parse_pgm(data: bytes):
     """Read back a PGM produced by emit: returns (Grid, vmin, vmax) with
-    values reconstructed from the recorded affine map."""
+    values reconstructed from the recorded affine map, so nan and -inf
+    samples come back as vmin and +inf as vmax."""
     pos = 0
 
     def token():

@@ -539,6 +539,25 @@ def test_pooled_kernels_match_inline_bit_for_bit(name, monkeypatch, use_pool):
             assert pool.tasks >= 9, label
 
 
+@pytest.mark.parametrize("name", list(KERNEL_MEASURES))
+def test_negative_eps_guard_reads_its_own_pass(name, monkeypatch, use_pool):
+    mu = KERNEL_MEASURES[name]
+    # blocks of 7 points: 60 points run nine blocks, one pooled task each
+    monkeypatch.setattr(measures, "_BLOCK_ELEMENTS", 7 * len(mu.positions))
+    z = _kernel_points(mu, False)
+    tasks = []
+    for eps in (0.0, NEG_EPS):
+        pool = use_pool(2)
+        got = reg_resolvent(mu, z, eps)
+        tasks.append(pool.tasks)
+        # the plain sum, with no guard around it
+        with np.errstate(divide="ignore"):
+            plain = measures._blocked_sum(
+                mu, z, lambda zb, xb, r2: measures._inv(r2, eps))
+        np.testing.assert_array_equal(got, plain)
+    assert tasks == [9, 9]
+
+
 def test_pooled_guard_and_infinities_raise_no_warnings(monkeypatch, use_pool):
     # one point per block, so every array below runs on the pool
     monkeypatch.setattr(measures, "_BLOCK_ELEMENTS", 1)

@@ -10,7 +10,7 @@ from brownscope import (BlowUp, DRegion, EvaluationOnSupport, InsideDomain,
                         d_region_membership, f_gamma_formula, f_gamma_map,
                         hamilton_flow_mult, herglotz, membership_positive,
                         membership_unitary, p0_p2_positive, p_tilde_unitary,
-                        psi_formula, psi_map, reg_resolvent,
+                        point_in_region, psi_formula, psi_map, reg_resolvent,
                         sigma_boundary_positive, sigma_boundary_unitary,
                         spectral_test_mult)
 
@@ -372,3 +372,38 @@ def test_sigma_positive_boundary_lies_on_levelset():
     vals = T_mult_positive(mu, pts)
     assert np.median(np.abs(vals - t)) < 0.02 * t
     assert np.max(np.abs(vals - t)) < 0.2 * t
+
+
+# (atoms, t, grid side): laws whose atoms' domains sit close to one another
+# across the angular seam of the log-polar grid
+SEAM_LAWS = [([1.0, 1.3], 0.01, 128), ([1.0, 2.0], 0.05, 48),
+             ([1.0, 1.5, 2.0], 0.02, 96), ([0.0, 1.0, 1.2], 0.01, 256)]
+
+
+def _seam_boundary(atoms, t, n):
+    mu = SpectralMeasure.atomic(atoms, [1.0 / len(atoms)] * len(atoms),
+                                support="nonneg")
+    return mu, sigma_boundary_positive(mu, t, n_r=n, n_theta=n)
+
+
+@pytest.mark.parametrize("atoms, t, n", SEAM_LAWS)
+def test_sigma_positive_chains_close_around_their_atoms(atoms, t, n):
+    _, b = _seam_boundary(atoms, t, n)
+    assert b.polylines and all(c.closed for c in b.polylines)
+    # T = 0 at an atom, so every nonzero atom is inside its domain
+    for a in atoms:
+        if a:
+            assert point_in_region(b, a + 1e-9j), a
+
+
+@pytest.mark.parametrize("atoms, t, n", SEAM_LAWS)
+def test_sigma_positive_steps_stay_within_two_cells(atoms, t, n):
+    mu, b = _seam_boundary(atoms, t, n)
+    d_logr = (np.log(4.0 * (mu.support_radius() + 1.0)) - np.log(1e-6)) / n
+    d_theta = 2 * np.pi / n
+    for c in b.polylines:
+        p = np.append(c.points, c.points[:1]) if c.closed else c.points
+        # consecutive points in (log r, theta); a chord across the seam
+        # would jump many cells
+        assert np.max(np.abs(np.diff(np.log(np.abs(p))))) <= 2 * d_logr
+        assert np.max(np.abs(np.angle(p[1:] / p[:-1]))) <= 2 * d_theta

@@ -1,14 +1,17 @@
 """Grid evaluation, level-set extraction, boundary mapping, emission."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brownscope import (Boundary, Chain, EvaluationOnSupport, Grid,
-                        distance_to_boundary, emit, evaluate_grid,
-                        extract_levelset, level_crossing_on_ray, map_boundary,
-                        parse_pgm, point_in_region)
+                        MapEvaluationError, distance_to_boundary, emit,
+                        evaluate_grid, extract_levelset, level_crossing_on_ray,
+                        map_boundary, parse_pgm, point_in_region)
 
 
 def all_points(b: Boundary) -> np.ndarray:
@@ -125,6 +128,67 @@ def test_levelset_refinement():
         assert np.min(np.abs(fine - p)) < diag
 
 
+# --- periodic imaginary axis -------------------------------------------------
+
+# integer fields on 17 x 32 nodes over [0, 1] x [0, 2 pi]: exact corner values,
+# so the traced points are the same bytes on any machine
+_I, _J = np.meshgrid(np.arange(17), np.arange(32), indexing="ij")
+
+
+def seam_blob(center=0):
+    """Squared distance to node (8, center), periodic in the row index j."""
+    dj = np.minimum((_J - center) % 32, (center - _J) % 32)
+    return Grid(0.0, 1.0, 0.0, 2 * np.pi, 17, 32, (_I - 8) ** 2 + dj ** 2)
+
+
+def winding_band():
+    """A band around a zigzag that runs once around the angle axis."""
+    zigzag = 2 - np.abs(_J % 8 - 4)
+    return Grid(0.0, 1.0, 0.0, 2 * np.pi, 17, 32, (_I - 8 - zigzag) ** 2)
+
+
+def test_wrap_closes_a_blob_straddling_the_seam():
+    g = seam_blob()
+    (chain,) = extract_levelset(g, 10.5, wrap_im=True).polylines
+    assert chain.closed
+    # seam points lie up to half a cell above the top of the grid
+    assert np.all(chain.points.imag > 0)
+    assert np.all(chain.points.imag <= 2 * np.pi + g.dim / 2)
+    # the same blob away from the seam, traced without wrapping, is the
+    # same chain shifted by 16 rows
+    (ref,) = extract_levelset(seam_blob(16), 10.5).polylines
+    assert ref.closed and len(ref.points) == len(chain.points)
+    moved = chain.points + 16j * g.dim
+    moved = moved.real + 1j * np.mod(moved.imag, 2 * np.pi)
+    assert np.abs(moved[:, None] - ref.points[None, :]).min(axis=1).max() < 1e-12
+
+
+def test_wrap_closes_a_band_winding_around_the_axis():
+    chains = extract_levelset(winding_band(), 6.5, wrap_im=True).polylines
+    assert len(chains) == 2
+    for c in chains:
+        assert c.closed and len(c.points) == 64
+        # the chain winds once: its steps in angle add up to one period
+        steps = np.diff(np.append(c.points, c.points[0]).imag)
+        steps = np.mod(steps + np.pi, 2 * np.pi) - np.pi
+        assert abs(abs(steps.sum()) - 2 * np.pi) < 1e-9
+
+
+@pytest.mark.parametrize("field, level, digest", [
+    (seam_blob, 10.5,
+     "f7c2bd9bfa62f2bdab7f8356ed9ad89a1e4c90acba5846679fb3852fb9cedc42"),
+    (winding_band, 6.5,
+     "7c72ae441736c7c699a68b9433a0b075cd61d175e0c1e94bbec60d23088dd149"),
+])
+def test_no_wrap_keeps_the_rectangular_trace(field, level, digest):
+    g = field()
+    plain = emit(extract_levelset(g, level, wrap_im=False), "json")
+    assert plain == emit(extract_levelset(g, level), "json")
+    # the trace as it was before wrap_im existed, seam chains left open
+    assert hashlib.sha256(plain).hexdigest() == digest
+    assert not any(c.closed for c in extract_levelset(g, level).polylines)
+
+
 # --- map_boundary -----------------------------------------------------------
 
 def unit_circle_boundary(n=256):
@@ -180,6 +244,18 @@ def test_map_refines_long_segments():
     b = Boundary([Chain(np.exp(1j * ang), True)], 1.0)
     m = map_boundary(b, lambda z: z ** 3 * 50.0)
     assert len(m.polylines[0].points) > 8
+
+
+def test_map_error_formats_the_point_as_a_python_complex():
+    err = MapEvaluationError(3, np.complex128(0.5 + 0.1j), ValueError("off"))
+    assert "np." not in str(err) and "(0.5+0.1j)" in str(err)
+
+    def refuse(z):
+        raise ValueError("off")
+
+    with pytest.raises(MapEvaluationError, match=r"point 0 \(1\+0j\)") as info:
+        map_boundary(unit_circle_boundary(), refuse)
+    assert "np." not in str(info.value)
 
 
 # --- point membership and ray crossing ---------------------------------------
@@ -273,3 +349,36 @@ def test_pgm_top_row_is_max_imag():
     header_end = data.rfind(b"65535") + 6
     raster = np.frombuffer(data[header_end:], dtype=">u2").reshape(4, 4)
     assert raster[0].min() > raster[-1].max()
+
+
+_sample = st.one_of(st.floats(-1e6, 1e6, allow_subnormal=False),
+                    st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def pgm_grids(draw):
+    nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    bounds = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=4, max_size=4))
+    values = draw(st.lists(_sample, min_size=nx * ny, max_size=nx * ny))
+    return Grid(*bounds, nx, ny, np.reshape(values, (nx, ny)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pgm_grids())
+def test_pgm_round_trip_property(g):
+    g2, vmin, vmax = parse_pgm(emit(g, "pgm"))
+    assert (g2.re_min, g2.re_max, g2.im_min, g2.im_max, g2.nx, g2.ny) == \
+        (g.re_min, g.re_max, g.im_min, g.im_max, g.nx, g.ny)
+    v = g.values
+    finite = np.isfinite(v)
+    if finite.any():
+        assert (vmin, vmax) == (v[finite].min(), v[finite].max())
+    else:
+        assert (vmin, vmax) == (0.0, 0.0)
+    # half a gray level, plus rounding of the affine map back
+    tol = (vmax - vmin) / 131070 + 4 * np.spacing(max(abs(vmin), abs(vmax)))
+    assert np.all(np.abs(g2.values[finite] - v[finite]) <= tol)
+    # the clamps: nan and -inf read back as vmin, +inf as vmax
+    assert np.all(g2.values[np.isnan(v) | (v == -np.inf)] == vmin)
+    assert np.all(np.abs(g2.values[v == np.inf] - vmax) <= tol)
