@@ -31,6 +31,13 @@ from .measures import (SpectralMeasure, cauchy_transform, neg2_trace,
                        neg4_trace, reg_resolvent, reg_resolvent_deps)
 
 MEMBERSHIP_TOL = 1e-9
+_NEWTON_MAX_ITER = 100
+
+
+def check_gamma(t: float, gamma: complex) -> None:
+    """Raise BadGamma unless |gamma| <= t, up to a relative 1e-12."""
+    if abs(gamma) > t * (1 + 1e-12):
+        raise BadGamma(f"|gamma| = {abs(gamma):.6g} exceeds t = {t:.6g}")
 
 
 @dataclass(frozen=True)
@@ -47,8 +54,7 @@ class ModelParams:
     def __post_init__(self):
         if not (self.t > 0):
             raise ValueError("t must be positive")
-        if abs(self.gamma) > self.t * (1 + 1e-12):
-            raise BadGamma(f"|gamma| = {abs(self.gamma):.6g} exceeds t = {self.t:.6g}")
+        check_gamma(self.t, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -91,10 +97,10 @@ def T_additive(mu_x: SpectralMeasure, lam):
     return 1.0 / neg2_trace(mu_x, lam)
 
 
-def _band_membership(T: float, t: float, tol: float) -> Membership:
-    """Classify a lifetime value T against the level t with a relative
-    tolerance band; shared by every model's membership test."""
-    band = tol * max(abs(t), 1e-300)
+def _band_membership(T: float, t: float) -> Membership:
+    """Classify a lifetime value T against the level t with the relative
+    band MEMBERSHIP_TOL; shared by every model's membership test."""
+    band = MEMBERSHIP_TOL * max(abs(t), 1e-300)
     if T < t - band:
         return Membership.INSIDE
     if T > t + band:
@@ -109,15 +115,14 @@ def _require_outside(membership: Membership, lam) -> None:
         raise InsideDomain(f"lam = {lam} is not strictly outside the domain")
 
 
-def sigma_additive_membership(mu_x: SpectralMeasure, lam, t: float,
-                              tol: float = MEMBERSHIP_TOL) -> Membership:
+def sigma_additive_membership(mu_x: SpectralMeasure, lam, t: float) -> Membership:
     """Classify lam against Sigma_t with a relative tolerance band around
     the level T = t."""
-    return _band_membership(float(T_additive(mu_x, lam)), t, tol)
+    return _band_membership(float(T_additive(mu_x, lam)), t)
 
 
 def spectral_test_additive(mu_x: SpectralMeasure, sigma_x_distance, lam,
-                           t: float, tol: float = MEMBERSHIP_TOL) -> Verdict:
+                           t: float) -> Verdict:
     """One-sided exclusion test for the spectrum of the perturbed operator:
     a point with positive distance to the reference spectrum AND lifetime
     exceeding t is certified outside.  Everything else is undetermined
@@ -128,7 +133,7 @@ def spectral_test_additive(mu_x: SpectralMeasure, sigma_x_distance, lam,
     """
     if sigma_x_distance(lam) <= 0:
         return Verdict.UNDETERMINED
-    if sigma_additive_membership(mu_x, lam, t, tol) is Membership.OUTSIDE:
+    if sigma_additive_membership(mu_x, lam, t) is Membership.OUTSIDE:
         return Verdict.OUTSIDE_SPECTRUM
     return Verdict.UNDETERMINED
 
@@ -145,7 +150,7 @@ def _eps_of_eps0(mu_x, lam, t, eps0):
 
 
 def analytic_extension_trace(mu_x: SpectralMeasure, lam, t: float,
-                             eps_samples, max_iter: int = 100):
+                             eps_samples):
     """Values of the analytically extended d S / d eps at time t.
 
     For lam with lifetime T(lam) > t the map eps0 -> eps0 (1 - t p(eps0))^2
@@ -153,7 +158,7 @@ def analytic_extension_trace(mu_x: SpectralMeasure, lam, t: float,
     extension_margin); the extension evaluates p / (1 - t p) at the
     preimage eps0 of each requested eps.  Newton iteration with the
     analytic derivative, seeded at eps0 = eps; InversionFailed after
-    max_iter steps without convergence.
+    _NEWTON_MAX_ITER steps without convergence.
 
     Returns a float array shaped like eps_samples.
     """
@@ -161,8 +166,7 @@ def analytic_extension_trace(mu_x: SpectralMeasure, lam, t: float,
     out = np.empty(eps_arr.shape)
     for idx, eps in enumerate(eps_arr):
         if eps == 0.0:
-            p = reg_resolvent(mu_x, lam, 0.0)
-            shrink = 1.0 - t * p
+            _, p, shrink = _eps_of_eps0(mu_x, lam, t, 0.0)
             if shrink <= 0:
                 raise InversionFailed(
                     "lam is not outside the closed time-t domain")
@@ -170,7 +174,7 @@ def analytic_extension_trace(mu_x: SpectralMeasure, lam, t: float,
             continue
         eps0 = float(eps)
         ok = False
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_MAX_ITER):
             try:
                 f, p, shrink = _eps_of_eps0(mu_x, lam, t, eps0)
             except NegativeEpsilon as exc:
@@ -211,10 +215,9 @@ def extension_margin(mu_x: SpectralMeasure, lam, t: float) -> float:
 
     def admissible(e0):
         try:
-            p = reg_resolvent(mu_x, lam, e0)
+            _, _, shrink = _eps_of_eps0(mu_x, lam, t, e0)
         except NegativeEpsilon:
             return False
-        shrink = 1.0 - t * p
         if shrink <= 0:
             return False
         dp = reg_resolvent_deps(mu_x, lam, e0)

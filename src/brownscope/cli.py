@@ -6,8 +6,9 @@ parameters; individual flags override config entries.  Every emitted
 document carries a short hash of the effective config so outputs can be
 traced back to their inputs.
 
-Exit codes: 0 on success, 2 on config or validation problems (a measure
-of the wrong support kind included), 3 on every other package error.
+Exit codes: 0 on success, 2 on usage, config or validation problems (a
+measure of the wrong support kind, a format the command does not write and
+an unwritable --out included), 3 on every other package error.
 Errors are printed to stderr as one machine-readable JSON object.
 """
 
@@ -35,7 +36,7 @@ _SUPPORT = {"add-circ": None, "add-elliptic": None, "mult-unitary": "circle",
 _LIFETIME = {"add-circ": additive.T_additive,
              "add-elliptic": additive.T_additive,
              "mult-unitary": multiplicative.T_mult_unitary,
-             "mult-positive": multiplicative._T_positive_values}
+             "mult-positive": multiplicative.T_mult_positive}
 _MAP = {"add-circ": additive.phi_formula,
         "add-elliptic": additive.phi_formula,
         "mult-unitary": multiplicative.psi_formula,
@@ -45,6 +46,13 @@ MODELS = tuple(_SUPPORT)
 
 class ConfigError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ConfigError instead of exiting."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 _DEFAULTS = {
@@ -63,7 +71,7 @@ _DEFAULTS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="brownscope",
         description="spectral domains and matrix checks for free models")
     sub = p.add_subparsers(dest="command", required=True)
@@ -141,8 +149,6 @@ def load_config(args) -> dict:
         raise ConfigError("config must supply a measure")
     if not (isinstance(cfg["t"], (int, float)) and cfg["t"] > 0):
         raise ConfigError("t must be a positive number")
-    if cfg["format"] not in ("csv", "json", "pgm"):
-        raise ConfigError("format must be csv, json or pgm")
     g = cfg["gamma"]
     if not (isinstance(g, (list, tuple)) and len(g) == 2
             and all(map(_number, g))):
@@ -164,10 +170,7 @@ def load_config(args) -> dict:
         raise ConfigError("oracle.probes must be [re, im, eps] number rows")
     if cfg["model"] == "add-circ" and (g[0] != 0 or g[1] != 0):
         raise ConfigError("add-circ is the gamma = 0 model; use add-elliptic")
-    if abs(complex(g[0], g[1])) > cfg["t"] * (1 + 1e-12):
-        raise ConfigError(
-            f"requires |gamma| <= t: |gamma| = {abs(complex(g[0], g[1])):.6g}, "
-            f"t = {cfg['t']:.6g}")
+    additive.check_gamma(cfg["t"], complex(g[0], g[1]))
     return cfg
 
 
@@ -243,9 +246,8 @@ def cmd_domain(cfg, args) -> bytes:
     mu = resolve_measure(cfg)
     sigma = _extract_domain(cfg, mu)
     mapped = _mapped(cfg, mu, sigma)
-    fmt = cfg["format"]
     meta = _meta(cfg, "domain")
-    if fmt == "json":
+    if cfg["format"] == "json":
         doc = {
             "schema": "brownscope-region/1",
             "kind": "domain",
@@ -255,16 +257,14 @@ def cmd_domain(cfg, args) -> bytes:
             "mapped": json.loads(region_mod.emit(mapped, "json")),
         }
         return (json.dumps(doc, sort_keys=True) + "\n").encode()
-    if fmt == "csv":
-        lines = [f"# {k} = {meta[k]}" for k in sorted(meta)]
-        lines.append("re,im,chain,closed,role")
-        for role, b in (("sigma", sigma), ("mapped", mapped)):
-            for c_idx, chain in enumerate(b.polylines):
-                for pnt in chain.points:
-                    lines.append(f"{float(pnt.real)!r},{float(pnt.imag)!r},"
-                                 f"{c_idx},{int(chain.closed)},{role}")
-        return ("\n".join(lines) + "\n").encode()
-    raise ConfigError("domain output supports csv or json")
+    lines = [f"# {k} = {meta[k]}" for k in sorted(meta)]
+    lines.append("re,im,chain,closed,role")
+    for role, b in (("sigma", sigma), ("mapped", mapped)):
+        for c_idx, chain in enumerate(b.polylines):
+            for pnt in chain.points:
+                lines.append(f"{float(pnt.real)!r},{float(pnt.imag)!r},"
+                             f"{c_idx},{int(chain.closed)},{role}")
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _boundary_from_doc(doc) -> region_mod.Boundary:
@@ -292,8 +292,6 @@ def cmd_map(cfg, args) -> bytes:
         raise ConfigError(f"cannot read boundary file: {exc}") from exc
     boundary = _boundary_from_doc(doc)
     mapped = region_mod.map_boundary(boundary, _domain_map_fn(cfg, mu))
-    if cfg["format"] == "pgm":
-        raise ConfigError("map output supports csv or json")
     return region_mod.emit(mapped, cfg["format"], meta=_meta(cfg, "map"))
 
 
@@ -434,13 +432,14 @@ def cmd_radii(cfg, args) -> bytes:
     return (json.dumps(doc, sort_keys=True) + "\n").encode()
 
 
+# each command with the output formats it writes
 _COMMANDS = {
-    "lifetime": cmd_lifetime,
-    "domain": cmd_domain,
-    "map": cmd_map,
-    "spectest": cmd_spectest,
-    "oracle": cmd_oracle,
-    "radii": cmd_radii,
+    "lifetime": (cmd_lifetime, ("csv", "json", "pgm")),
+    "domain": (cmd_domain, ("csv", "json")),
+    "map": (cmd_map, ("csv", "json")),
+    "spectest": (cmd_spectest, ("json",)),
+    "oracle": (cmd_oracle, ("json",)),
+    "radii": (cmd_radii, ("csv", "json")),
 }
 
 
@@ -452,11 +451,20 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args)
-        out = _COMMANDS[args.command](cfg, args)
+        command, formats = _COMMANDS[args.command]
+        if cfg["format"] not in formats:
+            raise ConfigError(
+                f"{args.command} output supports {' or '.join(formats)}")
+        out = command(cfg, args)
+        if cfg["out"]:
+            try:
+                with open(cfg["out"], "wb") as fh:
+                    fh.write(out)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output: {exc}") from exc
     except (ConfigError, WrongSupportKind) as exc:
         return _fail(2, "config", str(exc))
     except BadGamma as exc:
@@ -465,10 +473,7 @@ def main(argv=None) -> int:
         return _fail(3, "numerical", str(exc))
     except np.linalg.LinAlgError as exc:
         return _fail(3, "numerical", f"linear algebra failure: {exc}")
-    if cfg["out"]:
-        with open(cfg["out"], "wb") as fh:
-            fh.write(out)
-    else:
+    if not cfg["out"]:
         try:
             sys.stdout.buffer.write(out)
             sys.stdout.buffer.flush()

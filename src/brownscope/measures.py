@@ -155,6 +155,11 @@ class SpectralMeasure:
             return 1e-12 * scale
         return 10.0 * self.node_spacing
 
+    @property
+    def at_zero(self) -> np.ndarray:
+        """Mask of the nodes that sit at the origin."""
+        return np.abs(self.positions) <= 1e-15
+
     def support_radius(self) -> float:
         return float(np.max(np.abs(self.positions)))
 
@@ -259,18 +264,10 @@ class SpectralMeasure:
             x, vals = x[order], vals[order]
             if support == "circle":
                 pos = np.exp(1j * x)
-                # periodic trapezoid in angle
-                ext = np.concatenate([[x[-1] - 2 * np.pi], x, [x[0] + 2 * np.pi]])
-                qw = 0.5 * (ext[2:] - ext[:-2])
+                qw = _trapezoid_weights(x, period=2 * np.pi)
             else:
                 pos = x.astype(complex)
-                qw = np.zeros_like(x)
-                if len(x) > 1:
-                    qw[1:-1] = 0.5 * (x[2:] - x[:-2])
-                    qw[0] = 0.5 * (x[1] - x[0])
-                    qw[-1] = 0.5 * (x[-1] - x[-2])
-                else:
-                    raise ValueError("density grid needs at least 2 nodes")
+                qw = _trapezoid_weights(x)
             total = float(np.sum(vals * qw))
             if abs(total - 1.0) > _LOAD_RENORM_WARN:
                 warnings.warn(f"density mass is {total:.12g}; renormalizing")
@@ -283,6 +280,17 @@ class SpectralMeasure:
             return SpectralMeasure.from_json_dict(path_or_dict)
         with open(path_or_dict, "r", encoding="utf-8") as fh:
             return SpectralMeasure.from_json_dict(json.load(fh))
+
+
+def _trapezoid_weights(x, period=None) -> np.ndarray:
+    """Trapezoid weights of the nodes x: half the gap between each node's
+    neighbours.  An end node stands in for its own missing neighbour, or,
+    on an axis of the given period, the node one period away does."""
+    if period is None and len(x) < 2:
+        raise ValueError("density grid needs at least 2 nodes")
+    lo, hi = (x[:1], x[-1:]) if period is None else (x[-1:] - period, x[:1] + period)
+    ext = np.concatenate([lo, x, hi])
+    return 0.5 * (ext[2:] - ext[:-2])
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +491,7 @@ def symmetrize(mu: SpectralMeasure) -> SpectralMeasure:
         raise WrongSupportKind("symmetrize expects a nonneg-supported measure")
     x = mu.positions.real
     if mu.kind == "atomic":
-        at_zero = np.abs(x) <= 1e-15
+        at_zero = mu.at_zero
         pos = np.concatenate([-x[~at_zero][::-1], x[at_zero], x[~at_zero]])
         w = mu.weights
         wts = np.concatenate([0.5 * w[~at_zero][::-1], w[at_zero], 0.5 * w[~at_zero]])

@@ -45,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import region as _region
-from .additive import (MEMBERSHIP_TOL, Membership, ModelParams,
-                       _band_membership, _require_outside)
+from .additive import (Membership, ModelParams, _band_membership,
+                       _require_outside)
 from .errors import (BlowUp, ContinuationFailed, EvaluationOnSupport,
                      OriginExcluded, WrongSupportKind)
 from .measures import (SpectralMeasure, cauchy_derivative, cauchy_transform,
@@ -54,6 +54,8 @@ from .measures import (SpectralMeasure, cauchy_derivative, cauchy_transform,
                        reg_cauchy_transform, reg_resolvent)
 
 _SERIES_SWITCH = 1e-8
+_BLOW_UP_TOL = 1e-8  # the flow has blown up once p_eps passes its reciprocal
+_FLOW_RTOL, _FLOW_ATOL = 1e-10, 1e-12
 
 
 @dataclass(frozen=True)
@@ -120,9 +122,8 @@ def T_mult_unitary(mu_u: SpectralMeasure, lam):
     return float(T[()]) if scalar else T
 
 
-def membership_unitary(mu_u: SpectralMeasure, lam, t: float,
-                       tol: float = MEMBERSHIP_TOL) -> Membership:
-    return _band_membership(float(T_mult_unitary(mu_u, lam)), t, tol)
+def membership_unitary(mu_u: SpectralMeasure, lam, t: float) -> Membership:
+    return _band_membership(float(T_mult_unitary(mu_u, lam)), t)
 
 
 def psi_formula(mu_u: SpectralMeasure, gamma: complex, lam):
@@ -189,16 +190,15 @@ def _mult_rhs(_t, y):
     return [dx, dy, deps, dplr, dpli, dpe]
 
 
-def hamilton_flow_mult(mu_u: SpectralMeasure, lam0, eps0: float, t: float,
-                       tolerance: float = 1e-8, rtol: float = 1e-10,
-                       atol: float = 1e-12) -> HamiltonStateMult:
+def hamilton_flow_mult(mu_u: SpectralMeasure, lam0, eps0: float,
+                       t: float) -> HamiltonStateMult:
     """Integrate the characteristic system from (lam0, eps0) for time t.
 
     Initial momenta are read off the regularized log potential itself:
     p_eps(0) is the regularized inverse-square integral and p_lam(0) its
     complex spatial gradient.  Adaptive RK with step rejection (RK45).
 
-    Raises BlowUp when p_eps crosses 1/tolerance before time t; the
+    Raises BlowUp when p_eps crosses 1/_BLOW_UP_TOL before time t; the
     exception carries the estimated blow-up time (event time plus the
     tail of the frozen-coefficient Riccati equation, so the estimate is
     far more precise than the threshold itself).  Raises ContinuationFailed
@@ -214,7 +214,7 @@ def hamilton_flow_mult(mu_u: SpectralMeasure, lam0, eps0: float, t: float,
         raise BlowUp(0.0, "initial momentum already divergent")
     pl0 = complex(reg_cauchy_transform(mu_u, lam0, eps0))
     y0 = [lam0.real, lam0.imag, eps0, pl0.real, pl0.imag, pe0]
-    p_max = 1.0 / float(tolerance)
+    p_max = 1.0 / _BLOW_UP_TOL
 
     def blow_event(_tt, y):
         return y[5] - p_max
@@ -223,7 +223,7 @@ def hamilton_flow_mult(mu_u: SpectralMeasure, lam0, eps0: float, t: float,
     blow_event.direction = 1.0
 
     sol = solve_ivp(_mult_rhs, (0.0, float(t)), y0, method="RK45",
-                    rtol=rtol, atol=atol, events=blow_event)
+                    rtol=_FLOW_RTOL, atol=_FLOW_ATOL, events=blow_event)
     if not sol.success and sol.status != 1:
         raise ContinuationFailed(f"flow integration failed: {sol.message}")
     if sol.status == 1:  # event hit
@@ -247,13 +247,11 @@ def hamilton_flow_mult(mu_u: SpectralMeasure, lam0, eps0: float, t: float,
 
 
 def blow_up_time(mu_u: SpectralMeasure, lam0, eps0: float,
-                 t_max: float = 50.0, tolerance: float = 1e-8,
-                 rtol: float = 1e-10) -> float:
+                 t_max: float = 50.0) -> float:
     """Blow-up time of the flow started at (lam0, eps0), +inf if the flow
     survives to t_max."""
     try:
-        hamilton_flow_mult(mu_u, lam0, eps0, t_max,
-                           tolerance=tolerance, rtol=rtol)
+        hamilton_flow_mult(mu_u, lam0, eps0, t_max)
     except BlowUp as b:
         return b.t_detected
     return np.inf
@@ -272,10 +270,15 @@ def p0_p2_positive(mu_x: SpectralMeasure, lam):
     return neg2_moments(mu_x, lam)
 
 
-def _T_positive_values(mu_x: SpectralMeasure, arr):
+def T_mult_positive(mu_x: SpectralMeasure, lam):
+    """Positive-case lifetime at lam != 0: log(a/b)/(a - b) with
+    a = |lam|^2 p0 and b = p2, series branch where a and b nearly agree
+    (on the circle |lam|^2 p0 = p2 the value is 1/p2).  T = 0 where the
+    integrals diverge.  Vectorized; a scalar lam = 0 is refused."""
+    arr = np.asarray(lam, dtype=complex)
+    if arr.ndim == 0 and complex(arr) == 0:
+        raise OriginExcluded("the positive-case lifetime excludes lam = 0")
     p0, p2 = p0_p2_positive(mu_x, arr)
-    p0 = np.asarray(p0, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
     a = (np.abs(arr) ** 2) * p0
     diverged = np.isinf(p0) | np.isinf(p2)
     # p2 = 0 only for a pure point mass at 0; the lifetime is then infinite
@@ -285,25 +288,12 @@ def _T_positive_values(mu_x: SpectralMeasure, arr):
         u = (a - b) / b
         T = _log_ratio_factor(u) / b
     T = np.where(degenerate, np.inf, T)
-    return np.where(diverged, 0.0, T)
+    T = np.where(diverged, 0.0, T)
+    return float(T[()]) if arr.ndim == 0 else T
 
 
-def T_mult_positive(mu_x: SpectralMeasure, lam) -> float:
-    """Positive-case lifetime at lam != 0: log(a/b)/(a - b) with
-    a = |lam|^2 p0 and b = p2, series branch where a and b nearly agree
-    (on the circle |lam|^2 p0 = p2 the value is 1/p2).  T = 0 where the
-    integrals diverge."""
-    arr = np.asarray(lam, dtype=complex)
-    if arr.ndim == 0:
-        if complex(arr) == 0:
-            raise OriginExcluded("the positive-case lifetime excludes lam = 0")
-        return float(_T_positive_values(mu_x, arr)[()])
-    return _T_positive_values(mu_x, arr)
-
-
-def membership_positive(mu_x: SpectralMeasure, lam, t: float,
-                        tol: float = MEMBERSHIP_TOL) -> Membership:
-    return _band_membership(float(T_mult_positive(mu_x, lam)), t, tol)
+def membership_positive(mu_x: SpectralMeasure, lam, t: float) -> Membership:
+    return _band_membership(float(T_mult_positive(mu_x, lam)), t)
 
 
 def f_gamma_map(mu_x: SpectralMeasure, params: ModelParams, lam):
@@ -391,8 +381,7 @@ def d_region_membership(mu_x: SpectralMeasure, params: ModelParams,
 
 
 def spectral_test_mult(kind: str, mu: SpectralMeasure, point,
-                       params: ModelParams,
-                       tol: float = MEMBERSHIP_TOL) -> MultTestResult:
+                       params: ModelParams) -> MultTestResult:
     """One-sided spectral exclusion test for multiplicative models.
 
     kind = "unitary": point is certified outside the perturbed spectrum
@@ -407,14 +396,14 @@ def spectral_test_mult(kind: str, mu: SpectralMeasure, point,
     the boundary tolerance band.
     """
     if kind == "unitary":
-        if membership_unitary(mu, point, params.t, tol) is Membership.OUTSIDE:
+        if membership_unitary(mu, point, params.t) is Membership.OUTSIDE:
             return MultTestResult(MultVerdict.OUTSIDE_SPECTRUM)
         return MultTestResult(MultVerdict.UNDETERMINED)
     if kind != "positive":
         raise ValueError(f"unknown kind {kind!r}")
     z = complex(point)
     if z == 0:
-        if _zero_outside_closed_domain(mu, params.t, tol):
+        if _zero_outside_closed_domain(mu, params.t):
             w0 = _atom_mass_at_zero(mu)
             return MultTestResult(MultVerdict.ZERO_ATOM_CASE, w0 > 0)
         return MultTestResult(MultVerdict.UNDETERMINED)
@@ -425,7 +414,7 @@ def spectral_test_mult(kind: str, mu: SpectralMeasure, point,
         return MultTestResult(MultVerdict.UNDETERMINED)
     if lam is None:
         return MultTestResult(MultVerdict.UNDETERMINED)
-    if membership_positive(mu, lam, params.t, tol) is Membership.OUTSIDE:
+    if membership_positive(mu, lam, params.t) is Membership.OUTSIDE:
         return MultTestResult(MultVerdict.OUTSIDE_SPECTRUM)
     return MultTestResult(MultVerdict.UNDETERMINED)
 
@@ -433,33 +422,26 @@ def spectral_test_mult(kind: str, mu: SpectralMeasure, point,
 def _atom_mass_at_zero(mu: SpectralMeasure) -> float:
     if mu.kind != "atomic":
         return 0.0
-    at_zero = np.abs(mu.positions) <= 1e-15
-    return float(np.sum(mu.weights[at_zero]))
+    return float(np.sum(mu.weights[mu.at_zero]))
 
 
-def _zero_outside_closed_domain(mu_x: SpectralMeasure, t: float,
-                                tol: float = MEMBERSHIP_TOL) -> bool:
+def _zero_outside_closed_domain(mu_x: SpectralMeasure, t: float) -> bool:
     """Probe whether 0 stays outside the closed time-t domain: lifetime
-    values on shrinking rings around 0 must all exceed t, and when the law
-    has an atom at 0 the radial limit of the lifetime must too."""
-    pos_moduli = np.abs(mu_x.positions)
-    nonzero = pos_moduli[pos_moduli > 1e-15]
+    values on shrinking rings around 0 must all be classified outside, and
+    when the law has an atom at 0 the radial limit of the lifetime must too."""
+    nonzero = np.abs(mu_x.positions[~mu_x.at_zero])
     r0 = 0.05 * float(np.min(nonzero)) if nonzero.size else 1e-3
-    band = tol * max(abs(t), 1e-300)
-    for r in (r0, r0 / 4.0, r0 / 16.0):
-        ring = r * np.exp(1j * np.linspace(0, 2 * np.pi, 16, endpoint=False))
-        T = _T_positive_values(mu_x, ring)
-        if np.min(T) <= t + band:
-            return False
-    w0 = _atom_mass_at_zero(mu_x)
-    if w0 > 0:
+
+    def lifetimes():
+        for r in (r0, r0 / 4.0, r0 / 16.0):
+            ring = r * np.exp(1j * np.linspace(0, 2 * np.pi, 16, endpoint=False))
+            yield float(np.min(T_mult_positive(mu_x, ring)))
+        w0 = _atom_mass_at_zero(mu_x)
         b = 1.0 - w0
-        if b <= 0:
-            return True  # the law is a point mass at 0
-        T_limit = float(_log_ratio_factor(np.asarray((w0 - b) / b)) / b)
-        if T_limit <= t + band:
-            return False
-    return True
+        if w0 > 0 and b > 0:  # b = 0: the law is a point mass at 0
+            yield float(_log_ratio_factor(np.asarray((w0 - b) / b)) / b)
+
+    return all(_band_membership(T, t) is Membership.OUTSIDE for T in lifetimes())
 
 
 def sigma_boundary_positive(mu_x: SpectralMeasure, t: float,
@@ -474,7 +456,7 @@ def sigma_boundary_positive(mu_x: SpectralMeasure, t: float,
         r_max = 4.0 * (mu_x.support_radius() + 1.0)
     bounds = (np.log(r_min), np.log(r_max), 0.0, 2.0 * np.pi)
     grid = _region.evaluate_grid(
-        lambda w: _T_positive_values(mu_x, np.exp(w)), bounds, n_r, n_theta)
+        lambda w: T_mult_positive(mu_x, np.exp(w)), bounds, n_r, n_theta)
     raw = _region.extract_levelset(grid, t, wrap_im=True)
     chains = [_region.Chain(np.exp(c.points), c.closed) for c in raw.polylines]
     return _region.Boundary(chains, float(t))

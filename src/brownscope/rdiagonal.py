@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import OutsideOmega, TMaxExceeded, WrongSupportKind
 from .measures import (SpectralMeasure, cauchy_derivative, cauchy_transform,
-                       reg_resolvent, symmetrize)
+                       reg_resolvent, symmetrize, _trapezoid_weights)
 
 _BISECT_TOL = 1e-10
 
@@ -149,11 +149,7 @@ def stieltjes_invert(G, x_grid, y: float) -> SpectralMeasure:
         if samples.shape != x.shape:
             raise ValueError("precomputed G samples must match x_grid")
     dens = np.clip(-samples.imag / np.pi, 0.0, None)
-    qw = np.zeros_like(x)
-    qw[1:-1] = 0.5 * (x[2:] - x[:-2])
-    qw[0] = 0.5 * (x[1] - x[0])
-    qw[-1] = 0.5 * (x[-1] - x[-2])
-    return SpectralMeasure("real", x.astype(complex), dens, qw)
+    return SpectralMeasure("real", x.astype(complex), dens, _trapezoid_weights(x))
 
 
 def perturbed_symmetrized_law(mu_h: SpectralMeasure, t: float, x_grid,

@@ -24,6 +24,8 @@ import numpy as np
 from .errors import MapEvaluationError
 
 _BIG = 1e30  # finite stand-in for +-inf during interpolation
+_MAX_EXPANSION, _MAX_DEPTH = 5.0, 12  # map_boundary's refinement rule
+_RAY_TOL = 1e-10  # bracket width at which level_crossing_on_ray stops
 
 
 @dataclass(frozen=True)
@@ -272,10 +274,9 @@ def _assemble_chains(segments, point_at, level) -> Boundary:
 # ---------------------------------------------------------------------------
 
 
-def map_boundary(boundary: Boundary, m, max_expansion: float = 5.0,
-                 max_depth: int = 12) -> Boundary:
+def map_boundary(boundary: Boundary, m) -> Boundary:
     """Apply a point map to every polyline, inserting source midpoints
-    wherever an image segment is more than max_expansion times longer than
+    wherever an image segment is more than _MAX_EXPANSION times longer than
     its source segment.  Map failures carry the offending point index."""
     mapped_chains = []
     for chain in boundary.polylines:
@@ -292,7 +293,7 @@ def map_boundary(boundary: Boundary, m, max_expansion: float = 5.0,
         out_pts = [safe(0, src[0])]
 
         def refine(z0, w0, z1, w1, idx, depth):
-            if depth < max_depth and abs(w1 - w0) > max_expansion * abs(z1 - z0) > 0:
+            if depth < _MAX_DEPTH and abs(w1 - w0) > _MAX_EXPANSION * abs(z1 - z0) > 0:
                 zm = 0.5 * (z0 + z1)
                 wm = safe(idx, zm)
                 refine(z0, w0, zm, wm, idx, depth + 1)
@@ -356,8 +357,7 @@ def distance_to_boundary(boundary: Boundary, z) -> np.ndarray | float:
     return float(best[0]) if scalar else best.reshape(zs.shape)
 
 
-def level_crossing_on_ray(f, center, angle, r_lo, r_hi, level,
-                          tol: float = 1e-10) -> float:
+def level_crossing_on_ray(f, center, angle, r_lo, r_hi, level) -> float:
     """Bisect f(center + r e^{i angle}) - level for the crossing radius.
     Requires a sign change between r_lo and r_hi."""
     direction = np.exp(1j * float(angle))
@@ -377,7 +377,7 @@ def level_crossing_on_ray(f, center, angle, r_lo, r_hi, level,
     if (g_lo > 0) == (g_hi > 0):
         raise ValueError("no sign change on the ray")
     lo, hi = float(r_lo), float(r_hi)
-    while hi - lo > tol:
+    while hi - lo > _RAY_TOL:
         mid = 0.5 * (lo + hi)
         gm = g(mid)
         if gm == 0.0:

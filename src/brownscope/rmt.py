@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadGamma
+from .additive import check_gamma
 from .region import Boundary, distance_to_boundary, point_in_region
 
 SAMPLER_VERSION = 2
@@ -52,8 +52,7 @@ def sample_elliptic(n: int, t: float, gamma: complex, seed: int,
     of the square modulus to t.  gamma = 0 is the rotation-invariant case,
     gamma = t the Hermitian one."""
     gamma = complex(gamma)
-    if abs(gamma) > t * (1 + 1e-12):
-        raise BadGamma(f"|gamma| = {abs(gamma):.6g} exceeds t = {t:.6g}")
+    check_gamma(t, gamma)
     g = sample_ginibre(n, 1.0, seed, stream)
     plus, minus = np.sqrt(t + abs(gamma)), np.sqrt(max(t - abs(gamma), 0.0))
     phase = 0.5 * np.exp(0.5j * np.angle(gamma))
@@ -137,22 +136,25 @@ def shifted_singular_values(a: np.ndarray, lam: complex) -> np.ndarray:
                          compute_uv=False)
 
 
+def _svd_probe(f, a: np.ndarray, lam: complex, eps) -> float | np.ndarray:
+    """Mean of f(s_i^2 + eps) over the singular values s_i of a - lam, from
+    one decomposition for every value of eps."""
+    s2 = shifted_singular_values(a, lam) ** 2
+    eps_arr = np.asarray(eps, dtype=float)
+    vals = np.mean(f(s2[None, :] + eps_arr.reshape(-1, 1)), axis=1)
+    return float(vals[0]) if eps_arr.ndim == 0 else vals.reshape(eps_arr.shape)
+
+
 def empirical_S(a: np.ndarray, lam: complex, eps) -> float | np.ndarray:
     """Normalized log determinant probe: mean of log(s_i^2 + eps) over the
     singular values of a - lam.  eps may be an array (one decomposition is
     reused for all values)."""
-    s2 = shifted_singular_values(a, lam) ** 2
-    eps_arr = np.asarray(eps, dtype=float)
-    vals = np.mean(np.log(s2[None, :] + eps_arr.reshape(-1, 1)), axis=1)
-    return float(vals[0]) if eps_arr.ndim == 0 else vals.reshape(eps_arr.shape)
+    return _svd_probe(np.log, a, lam, eps)
 
 
 def empirical_dSde(a: np.ndarray, lam: complex, eps) -> float | np.ndarray:
     """Normalized resolvent-trace probe: mean of 1/(s_i^2 + eps)."""
-    s2 = shifted_singular_values(a, lam) ** 2
-    eps_arr = np.asarray(eps, dtype=float)
-    vals = np.mean(1.0 / (s2[None, :] + eps_arr.reshape(-1, 1)), axis=1)
-    return float(vals[0]) if eps_arr.ndim == 0 else vals.reshape(eps_arr.shape)
+    return _svd_probe(np.reciprocal, a, lam, eps)
 
 
 @dataclass(frozen=True)

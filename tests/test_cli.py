@@ -320,6 +320,72 @@ def test_bad_config_values_are_config_errors(tmp_path, capfd, command,
     assert doc["error"]["kind"] == "config"
 
 
+def test_gamma_bound_message(tmp_path, capfd):
+    c = cfg_file(tmp_path, "c.json", {
+        "model": "add-elliptic", "measure": BERN_REAL, "t": 1.0,
+        "gamma": [1.5, 0.0]})
+    assert cli.main(["lifetime", "--config", c]) == 2
+    [doc] = error_objects(capfd.readouterr().err)
+    assert doc["error"]["message"] == (
+        "requires |gamma| <= t: |gamma| = 1.5 exceeds t = 1")
+
+
+def test_unwritable_out_is_config_error(tmp_path, capfd):
+    c = cfg_file(tmp_path, "c.json", {
+        "model": "add-circ", "measure": DELTA0, "t": 1.0,
+        "grid": {"nx": 8, "ny": 8}})
+    out = str(tmp_path / "missing" / "x.json")
+    assert cli.main(["lifetime", "--config", c, "--out", out]) == 2
+    stdout, err = capfd.readouterr()
+    assert stdout == "" and "Traceback" not in err
+    [doc] = error_objects(err)
+    assert doc["error"]["code"] == 2 and doc["error"]["kind"] == "config"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectest", "--im", "0"],
+    ["lifetime", "--format", "xml"],
+    ["lifetime", "--t", "abc"],
+], ids=["spectest-without-re", "format-xml", "t-not-a-number"])
+def test_usage_errors_follow_the_error_contract(tmp_path, capfd, argv):
+    c = cfg_file(tmp_path, "c.json", {
+        "model": "add-circ", "measure": DELTA0, "t": 1.0})
+    assert cli.main(argv + ["--config", c]) == 2
+    stdout, err = capfd.readouterr()
+    assert stdout == ""
+    [doc] = error_objects(err)
+    assert doc["error"]["code"] == 2 and doc["error"]["kind"] == "config"
+
+
+def test_help_still_exits_zero(capfd):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lifetime", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capfd.readouterr().out
+
+
+@pytest.mark.parametrize("command,fmt,extra", [
+    ("spectest", "csv", ["--re", "3", "--im", "0"]),
+    ("oracle", "csv", []),
+    ("domain", "pgm", []),
+    ("map", "pgm", ["--in", "ring.json"]),
+    ("radii", "pgm", []),
+])
+def test_unsupported_format_refused_before_any_work(tmp_path, capfd,
+                                                    monkeypatch, command,
+                                                    fmt, extra):
+    def no_work(cfg):
+        raise AssertionError("the measure was resolved")
+
+    monkeypatch.setattr(cli, "resolve_measure", no_work)
+    c = cfg_file(tmp_path, "c.json", {
+        "model": "add-circ", "measure": BERN_REAL, "t": 1.0})
+    assert cli.main([command, "--config", c, "--format", fmt, *extra]) == 2
+    [doc] = error_objects(capfd.readouterr().err)
+    assert doc["error"]["kind"] == "config"
+    assert doc["error"]["message"].startswith(f"{command} output supports")
+
+
 # --- every model through every command ----------------------------------------------
 
 MATRIX_MODELS = {

@@ -310,6 +310,35 @@ def test_load_renormalizes_with_warning():
         SpectralMeasure.from_json_dict(doc2)
 
 
+def test_density_load_trapezoid_weights():
+    # uneven nodes, given out of order: the loader sorts them and weights
+    # each by half the gap between its neighbours
+    x = np.array([0.0, 0.3, 0.35, 1.0, 1.8, 2.0])
+    order = [3, 0, 5, 1, 4, 2]
+    doc = {"kind": "density", "support": "real",
+           "grid": [[x[i], 0.5] for i in order]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mu = SpectralMeasure.from_json_dict(doc)
+    want = np.empty_like(x)
+    want[1:-1] = 0.5 * (x[2:] - x[:-2])
+    want[0] = 0.5 * (x[1] - x[0])
+    want[-1] = 0.5 * (x[-1] - x[-2])
+    assert np.array_equal(mu.quad_weights, want)
+    # on the circle the end nodes take their neighbours one turn away
+    th = np.array([-3.0, -1.0, 0.5, 2.0, 3.1])
+    doc = {"kind": "density", "support": "circle",
+           "grid": [[v, 1.0] for v in th[::-1]]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        circ = SpectralMeasure.from_json_dict(doc)
+    ext = np.concatenate([[th[-1] - 2 * np.pi], th, [th[0] + 2 * np.pi]])
+    assert np.array_equal(circ.quad_weights, 0.5 * (ext[2:] - ext[:-2]))
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        SpectralMeasure.from_json_dict(
+            {"kind": "density", "support": "real", "grid": [[0.0, 1.0]]})
+
+
 # --- the kernel layer against direct complex-arithmetic sums ---------------
 
 def _kernel_measures():
