@@ -14,8 +14,8 @@ from .region import (Boundary, Chain, Grid, distance_to_boundary, emit,
                      evaluate_grid, extract_levelset, level_crossing_on_ray,
                      map_boundary, parse_pgm, point_in_region)
 from .additive import (MEMBERSHIP_TOL, HamiltonState, Membership, ModelParams,
-                       Verdict, T_additive, analytic_extension_trace,
-                       check_gamma, e_region, extension_margin, flow_additive,
+                       Verdict, T_additive, analytic_extension_trace, e_region,
+                       extension_margin, flow_additive,
                        laplacian_identity_check, phi_formula, phi_map,
                        sigma_additive_membership, sigma_boundary,
                        spectral_test_additive)
@@ -48,7 +48,7 @@ __all__ = [
     "SpectralMeasure", "TMaxExceeded", "T_additive", "T_mult_positive",
     "T_mult_unitary", "Verdict", "WrongSupportKind",
     "analytic_extension_trace", "biane_Ht", "blow_up_time",
-    "cauchy_derivative", "cauchy_transform", "check_gamma", "circ_inner_radius",
+    "cauchy_derivative", "cauchy_transform", "circ_inner_radius",
     "curvature_check_circle", "d_region_membership", "distance_to_boundary",
     "e_region", "eigenvalues", "emit", "empirical_S", "empirical_dSde",
     "evaluate_grid", "extension_margin", "extract_levelset", "f_gamma_formula",

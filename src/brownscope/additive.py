@@ -25,19 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import region as _region
-from .errors import (BadGamma, InsideDomain, InversionFailed,
-                     LifetimeExceeded, NegativeEpsilon)
+from .errors import (InsideDomain, InversionFailed, LifetimeExceeded,
+                     NegativeEpsilon, _check_gamma)
 from .measures import (SpectralMeasure, cauchy_transform, neg2_trace,
                        neg4_trace, reg_resolvent, reg_resolvent_deps)
 
 MEMBERSHIP_TOL = 1e-9
 _NEWTON_MAX_ITER = 100
-
-
-def check_gamma(t: float, gamma: complex) -> None:
-    """Raise BadGamma unless |gamma| <= t, up to a relative 1e-12."""
-    if abs(gamma) > t * (1 + 1e-12):
-        raise BadGamma(f"|gamma| = {abs(gamma):.6g} exceeds t = {t:.6g}")
 
 
 @dataclass(frozen=True)
@@ -54,7 +48,7 @@ class ModelParams:
     def __post_init__(self):
         if not (self.t > 0):
             raise ValueError("t must be positive")
-        check_gamma(self.t, self.gamma)
+        _check_gamma(self.t, self.gamma)
 
 
 @dataclass(frozen=True)

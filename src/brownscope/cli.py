@@ -25,7 +25,8 @@ import numpy as np
 
 from . import additive, multiplicative, rdiagonal, rmt
 from . import region as region_mod
-from .errors import BadGamma, BrownscopeError, TMaxExceeded, WrongSupportKind
+from .errors import (BadGamma, BrownscopeError, TMaxExceeded,
+                     WrongSupportKind, _check_gamma)
 from .measures import SpectralMeasure
 
 # The model table: the support kind a model's measure needs (None: any),
@@ -170,7 +171,7 @@ def load_config(args) -> dict:
         raise ConfigError("oracle.probes must be [re, im, eps] number rows")
     if cfg["model"] == "add-circ" and (g[0] != 0 or g[1] != 0):
         raise ConfigError("add-circ is the gamma = 0 model; use add-elliptic")
-    additive.check_gamma(cfg["t"], complex(g[0], g[1]))
+    _check_gamma(cfg["t"], complex(g[0], g[1]))
     return cfg
 
 

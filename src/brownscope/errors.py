@@ -52,6 +52,12 @@ class BadGamma(BrownscopeError):
     """Covariance parameter violates |gamma| <= t."""
 
 
+def _check_gamma(t: float, gamma: complex) -> None:
+    """Raise BadGamma unless |gamma| <= t, up to a relative 1e-12."""
+    if abs(gamma) > t * (1 + 1e-12):
+        raise BadGamma(f"|gamma| = {abs(gamma):.6g} exceeds t = {t:.6g}")
+
+
 class ContinuationFailed(BrownscopeError):
     """Path-following or a flow's ODE solver stalled before its target."""
 

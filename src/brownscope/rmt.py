@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .additive import check_gamma
+from .errors import _check_gamma
 from .region import Boundary, distance_to_boundary, point_in_region
 
 SAMPLER_VERSION = 2
@@ -52,7 +52,7 @@ def sample_elliptic(n: int, t: float, gamma: complex, seed: int,
     of the square modulus to t.  gamma = 0 is the rotation-invariant case,
     gamma = t the Hermitian one."""
     gamma = complex(gamma)
-    check_gamma(t, gamma)
+    _check_gamma(t, gamma)
     g = sample_ginibre(n, 1.0, seed, stream)
     plus, minus = np.sqrt(t + abs(gamma)), np.sqrt(max(t - abs(gamma), 0.0))
     phase = 0.5 * np.exp(0.5j * np.angle(gamma))

@@ -1,6 +1,6 @@
 """Digest every model x command x format run of the brownscope CLI.
 
-    python tools/cli_digests.py [--src DIR] [--jobs N] > digests.txt
+    python tools/cli_digests.py [--src DIR] > digests.txt
 
 runs `python -m brownscope.cli` with PYTHONPATH=DIR (default: the `src`
 directory of this checkout) for every model under lifetime, domain,
@@ -25,7 +25,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 TWO_ATOMS = {"kind": "atomic", "support": "nonneg",
@@ -95,7 +94,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                     help="directory holding the brownscope package")
-    ap.add_argument("--jobs", type=int, default=2, help="runs at a time")
     args = ap.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
     jobs = []
@@ -110,10 +108,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_inputs(work)
-        with ThreadPoolExecutor(max(1, args.jobs)) as pool:
-            lines = pool.map(lambda job: run(work, env, *job), jobs)
-            for line in lines:
-                print(line, flush=True)
+        for label, extra in jobs:
+            print(run(work, env, label, extra), flush=True)
     return 0
 
 
