@@ -266,7 +266,9 @@ def e_region(mu_x: SpectralMeasure, params: ModelParams,
 def sigma_boundary(mu_x: SpectralMeasure, t: float, bounds,
                    nx: int = 512, ny: int = 512) -> _region.Boundary:
     """Marching-squares extraction of the T = t level set."""
-    grid = _region.evaluate_grid(lambda z: T_additive(mu_x, z), bounds, nx, ny)
+    grid = _region.evaluate_grid(
+        lambda z: T_additive(mu_x, z), bounds, nx, ny,
+        conj_symmetric=mu_x.support in ("real", "nonneg"))
     return _region.extract_levelset(grid, t)
 
 

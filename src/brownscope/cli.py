@@ -208,9 +208,11 @@ def _lifetime_grid(cfg, mu) -> region_mod.Grid:
     model, g = cfg["model"], cfg["grid"]
     if model not in _LIFETIME:
         raise ConfigError(f"model {model} has no lifetime function")
+    # a law on the real line gives a lifetime symmetric under conjugation
     return region_mod.evaluate_grid(
         functools.partial(_LIFETIME[model], mu),
-        (g["re_min"], g["re_max"], g["im_min"], g["im_max"]), g["nx"], g["ny"])
+        (g["re_min"], g["re_max"], g["im_min"], g["im_max"]), g["nx"], g["ny"],
+        conj_symmetric=mu.support in ("real", "nonneg"))
 
 
 def cmd_lifetime(cfg, args) -> bytes:

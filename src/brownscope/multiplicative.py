@@ -274,12 +274,17 @@ def T_mult_positive(mu_x: SpectralMeasure, lam):
     """Positive-case lifetime at lam != 0: log(a/b)/(a - b) with
     a = |lam|^2 p0 and b = p2, series branch where a and b nearly agree
     (on the circle |lam|^2 p0 = p2 the value is 1/p2).  T = 0 where the
-    integrals diverge.  Vectorized; a scalar lam = 0 is refused."""
+    integrals diverge.  Vectorized; a scalar lam = 0 is refused.  Where
+    |lam|^2 is 0 (an array's lam = 0, or an underflow) T is the radial
+    limit _T_at_zero."""
     arr = np.asarray(lam, dtype=complex)
     if arr.ndim == 0 and complex(arr) == 0:
         raise OriginExcluded("the positive-case lifetime excludes lam = 0")
-    p0, p2 = p0_p2_positive(mu_x, arr)
-    a = (np.abs(arr) ** 2) * p0
+    origin = np.abs(arr) ** 2 == 0
+    # 1j stands in there: off the half-line, so p0 and p2 are finite
+    pts = np.where(origin, 1j, arr)
+    p0, p2 = p0_p2_positive(mu_x, pts)
+    a = (np.abs(pts) ** 2) * p0
     diverged = np.isinf(p0) | np.isinf(p2)
     # p2 = 0 only for a pure point mass at 0; the lifetime is then infinite
     degenerate = (p2 == 0.0) & ~diverged
@@ -289,7 +294,20 @@ def T_mult_positive(mu_x: SpectralMeasure, lam):
         T = _log_ratio_factor(u) / b
     T = np.where(degenerate, np.inf, T)
     T = np.where(diverged, 0.0, T)
+    if origin.any():
+        T = np.where(origin, _T_at_zero(mu_x), T)
     return float(T[()]) if arr.ndim == 0 else T
+
+
+def _T_at_zero(mu_x: SpectralMeasure) -> float:
+    """Limit of T_mult_positive as lam -> 0: near 0, |lam|^2 p0 tends to
+    the mass w0 of an atom at 0 and p2 to 1 - w0, so the limit is finite
+    when 0 < w0 < 1 and +inf otherwise."""
+    w0 = _atom_mass_at_zero(mu_x)
+    b = 1.0 - w0
+    if w0 > 0 and b > 0:  # b = 0: the law is a point mass at 0
+        return float(_log_ratio_factor(np.asarray((w0 - b) / b)) / b)
+    return np.inf
 
 
 def membership_positive(mu_x: SpectralMeasure, lam, t: float) -> Membership:
@@ -428,7 +446,7 @@ def _atom_mass_at_zero(mu: SpectralMeasure) -> float:
 def _zero_outside_closed_domain(mu_x: SpectralMeasure, t: float) -> bool:
     """Probe whether 0 stays outside the closed time-t domain: lifetime
     values on shrinking rings around 0 must all be classified outside, and
-    when the law has an atom at 0 the radial limit of the lifetime must too."""
+    so must the radial limit of the lifetime at 0."""
     nonzero = np.abs(mu_x.positions[~mu_x.at_zero])
     r0 = 0.05 * float(np.min(nonzero)) if nonzero.size else 1e-3
 
@@ -436,10 +454,7 @@ def _zero_outside_closed_domain(mu_x: SpectralMeasure, t: float) -> bool:
         for r in (r0, r0 / 4.0, r0 / 16.0):
             ring = r * np.exp(1j * np.linspace(0, 2 * np.pi, 16, endpoint=False))
             yield float(np.min(T_mult_positive(mu_x, ring)))
-        w0 = _atom_mass_at_zero(mu_x)
-        b = 1.0 - w0
-        if w0 > 0 and b > 0:  # b = 0: the law is a point mass at 0
-            yield float(_log_ratio_factor(np.asarray((w0 - b) / b)) / b)
+        yield _T_at_zero(mu_x)
 
     return all(_band_membership(T, t) is Membership.OUTSIDE for T in lifetimes())
 

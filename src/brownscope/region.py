@@ -81,15 +81,25 @@ class Boundary:
     level: float
 
 
-def evaluate_grid(f, bounds, nx: int, ny: int) -> Grid:
+def evaluate_grid(f, bounds, nx: int, ny: int, *,
+                  conj_symmetric: bool = False) -> Grid:
     """Sample f on an nx-by-ny cell-centered grid over bounds =
-    (re_min, re_max, im_min, im_max).  f is tried once on the full complex
-    node array; if that raises TypeError (a scalar-only f) or returns the
-    wrong shape, it is called pointwise.  Any other error propagates."""
+    (re_min, re_max, im_min, im_max).  f is tried once on the complex node
+    array; if that raises TypeError (a scalar-only f) or returns the wrong
+    shape, it is called pointwise.  Any other error propagates.
+
+    conj_symmetric=True promises f(conj z) = f(z).  When also im_min =
+    -im_max, f sees only the node columns j >= ny // 2 (the middle one of
+    an odd ny included), and column j < ny // 2 is a copy of column
+    ny - 1 - j, so the grid is exactly mirror-symmetric.  A copied value is
+    f at the exact conjugate of its upper node; when the cell size is not
+    dyadic that is off the lower node by the rounding of the node
+    coordinates, a few ulps of im_max.  Other bounds ignore the flag."""
     re_min, re_max, im_min, im_max = map(float, bounds)
     g = Grid(re_min, re_max, im_min, im_max, nx, ny,
              np.zeros((nx, ny)))
-    nodes = g.nodes()
+    lo = ny // 2 if conj_symmetric and im_min == -im_max else 0
+    nodes = g.nodes()[:, lo:]
     try:
         vals = np.asarray(f(nodes), dtype=float)
     except TypeError:
@@ -100,6 +110,7 @@ def evaluate_grid(f, bounds, nx: int, ny: int) -> Grid:
         flat = vals.reshape(-1)
         for idx, z in enumerate(flat_nodes):
             flat[idx] = float(f(complex(z)))
+    vals = np.concatenate([vals[:, ::-1][:, :lo], vals], axis=1)
     return Grid(re_min, re_max, im_min, im_max, nx, ny, vals)
 
 

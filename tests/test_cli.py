@@ -1,11 +1,12 @@
 """End-to-end command-line checks (in-process main())."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from brownscope import cli
+from brownscope import SpectralMeasure, cli, emit, evaluate_grid
 
 BERN_REAL = {"kind": "atomic", "support": "real",
              "atoms": [[1.0, 0.0, 0.5], [-1.0, 0.0, 0.5]]}
@@ -85,6 +86,52 @@ def test_lifetime_mult_positive_exact_node(tmp_path):
     a, b = 16 * 13 / 72, 5.0 / 9
     want = np.log(a / b) / (a - b)
     assert float(doc["values"][10][10]) == pytest.approx(want, abs=1e-9)
+
+
+def _full_grid_lifetime(cfg):
+    """The lifetime grid of cfg evaluated on every node, unmirrored."""
+    mu = SpectralMeasure.load(cfg["measure"])
+    g = dict(cli._DEFAULTS["grid"], **cfg["grid"])
+    return evaluate_grid(
+        functools.partial(cli._LIFETIME[cfg["model"]], mu),
+        (g["re_min"], g["re_max"], g["im_min"], g["im_max"]), g["nx"], g["ny"])
+
+
+def test_lifetime_on_the_circle_is_not_mirrored(tmp_path):
+    # a circle law's lifetime is not conjugation-symmetric about the real
+    # axis in general, so its grid is evaluated on every node as before
+    cfg = {"model": "mult-unitary", "t": 1.0, "gamma": [0.0, -0.5],
+           "measure": {"kind": "atomic", "support": "circle",
+                       "atoms": [[1.0, 0.0, 0.5], [0.0, 1.0, 0.3],
+                                 [-0.6, -0.8, 0.2]]},
+           "grid": {"re_min": -3.0, "re_max": 3.0, "im_min": -3.0,
+                    "im_max": 3.0, "nx": 48, "ny": 48}}
+    c = cfg_file(tmp_path, "c.json", cfg)
+    args = cli.build_parser().parse_args(["lifetime", "--config", c])
+    meta = cli._meta(cli.load_config(args), "lifetime")
+    for fmt in ("json", "csv", "pgm"):
+        data = run_to_file(tmp_path, f"o.{fmt}",
+                           ["lifetime", "--config", c, "--format", fmt])
+        assert data == emit(_full_grid_lifetime(cfg), fmt, meta=meta), fmt
+
+
+def test_real_line_density_lifetime_is_mirrored(tmp_path):
+    x = np.linspace(-2.0, 2.0, 201)
+    f = np.sqrt(4.0 - x * x)
+    f /= np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(x))  # trapezoid mass 1
+    semi = {"kind": "density", "support": "real",
+            "grid": np.column_stack([x, f]).tolist()}
+    cfg = {"model": "add-elliptic", "measure": semi, "t": 0.5,
+           "gamma": [0.2, 0.1],
+           "grid": {"re_min": -2.5, "re_max": 2.5, "im_min": -2.5,
+                    "im_max": 2.5, "nx": 48, "ny": 48}}
+    c = cfg_file(tmp_path, "c.json", cfg)
+    doc = json.loads(run_to_file(tmp_path, "o.json",
+                                 ["lifetime", "--config", c]))
+    vals = np.asarray(doc["values"], dtype=float)
+    assert np.array_equal(vals, vals[:, ::-1])
+    full = _full_grid_lifetime(cfg).values
+    assert np.max(np.abs(vals / full - 1.0)) <= 1e-13
 
 
 # --- domain and map ----------------------------------------------------------------

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from brownscope import (EvaluationOnSupport, NegativeEpsilon, SpectralMeasure,
-                        WrongSupportKind, cauchy_transform, herglotz,
-                        log_potential, neg2_trace, neg4_trace, p0_p2_positive,
-                        reg_resolvent, reg_resolvent_deps, symmetrize)
+                        T_additive, T_mult_positive, WrongSupportKind,
+                        cauchy_transform, herglotz, log_potential, neg2_trace,
+                        neg4_trace, p0_p2_positive, reg_resolvent,
+                        reg_resolvent_deps, symmetrize)
 from brownscope import measures
 
 
@@ -504,6 +505,38 @@ def test_poisson_identity_on_real_support(atoms, x, y, lower, kind):
         return
     g = cauchy_transform(mu, lam)
     assert -g.imag / y == pytest.approx(neg2_trace(mu, lam), rel=1e-13)
+
+
+REAL_LINE_MEASURES = [n for n in KERNEL_MEASURES
+                      if n.endswith(("-real", "-nonneg"))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(REAL_LINE_MEASURES),
+       st.lists(st.tuples(_coord, _coord), min_size=1, max_size=30))
+def test_real_line_lifetimes_are_conjugation_symmetric(name, pts):
+    # |lam - xi|^2 sees Im lam only through its square, so a lifetime grid
+    # may be evaluated on the upper half-plane and mirrored bit for bit
+    mu = KERNEL_MEASURES[name]
+    z = np.array([complex(a, b) for a, b in pts])
+    lifetimes = [T_additive]
+    if mu.support == "nonneg":
+        lifetimes.append(T_mult_positive)
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of 7 points: the same layout gives the same partition
+        mp.setattr(measures, "_BLOCK_ELEMENTS", 7 * len(mu.positions))
+        for T in lifetimes:
+            assert T(mu, np.conj(z)).tobytes() == T(mu, z).tobytes()
+            for p in z[mu.min_node_distance(z) > 0]:
+                if p != 0:  # a scalar 0 is refused by T_mult_positive
+                    assert T(mu, np.conj(p)) == T(mu, p)
+        off = z[mu.min_node_distance(z) > mu.guard_band]
+        if off.size:
+            assert np.array_equal(cauchy_transform(mu, np.conj(off)),
+                                  np.conj(cauchy_transform(mu, off)))
+            p = complex(off[0])
+            assert cauchy_transform(mu, p.conjugate()) == np.conj(
+                cauchy_transform(mu, p))
 
 
 # --- pooled blocks: same bytes as inline, errors and warnings intact --------

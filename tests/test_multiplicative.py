@@ -1,5 +1,7 @@
 """Multiplicative models: unitary and positive initial conditions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,34 @@ def test_T_positive_two_atoms():
 
 def test_T_positive_origin_excluded():
     mu = SpectralMeasure.atomic([1.0, 2.0], [0.5, 0.5], support="nonneg")
+    with pytest.raises(OriginExcluded):
+        T_mult_positive(mu, 0.0)
+
+
+@pytest.mark.parametrize("atoms, weights, at_zero", [
+    ([0.0, 1.0], [0.3, 0.7], np.log(0.3 / 0.7) / (0.3 - 0.7)),
+    ([0.0, 2.0], [0.5, 0.5], 2.0),  # w0 = 1 - w0: the value is 1/p2
+    ([0.0], [1.0], np.inf),
+    ([1.0, 2.0], [0.5, 0.5], np.inf)])
+def test_T_positive_array_at_the_origin_is_the_radial_limit(atoms, weights,
+                                                            at_zero):
+    mu = SpectralMeasure.atomic(atoms, weights, support="nonneg")
+    pts = np.array([0.5 + 0.5j, 0.0, 3.0, 1e-200j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = T_mult_positive(mu, pts)
+        ray = [T_mult_positive(mu, r * np.exp(0.3j)) for r in (1e-3, 1e-7)]
+    assert vals[1] == pytest.approx(at_zero, rel=1e-14)
+    # |lam|^2 underflows to 0 at 1e-200: the same limit
+    assert vals[3] == vals[1]
+    if np.isfinite(at_zero):
+        assert ray[1] == pytest.approx(at_zero, rel=1e-5)
+    else:
+        # log-divergent towards the origin (inf throughout for a point mass)
+        assert ray[0] < ray[1] or ray[0] == np.inf
+    # the other entries are the values they take without the origin
+    others = T_mult_positive(mu, np.array([0.5 + 0.5j, 1j, 3.0, 1j]))
+    assert vals[[0, 2]].tobytes() == others[[0, 2]].tobytes()
     with pytest.raises(OriginExcluded):
         T_mult_positive(mu, 0.0)
 

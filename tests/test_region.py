@@ -65,6 +65,57 @@ def test_grid_vectorized_error_propagates_once():
     assert calls == [(5, 5)]
 
 
+def _recording(f):
+    """f, with the shape of every argument it is called on recorded."""
+    def g(z):
+        g.shapes.append(np.shape(z))
+        return f(z)
+    g.shapes = []
+    return g
+
+
+@pytest.mark.parametrize("ny", [8, 9])
+def test_conj_symmetric_grid_evaluates_the_upper_half_once(ny):
+    f = _recording(lambda z: np.abs(z - 0.3) ** 2 + z.imag ** 2)
+    g = evaluate_grid(f, (-1, 2, -1.5, 1.5), 6, ny, conj_symmetric=True)
+    assert f.shapes == [(6, ny - ny // 2)]
+    for j in range(ny):
+        assert np.array_equal(g.values[:, j], g.values[:, ny - 1 - j])
+    # the evaluated half is the plain grid's upper half, bit for bit
+    plain = evaluate_grid(f, (-1, 2, -1.5, 1.5), 6, ny)
+    assert np.array_equal(g.values[:, ny // 2:], plain.values[:, ny // 2:])
+    assert np.allclose(g.values, plain.values, rtol=1e-14, atol=0)
+    # a copied value is f at the conjugate of its upper node, which is off
+    # the lower node by rounding only (1/3 is not a dyadic cell size)
+    im = g.node_im()
+    assert np.all(np.abs(im[::-1] + im) <= 3 * np.spacing(1.5))
+
+
+def test_conj_symmetric_flag_needs_mirrored_bounds():
+    f = _recording(lambda z: np.abs(z) ** 2)
+    for bounds in [(-1, 1, -1, 2), (-1, 1, 0, 1), (-1, 1, -1, 1 + 1e-15)]:
+        f.shapes.clear()
+        flagged = evaluate_grid(f, bounds, 5, 6, conj_symmetric=True)
+        assert f.shapes == [(5, 6)]
+        plain = evaluate_grid(f, bounds, 5, 6)
+        assert flagged.values.tobytes() == plain.values.tobytes()
+
+
+@pytest.mark.parametrize("ny", [6, 7])
+def test_conj_symmetric_pointwise_fallback_covers_the_same_half(ny):
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return abs(complex(z) - 0.25) ** 2  # TypeError on arrays
+    g = evaluate_grid(f, (-1, 1, -2, 2), 5, ny, conj_symmetric=True)
+    # one array call, then one call per node of the upper columns
+    assert len(calls) == 1 + 5 * (ny - ny // 2)
+    assert np.array_equal(calls[1:], g.nodes()[:, ny // 2:].ravel())
+    for j in range(ny):
+        assert np.array_equal(g.values[:, j], g.values[:, ny - 1 - j])
+
+
 # --- extract_levelset -------------------------------------------------------
 
 def test_levelset_circle():

@@ -6,8 +6,11 @@ runs `python -m brownscope.cli` with PYTHONPATH=DIR (default: the `src`
 directory of this checkout) for every model under lifetime, domain,
 `map --in`, spectest at 3+0.5i and at 0, oracle and `radii --steps 5`,
 each in json, csv and pgm, on 48^2 grids, 64^2 log-polar grids and an
-n=60, k=6 oracle at seed 5.  A few error runs follow: |gamma| > t, usage
-errors and an unwritable --out.  Each run prints one tab-separated line:
+n=60, k=6 oracle at seed 5.  These measures are atomic; add-elliptic on a
+201-row semicircle density follows under lifetime, domain and `map --in`,
+in json and csv, since density sums are where kernel changes show.  A few
+error runs close the list: |gamma| > t, usage errors and an unwritable
+--out.  Each run prints one tab-separated line:
 
     model  command  format  exit-code  sha256(stdout)  last stderr line
 
@@ -53,6 +56,11 @@ COMMANDS = {
     "radii": ["radii", "--steps", "5"],
 }
 FORMATS = ("json", "csv", "pgm")
+# add-elliptic on a semicircle density on [-2, 2]; at t = 2 the domain's
+# boundary keeps clear of the density's guard band (10 node spacings)
+DENSITY_ROWS = 201
+DENSITY = {"model": "add-elliptic", "t": 2.0, "gamma": [0.5, 0.0]}
+DENSITY_COMMANDS = ("lifetime", "domain", "map")
 # (name, config file, argv) of the error runs, all on add-elliptic
 ERRORS = [
     ("gamma>t", "gamma.json", ["spectest", "--re", "3", "--im", "0"]),
@@ -79,6 +87,16 @@ def write_inputs(work: Path) -> None:
         (work / f"{model}.json").write_text(json.dumps(cfg))
     (work / "gamma.json").write_text(json.dumps(
         dict(MODELS["add-elliptic"], model="add-elliptic", gamma=[1.5, 0.0])))
+    xs = [-2.0 + 4.0 * i / (DENSITY_ROWS - 1) for i in range(DENSITY_ROWS)]
+    fs = [math.sqrt(max(4.0 - x * x, 0.0)) for x in xs]
+    mass = sum(0.5 * (fs[i] + fs[i + 1]) * (xs[i + 1] - xs[i])
+               for i in range(DENSITY_ROWS - 1))
+    semicircle = {"kind": "density", "support": "real",
+                  "grid": [[x, f / mass] for x, f in zip(xs, fs)]}
+    (work / "density.json").write_text(json.dumps(dict(
+        DENSITY, measure=semicircle,
+        grid={"re_min": -3.0, "re_max": 3.0, "im_min": -3.0, "im_max": 3.0,
+              "nx": 48, "ny": 48})))
 
 
 def run(work: Path, env: dict, label: tuple, argv: list) -> str:
@@ -103,6 +121,11 @@ def main(argv=None) -> int:
                 jobs.append(((model, command, fmt),
                              [*extra, "--config", f"{model}.json",
                               "--format", fmt]))
+    for command in DENSITY_COMMANDS:
+        for fmt in ("json", "csv"):
+            jobs.append((("add-elliptic/density", command, fmt),
+                         [*COMMANDS[command], "--config", "density.json",
+                          "--format", fmt]))
     for name, cfg, extra in ERRORS:
         jobs.append((("add-elliptic", name, "-"), [*extra, "--config", cfg]))
     with tempfile.TemporaryDirectory() as tmp:
