@@ -268,7 +268,7 @@ def sigma_boundary(mu_x: SpectralMeasure, t: float, bounds,
     """Marching-squares extraction of the T = t level set."""
     grid = _region.evaluate_grid(
         lambda z: T_additive(mu_x, z), bounds, nx, ny,
-        conj_symmetric=mu_x.support in ("real", "nonneg"))
+        conj_symmetric=mu_x.on_real_line)
     return _region.extract_levelset(grid, t)
 
 

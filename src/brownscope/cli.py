@@ -212,7 +212,7 @@ def _lifetime_grid(cfg, mu) -> region_mod.Grid:
     return region_mod.evaluate_grid(
         functools.partial(_LIFETIME[model], mu),
         (g["re_min"], g["re_max"], g["im_min"], g["im_max"]), g["nx"], g["ny"],
-        conj_symmetric=mu.support in ("real", "nonneg"))
+        conj_symmetric=mu.on_real_line)
 
 
 def cmd_lifetime(cfg, args) -> bytes:

@@ -99,7 +99,7 @@ class SpectralMeasure:
             if np.any(qw < 0):
                 raise ValueError("quad_weights must be nonnegative")
         # Geometry constraints per support kind.
-        if self.support in ("real", "nonneg"):
+        if self.on_real_line:
             if np.max(np.abs(pos.imag)) > 1e-12:
                 raise WrongSupportKind(
                     "real-line measure has nodes off the real axis")
@@ -125,6 +125,12 @@ class SpectralMeasure:
     @property
     def kind(self) -> str:
         return "atomic" if self.quad_weights is None else "density"
+
+    @property
+    def on_real_line(self) -> bool:
+        """True for "real" and "nonneg" supports: every node is real, so
+        functions of |lam - x| take equal values at lam and conj(lam)."""
+        return self.support in ("real", "nonneg")
 
     @property
     def prob_weights(self) -> np.ndarray:
@@ -322,7 +328,7 @@ def _map_blocks(mu: SpectralMeasure, flat, block_fn):
     = |zb - xb|^2 a fresh array that block_fn may overwrite.  Pooled tasks
     run in a copy of the caller's context; the first error stops the call
     and is raised once."""
-    nodes = mu.positions.real if mu.support in ("real", "nonneg") else mu.positions
+    nodes = mu.positions.real if mu.on_real_line else mu.positions
     xb = nodes[None, :]
     block = max(1, _BLOCK_ELEMENTS // len(nodes))
 

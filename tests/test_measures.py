@@ -539,6 +539,14 @@ def test_real_line_lifetimes_are_conjugation_symmetric(name, pts):
                 cauchy_transform(mu, p))
 
 
+def test_on_real_line_marks_the_real_and_nonneg_supports():
+    # the one predicate by which callers mirror a lifetime grid
+    assert [n for n, mu in KERNEL_MEASURES.items()
+            if mu.on_real_line] == REAL_LINE_MEASURES
+    assert SpectralMeasure.atomic([1.0, -1.0], [1, 1], "circle").on_real_line is False
+    assert SpectralMeasure.atomic([1j], [1.0], "complex").on_real_line is False
+
+
 # --- pooled blocks: same bytes as inline, errors and warnings intact --------
 
 class _CountingPool(ThreadPoolExecutor):
