@@ -7,17 +7,19 @@ document carries a short hash of the effective config so outputs can be
 traced back to their inputs.
 
 Exit codes: 0 on success, 2 on usage, config or validation problems (a
-measure of the wrong support kind, a format the command does not write and
-an unwritable --out included), 3 on every other package error.
+measure of the wrong support kind, a format or model the command does not
+take and an unwritable --out included), 3 on every other package error.
 Errors are printed to stderr as one machine-readable JSON object.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -71,42 +73,58 @@ _DEFAULTS = {
 }
 
 
+def _flag(kind, low=-math.inf):
+    """argparse type of a numeric flag: a finite `kind` value >= low."""
+    def parse(text: str):
+        try:
+            v = kind(text)
+        except ValueError:
+            v = math.nan
+        if not (-math.inf < v < math.inf and v >= low):
+            bound = f" >= {low}" if low > -math.inf else ""
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {kind.__name__}{bound}, got {text!r}")
+        return v
+    return parse
+
+
+# argparse settings of every optional flag beyond --config, --out and
+# --format; each command names the ones it reads in _COMMANDS
+_FLAGS = {
+    "--t": {"type": _flag(float)},
+    "--gamma-re": {"type": _flag(float)},
+    "--gamma-im": {"type": _flag(float)},
+    "--seed": {"type": int},
+    "--in": {"dest": "infile", "required": True,
+             "help": "boundary JSON produced by the domain command"},
+    "--re": {"type": _flag(float), "required": True},
+    "--im": {"type": _flag(float), "required": True},
+    "--t-max": {"type": _flag(float, 0.0)},
+    "--steps": {"type": _flag(int, 2), "default": 25},
+}
+_GAMMA = ("--gamma-re", "--gamma-im")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="brownscope",
         description="spectral domains and matrix checks for free models")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, descr in [
-        ("lifetime", "sample the lifetime function on a grid"),
-        ("domain", "extract the domain boundary (and its mapped image)"),
-        ("map", "push a boundary file through the model map"),
-        ("spectest", "membership verdict at one point"),
-        ("oracle", "finite-N matrix cross-check report"),
-        ("radii", "annulus radii and the perturbed inner-radius sweep"),
-    ]:
-        sp = sub.add_parser(name, help=descr)
+    for name, row in _COMMANDS.items():
+        sp = sub.add_parser(name, help=row.help)
         sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--t", type=float, default=None)
-        sp.add_argument("--gamma-re", type=float, default=None)
-        sp.add_argument("--gamma-im", type=float, default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("csv", "json", "pgm"),
                         default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        if name == "spectest":
-            sp.add_argument("--re", type=float, required=True)
-            sp.add_argument("--im", type=float, required=True)
-        if name == "map":
-            sp.add_argument("--in", dest="infile", required=True,
-                            help="boundary JSON produced by the domain command")
-        if name == "radii":
-            sp.add_argument("--t-max", type=float, default=None)
-            sp.add_argument("--steps", type=int, default=25)
+        for flag in row.flags:
+            sp.add_argument(flag, **_FLAGS[flag])
     return p
 
 
 def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite number that is not a bool; JSON reads 1e400 as inf."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _count(v) -> bool:
@@ -132,37 +150,35 @@ def load_config(args) -> dict:
                 cfg[key].update(val)
             else:
                 cfg[key] = val
-    if args.t is not None:
-        cfg["t"] = args.t
-    if args.gamma_re is not None:
-        cfg["gamma"] = [args.gamma_re, cfg["gamma"][1]]
-    if args.gamma_im is not None:
-        cfg["gamma"] = [cfg["gamma"][0], args.gamma_im]
-    if args.format is not None:
-        cfg["format"] = args.format
-    if args.out is not None:
-        cfg["out"] = args.out
+    for key in ("t", "format", "out"):
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
     if getattr(args, "seed", None) is not None:
         cfg["oracle"]["seed"] = args.seed
     if cfg["model"] not in MODELS:
         raise ConfigError(f"model must be one of {MODELS}, got {cfg['model']!r}")
-    if cfg["measure"] is None:
-        raise ConfigError("config must supply a measure")
-    if not (isinstance(cfg["t"], (int, float)) and cfg["t"] > 0):
+    if not isinstance(cfg["measure"], (dict, str)):
+        raise ConfigError("config must supply a measure: an object or a path")
+    if not (_number(cfg["t"]) and cfg["t"] > 0):
         raise ConfigError("t must be a positive number")
     g = cfg["gamma"]
-    if not (isinstance(g, (list, tuple)) and len(g) == 2
-            and all(map(_number, g))):
+    if not (isinstance(g, list) and len(g) == 2 and all(map(_number, g))):
         raise ConfigError("gamma must be [re, im] numbers")
+    for i, key in enumerate(("gamma_re", "gamma_im")):
+        if getattr(args, key, None) is not None:
+            g[i] = getattr(args, key)
     grid, rg, o = cfg["grid"], cfg["rgrid"], cfg["oracle"]
     if not all(_number(grid[k]) for k in ("re_min", "re_max", "im_min",
                                           "im_max")):
         raise ConfigError("grid bounds must be numbers")
+    r_max = 1.0 if rg["r_max"] is None else rg["r_max"]  # None: from the law
+    if not all(_number(r) and r > 0 for r in (rg["r_min"], r_max)):
+        raise ConfigError("rgrid.r_min and rgrid.r_max must be numbers > 0")
     if not all(map(_count, (grid["nx"], grid["ny"], rg["n_r"], rg["n_theta"],
                             o["n"], o["k"]))):
         raise ConfigError("grid.nx, grid.ny, rgrid.n_r, rgrid.n_theta, "
                           "oracle.n and oracle.k must be integers >= 1")
-    if not (isinstance(o["seed"], int)
+    if not (isinstance(o["seed"], int) and not isinstance(o["seed"], bool)
             and (o["dilation"] is None or _number(o["dilation"]))):
         raise ConfigError("oracle seed must be an integer, dilation a number")
     if o["probes"] is not None and not (isinstance(o["probes"], list) and all(
@@ -187,7 +203,7 @@ def config_hash(cfg: dict) -> str:
 def resolve_measure(cfg: dict) -> SpectralMeasure:
     try:
         mu = SpectralMeasure.load(cfg["measure"])
-    except (OSError, ValueError, KeyError, WrongSupportKind) as exc:
+    except (OSError, ValueError, KeyError, TypeError, WrongSupportKind) as exc:
         raise ConfigError(f"bad measure: {exc}") from exc
     need = _SUPPORT[cfg["model"]]
     if need and mu.support != need:
@@ -206,8 +222,6 @@ def _meta(cfg, command) -> dict:
 
 def _lifetime_grid(cfg, mu) -> region_mod.Grid:
     model, g = cfg["model"], cfg["grid"]
-    if model not in _LIFETIME:
-        raise ConfigError(f"model {model} has no lifetime function")
     # a law on the real line gives a lifetime symmetric under conjugation
     return region_mod.evaluate_grid(
         functools.partial(_LIFETIME[model], mu),
@@ -231,10 +245,7 @@ def _extract_domain(cfg, mu) -> region_mod.Boundary:
 
 
 def _domain_map_fn(cfg, mu):
-    model = cfg["model"]
-    if model not in _MAP:
-        raise ConfigError(f"model {model} has no push-forward map")
-    return functools.partial(_MAP[model], mu, _gamma(cfg))
+    return functools.partial(_MAP[cfg["model"]], mu, _gamma(cfg))
 
 
 def _mapped(cfg, mu, sigma) -> region_mod.Boundary:
@@ -301,8 +312,6 @@ def cmd_map(cfg, args) -> bytes:
 def cmd_spectest(cfg, args) -> bytes:
     mu = resolve_measure(cfg)
     model = cfg["model"]
-    if model not in _LIFETIME:
-        raise ConfigError("spectest supports the add and mult models")
     t = cfg["t"]
     z = complex(args.re, args.im)
     doc = {"schema": "brownscope-spectest/1", "meta": _meta(cfg, "spectest"),
@@ -359,10 +368,8 @@ def cmd_oracle(cfg, args) -> bytes:
     else:
         a = x @ rmt.sample_b(n, t, gamma, k=k, seed=seed, stream=1)
         report["k"] = k
-    eig = rmt.eigenvalues(a)
+    spectrum = rmt.EmpiricalSpectrum(rmt.eigenvalues(a))
     report["sampler"] = rmt.SAMPLER_VERSION
-    spectrum = rmt.EmpiricalSpectrum(eig, {key: report[key] for key in (
-        "model", "n", "t", "gamma", "seed", "sampler")})
     mapped = _mapped(cfg, mu, _extract_domain(cfg, mu))
     report["support"] = rmt.support_report(spectrum, boundary=mapped,
                                            dilation=dil)
@@ -398,23 +405,17 @@ def cmd_oracle(cfg, args) -> bytes:
         probe_rows.append(row)
     report["dsde_probes"] = probe_rows
     if o.get("include_eigenvalues"):
-        report["eigenvalues"] = [[float(z.real), float(z.imag)] for z in eig]
+        report["eigenvalues"] = spectrum.to_json_dict()["eigenvalues"]
     return (json.dumps(report, sort_keys=True) + "\n").encode()
 
 
 def cmd_radii(cfg, args) -> bytes:
     mu = resolve_measure(cfg)
-    if cfg["model"] != "rdiag":
-        raise ConfigError("radii needs the rdiag model")
     ann = rdiagonal.hl_radii(mu)
-    cap = None
-    if ann.inner > 0:
-        cap = ann.inner ** 2
     t_max = args.t_max
-    if t_max is None:
-        t_max = 0.9 * cap if cap else 1.0
-    steps = max(int(args.steps), 2)
-    ts = np.linspace(0.0, t_max, steps)
+    if t_max is None:  # short of the time inner ** 2 at which the hole closes
+        t_max = 0.9 * ann.inner ** 2 if ann.inner ** 2 else 1.0
+    ts = np.linspace(0.0, t_max, args.steps)
     rows = []
     for tv in ts:
         try:
@@ -435,14 +436,23 @@ def cmd_radii(cfg, args) -> bytes:
     return (json.dumps(doc, sort_keys=True) + "\n").encode()
 
 
-# each command with the output formats it writes
+# run(cfg, args) returns the output bytes; flags are keys of _FLAGS
+_Command = collections.namedtuple("_Command", "run help formats models flags")
+# each command with the formats it writes, the models it serves and its
+# own flags; build_parser and main read nothing else about a command
 _COMMANDS = {
-    "lifetime": (cmd_lifetime, ("csv", "json", "pgm")),
-    "domain": (cmd_domain, ("csv", "json")),
-    "map": (cmd_map, ("csv", "json")),
-    "spectest": (cmd_spectest, ("json",)),
-    "oracle": (cmd_oracle, ("json",)),
-    "radii": (cmd_radii, ("csv", "json")),
+    "lifetime": _Command(cmd_lifetime, "sample the lifetime function on a grid",
+                         ("csv", "json", "pgm"), tuple(_LIFETIME), ()),
+    "domain": _Command(cmd_domain, "extract the domain boundary (and its mapped image)",
+                       ("csv", "json"), tuple(_LIFETIME), ("--t", *_GAMMA)),
+    "map": _Command(cmd_map, "push a boundary file through the model map",
+                    ("csv", "json"), tuple(_MAP), (*_GAMMA, "--in")),
+    "spectest": _Command(cmd_spectest, "membership verdict at one point",
+                         ("json",), tuple(_LIFETIME), ("--t", *_GAMMA, "--re", "--im")),
+    "oracle": _Command(cmd_oracle, "finite-N matrix cross-check report",
+                       ("json",), MODELS, ("--t", *_GAMMA, "--seed")),
+    "radii": _Command(cmd_radii, "annulus radii and the perturbed inner-radius sweep",
+                      ("csv", "json"), ("rdiag",), ("--t-max", "--steps")),
 }
 
 
@@ -457,11 +467,13 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = load_config(args)
-        command, formats = _COMMANDS[args.command]
-        if cfg["format"] not in formats:
+        row = _COMMANDS[args.command]
+        if cfg["format"] not in row.formats:
             raise ConfigError(
-                f"{args.command} output supports {' or '.join(formats)}")
-        out = command(cfg, args)
+                f"{args.command} output supports {' or '.join(row.formats)}")
+        if cfg["model"] not in row.models:
+            raise ConfigError(f"{args.command} does not serve model {cfg['model']}")
+        out = row.run(cfg, args)
         if cfg["out"]:
             try:
                 with open(cfg["out"], "wb") as fh:

@@ -85,6 +85,8 @@ class SpectralMeasure:
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if pos.shape != w.shape or pos.ndim != 1:
             raise ValueError("positions and weights must be 1-d arrays of equal length")
+        if not (np.isfinite(pos).all() and np.isfinite(w).all()):
+            raise ValueError("positions and weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         qw = self.quad_weights

@@ -514,47 +514,29 @@ def _emit_pgm(grid: Grid, meta) -> bytes:
 def parse_pgm(data: bytes):
     """Read back a PGM produced by emit: returns (Grid, vmin, vmax) with
     values reconstructed from the recorded affine map, so nan and -inf
-    samples come back as vmin and +inf as vmax."""
-    pos = 0
-
-    def token():
-        nonlocal pos
-        while True:
-            while pos < len(data) and data[pos : pos + 1].isspace():
-                pos += 1
-            if data[pos : pos + 1] == b"#":
-                eol = data.index(b"\n", pos)
-                comments.append(data[pos:eol].decode())
-                pos = eol + 1
-                continue
-            break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        return data[start:pos]
-
-    comments = []
-    magic = token()
-    if magic != b"P5":
+    samples come back as vmin and +inf as vmax.  emit writes the magic,
+    each comment, the size and the maximum gray level on lines of their
+    own, and this reads only that layout."""
+    header, comments, pos = [], {}, 0
+    while len(header) < 4:
+        eol = data.index(b"\n", pos)
+        line = data[pos:eol].decode()
+        pos = eol + 1
+        if line.startswith("#"):
+            key, _, value = line[1:].partition("=")
+            comments[key.strip()] = value
+        else:
+            header += line.split()
+    if header[0] != "P5":
         raise ValueError("not a binary PGM")
-    nx = int(token())
-    ny = int(token())
-    maxval = int(token())
+    nx, ny, maxval = map(int, header[1:4])
     if maxval != 65535:
         raise ValueError("expected 16-bit PGM")
-    pos += 1  # single whitespace after maxval
+    if "bounds" not in comments:
+        raise ValueError("missing bounds comment")
+    vmin, vmax = map(float, comments.get("clamp", "0 0").split())
     raw = np.frombuffer(data, dtype=">u2", offset=pos, count=nx * ny)
     img = raw.reshape(ny, nx).astype(float)
-    bounds = None
-    vmin = vmax = 0.0
-    for c in comments:
-        body = c.lstrip("# ").strip()
-        if body.startswith("bounds ="):
-            bounds = [float(x) for x in body.split("=", 1)[1].split()]
-        elif body.startswith("clamp ="):
-            vmin, vmax = (float(x) for x in body.split("=", 1)[1].split())
-    if bounds is None:
-        raise ValueError("missing bounds comment")
     values = vmin + img[::-1, :].T * ((vmax - vmin) / 65535.0 if vmax > vmin else 0.0)
-    grid = Grid(bounds[0], bounds[1], bounds[2], bounds[3], nx, ny, values)
+    grid = Grid(*map(float, comments["bounds"].split()), nx, ny, values)
     return grid, vmin, vmax

@@ -1,10 +1,16 @@
 """End-to-end command-line checks (in-process main())."""
 
+import contextlib
 import functools
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brownscope import SpectralMeasure, cli, emit, evaluate_grid
 
@@ -290,6 +296,22 @@ def test_oracle_rdiag_report(tmp_path):
     assert 0.0 < doc["min_modulus"] < doc["max_modulus"]
 
 
+def test_oracle_include_eigenvalues(tmp_path):
+    cfg = {"model": "add-elliptic", "measure": BERN_REAL, "t": 1.0,
+           "gamma": [0.3, 0.1], "grid": {"nx": 32, "ny": 32},
+           "oracle": {"n": 40, "seed": 4}}
+    plain = json.loads(run_to_file(tmp_path, "p.json", [
+        "oracle", "--config", cfg_file(tmp_path, "p.json.cfg", cfg)]))
+    cfg["oracle"]["include_eigenvalues"] = True
+    full = json.loads(run_to_file(tmp_path, "f.json", [
+        "oracle", "--config", cfg_file(tmp_path, "f.json.cfg", cfg)]))
+    eig = full.pop("eigenvalues")
+    assert len(eig) == 40
+    assert all(len(row) == 2 and all(map(np.isfinite, row)) for row in eig)
+    del full["meta"], plain["meta"]  # the config hashes differ
+    assert full == plain
+
+
 # --- radii -------------------------------------------------------------------------
 
 def test_radii_csv_sweep(tmp_path):
@@ -431,6 +453,189 @@ def test_unsupported_format_refused_before_any_work(tmp_path, capfd,
     [doc] = error_objects(capfd.readouterr().err)
     assert doc["error"]["kind"] == "config"
     assert doc["error"]["message"].startswith(f"{command} output supports")
+
+
+# --- each command's table row, checked before any work -------------------------------
+
+@pytest.fixture
+def no_measure(monkeypatch):
+    def no_work(cfg):
+        raise AssertionError("the measure was resolved")
+
+    monkeypatch.setattr(cli, "resolve_measure", no_work)
+
+
+@pytest.mark.parametrize("model,command,extra", [
+    ("rdiag", "lifetime", []),
+    ("rdiag", "domain", []),
+    ("rdiag", "map", ["--in", "ring.json"]),
+    ("rdiag", "spectest", ["--re", "3", "--im", "0"]),
+    ("add-circ", "radii", []),
+])
+def test_unserved_model_refused_before_any_work(tmp_path, capfd, no_measure,
+                                                model, command, extra):
+    c = cfg_file(tmp_path, "c.json", dict(MATRIX_MODELS[model], model=model))
+    assert cli.main([command, "--config", c, *extra]) == 2
+    [doc] = error_objects(capfd.readouterr().err)
+    assert doc["error"]["kind"] == "config"
+    assert doc["error"]["message"] == (
+        f"{command} does not serve model {model}")
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    sub = cli.build_parser()._subparsers._group_actions[0].choices
+    flags = {name: [a.option_strings[0] for a in sp._actions
+                    if a.option_strings and a.option_strings[0] != "-h"]
+             for name, sp in sub.items()}
+    common = ["--config", "--out", "--format"]
+    gamma = ["--gamma-re", "--gamma-im"]
+    assert flags == {
+        "lifetime": common,
+        "domain": common + ["--t", *gamma],
+        "map": common + [*gamma, "--in"],
+        "spectest": common + ["--t", *gamma, "--re", "--im"],
+        "oracle": common + ["--t", *gamma, "--seed"],
+        "radii": common + ["--t-max", "--steps"],
+    }
+    assert sum(map(len, flags.values())) == 35
+
+
+@pytest.mark.parametrize("flags", [
+    ["--t-max", "-1"], ["--t-max", "nan"], ["--t-max", "inf"],
+    ["--steps", "0"], ["--steps", "-3"], ["--steps", "1"],
+])
+def test_radii_flag_limits(tmp_path, capfd, no_measure, flags):
+    c = cfg_file(tmp_path, "c.json", dict(MATRIX_MODELS["rdiag"], model="rdiag"))
+    assert cli.main(["radii", "--config", c, *flags]) == 2
+    stdout, err = capfd.readouterr()
+    assert stdout == ""
+    [doc] = error_objects(err)
+    assert doc["error"]["code"] == 2 and doc["error"]["kind"] == "config"
+
+
+@pytest.mark.parametrize("override,argv", [
+    ({"t": True}, ["spectest", "--re", "3", "--im", "0"]),
+    ({}, ["domain", "--t", "inf"]),
+    ({}, ["spectest", "--t", "inf", "--re", "3", "--im", "0"]),
+    ({}, ["domain", "--gamma-re", "nan"]),
+    ({"grid": {"re_min": float("nan")}}, ["lifetime"]),
+    ({}, ["spectest", "--re", "nan", "--im", "0"]),
+    ({"oracle": {"dilation": float("inf")}}, ["oracle"]),
+    ({"oracle": {"seed": True}}, ["oracle"]),
+    ({}, ["domain", "--t", "abc"]),
+], ids=["t-true", "domain-t-inf", "spectest-t-inf", "gamma-re-nan",
+        "grid-bound-nan", "re-nan", "dilation-inf", "seed-true", "t-abc"])
+def test_numbers_are_finite_and_not_bools(tmp_path, capfd, no_measure,
+                                          override, argv):
+    cfg = {"model": "add-elliptic", "measure": BERN_REAL, "t": 1.0}
+    cfg.update(override)
+    c = cfg_file(tmp_path, "c.json", cfg)
+    assert cli.main([*argv, "--config", c]) == 2
+    stdout, err = capfd.readouterr()
+    assert stdout == ""
+    [doc] = error_objects(err)
+    assert doc["error"]["code"] == 2 and doc["error"]["kind"] == "config"
+
+
+# --- the front door, fuzzed -----------------------------------------------------------
+
+# each command's own optional flags, with values it accepts
+_GOOD_FLAGS = {
+    "--t": st.floats(0.1, 2.0), "--gamma-re": st.just(0.0) | st.floats(-0.1, 0.1),
+    "--gamma-im": st.just(0.0) | st.floats(-0.1, 0.1), "--seed": st.integers(-2, 9),
+    "--t-max": st.floats(0.0, 2.0), "--steps": st.integers(2, 6),
+}
+_OWN_FLAGS = {
+    "lifetime": (), "domain": ("--t", "--gamma-re", "--gamma-im"),
+    "map": ("--gamma-re", "--gamma-im"),
+    "spectest": ("--t", "--gamma-re", "--gamma-im"),
+    "oracle": ("--t", "--gamma-re", "--gamma-im", "--seed"),
+    "radii": ("--t-max", "--steps"),
+}
+# what may stand where a number belongs: non-finite, negative, boolean,
+# too large for a float, or not a number at all
+_BAD_VALUES = st.sampled_from([float("nan"), float("inf"), -float("inf"),
+                               10 ** 400, -1.0, 0, True, False, "1", None, [1]])
+_BAD_TEXT = st.sampled_from(["nan", "inf", "-1", "0", "true", "abc", "1e400"])
+
+
+@st.composite
+def cli_runs(draw):
+    """A config and an argv for one CLI run, with at most one bad value:
+    slot number `target` gets it, and about half the runs have none."""
+    slots, target = iter(range(100)), draw(st.integers(0, 40))
+
+    def pick(good, bad=_BAD_VALUES):
+        return draw(bad if next(slots) == target else good)
+
+    command = draw(st.sampled_from(sorted(_OWN_FLAGS)))
+    model = pick(st.sampled_from(cli.MODELS), st.sampled_from(["junk", None, 3]))
+    base = MATRIX_MODELS.get(model, MATRIX_MODELS["add-circ"])
+    measures = [BERN_REAL, FOURTH_ROOTS, TWO_ATOMS, ZERO_TWO, True, 3, [1],
+                "missing.json", {"kind": "atomic", "atoms": [[1, 0, {}]]}]
+    bound = st.floats(-4.0, 4.0)
+    cfg = {"model": model,
+           "measure": pick(st.just(base["measure"]), st.sampled_from(measures)),
+           "t": pick(st.just(base["t"])),
+           "gamma": pick(st.just(base.get("gamma", [0.0, 0.0])),
+                         _BAD_VALUES | st.lists(_BAD_VALUES, max_size=3)),
+           "grid": {"re_min": pick(bound), "re_max": pick(bound),
+                    "im_min": pick(bound), "im_max": pick(bound),
+                    "nx": draw(st.integers(1, 8)), "ny": draw(st.integers(1, 8))},
+           "rgrid": {"r_min": pick(st.floats(1e-6, 1.0)),
+                     "r_max": pick(st.none() | st.floats(2.0, 8.0)),
+                     "n_r": draw(st.integers(1, 8)),
+                     "n_theta": draw(st.integers(1, 8))},
+           "oracle": {"n": draw(st.integers(1, 8)), "k": draw(st.integers(1, 2)),
+                      "seed": pick(st.integers(-2, 9)),
+                      "dilation": pick(st.none() | st.floats(0.0, 1.0))},
+           "format": pick(st.sampled_from(["json", "csv", "pgm"]),
+                          st.just("xml"))}
+    argv = [command]
+    if command == "map":
+        argv += ["--in", "ring.json"]
+    if command == "spectest":
+        for flag in ("--re", "--im"):
+            argv.append(f"{flag}={pick(st.floats(-4.0, 4.0).map(repr), _BAD_TEXT)}")
+    flags = {flag for flag in _OWN_FLAGS[command] if draw(st.booleans())}
+    if next(slots) == target:  # a flag the command may not take
+        flags.add(draw(st.sampled_from(sorted(_GOOD_FLAGS))))
+    for flag in sorted(flags):  # "--flag=-1e-05": argparse reads -1e-05 as a flag
+        argv.append(f"{flag}={pick(_GOOD_FLAGS[flag].map(repr), _BAD_TEXT)}")
+    if draw(st.booleans()):
+        argv += ["--format", pick(st.sampled_from(["json", "csv", "pgm"]),
+                                  st.just("xml"))]
+    return cfg, argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cli_runs())
+@example(({"model": "rdiag", "measure": TWO_ATOMS, "t": 0.5},
+          ["radii", "--t-max", "-1"]))
+def test_cli_exits_by_the_error_contract(run):
+    cfg, argv = run
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "ring.json").write_text(json.dumps({
+            "schema": "brownscope-region/1", "kind": "boundary", "level": 1.0,
+            "polylines": [{"closed": True,
+                           "points": [[3.0, 0.0], [0.0, 3.0], [-3.0, 0.0]]}]}))
+        (work / "c.json").write_text(json.dumps(cfg))
+        argv = [a.replace("ring.json", str(work / "ring.json")) for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--config", str(work / "c.json"),
+                             "--out", str(work / "out")])
+    assert code in (0, 2, 3)
+    err = err.getvalue()
+    assert "Traceback" not in err
+    docs = [json.loads(line) for line in err.splitlines()
+            if line.startswith("{")]
+    if code:
+        [doc] = docs
+        assert doc["error"]["code"] == code
+    else:
+        assert docs == []
 
 
 # --- every model through every command ----------------------------------------------
