@@ -2,10 +2,9 @@
 with finite-matrix cross-checks."""
 
 from .errors import (BadGamma, BlowUp, BrownscopeError, ContinuationFailed,
-                     EvaluationOnSupport, InsideDomain, InversionFailed,
-                     LifetimeExceeded, MapEvaluationError, NegativeEpsilon,
-                     OriginExcluded, OutsideOmega, TMaxExceeded,
-                     WrongSupportKind)
+                     EvaluationOnSupport, InversionFailed, LifetimeExceeded,
+                     MapEvaluationError, NegativeEpsilon, OriginExcluded,
+                     OutsideOmega, TMaxExceeded, WrongSupportKind)
 from .measures import (SpectralMeasure, cauchy_derivative, cauchy_transform,
                        herglotz, log_potential, neg2_moments, neg2_trace,
                        neg4_trace, reg_cauchy_transform, reg_resolvent,
@@ -13,26 +12,20 @@ from .measures import (SpectralMeasure, cauchy_derivative, cauchy_transform,
 from .region import (Boundary, Chain, Grid, distance_to_boundary, emit,
                      evaluate_grid, extract_levelset, level_crossing_on_ray,
                      map_boundary, parse_pgm, point_in_region)
-from .additive import (MEMBERSHIP_TOL, HamiltonState, Membership, ModelParams,
-                       Verdict, T_additive, analytic_extension_trace, e_region,
-                       extension_margin, flow_additive,
-                       laplacian_identity_check, phi_formula, phi_map,
-                       sigma_additive_membership, sigma_boundary,
-                       spectral_test_additive)
-from .multiplicative import (DRegion, HamiltonStateMult, MultTestResult,
-                             MultVerdict, T_mult_positive, T_mult_unitary,
-                             blow_up_time, curvature_check_circle,
-                             d_region_membership, f_gamma_formula, f_gamma_map,
-                             hamilton_flow_mult, membership_positive,
-                             membership_unitary, p0_p2_positive,
-                             p_tilde_unitary, psi_formula, psi_map,
-                             sigma_boundary_positive, sigma_boundary_unitary,
-                             spectral_test_mult)
+from .additive import (MEMBERSHIP_TOL, HamiltonState, Membership, Verdict,
+                       T_additive, analytic_extension_trace, extension_margin,
+                       flow_additive, laplacian_identity_check, phi_formula,
+                       spectral_test)
+from .multiplicative import (HamiltonStateMult, T_mult_positive,
+                             T_mult_unitary, blow_up_time,
+                             curvature_check_circle, f_gamma_formula,
+                             hamilton_flow_mult, p0_p2_positive,
+                             p_tilde_unitary, psi_formula,
+                             sigma_boundary_positive, spectral_test_positive)
 from .rdiagonal import (AnnulusSpec, biane_Ht, circ_inner_radius, hl_radii,
                         perturbed_symmetrized_law, stieltjes_invert, vt)
 from .rmt import (EmpiricalSpectrum, eigenvalues, empirical_S, empirical_dSde,
-                  multiplicities, sample_atomic, sample_atomic_positive,
-                  sample_atomic_unitary, sample_b, sample_elliptic,
+                  multiplicities, sample_atomic, sample_b, sample_elliptic,
                   sample_ginibre, sample_haar_unitary,
                   shifted_singular_values, support_report)
 
@@ -40,29 +33,24 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnulusSpec", "BadGamma", "BlowUp", "Boundary", "BrownscopeError",
-    "Chain", "ContinuationFailed", "DRegion", "EmpiricalSpectrum",
-    "EvaluationOnSupport", "Grid", "HamiltonState", "HamiltonStateMult",
-    "InsideDomain", "InversionFailed", "LifetimeExceeded", "MEMBERSHIP_TOL",
-    "MapEvaluationError", "Membership", "ModelParams", "MultTestResult",
-    "MultVerdict", "NegativeEpsilon", "OriginExcluded", "OutsideOmega",
-    "SpectralMeasure", "TMaxExceeded", "T_additive", "T_mult_positive",
-    "T_mult_unitary", "Verdict", "WrongSupportKind",
-    "analytic_extension_trace", "biane_Ht", "blow_up_time",
-    "cauchy_derivative", "cauchy_transform", "circ_inner_radius",
-    "curvature_check_circle", "d_region_membership", "distance_to_boundary",
-    "e_region", "eigenvalues", "emit", "empirical_S", "empirical_dSde",
-    "evaluate_grid", "extension_margin", "extract_levelset", "f_gamma_formula",
-    "f_gamma_map", "flow_additive", "hamilton_flow_mult", "herglotz",
-    "hl_radii", "laplacian_identity_check", "level_crossing_on_ray",
-    "log_potential", "map_boundary", "membership_positive",
-    "membership_unitary", "multiplicities", "neg2_moments", "neg2_trace",
+    "Chain", "ContinuationFailed", "EmpiricalSpectrum", "EvaluationOnSupport",
+    "Grid", "HamiltonState", "HamiltonStateMult", "InversionFailed",
+    "LifetimeExceeded", "MEMBERSHIP_TOL", "MapEvaluationError", "Membership",
+    "NegativeEpsilon", "OriginExcluded", "OutsideOmega", "SpectralMeasure",
+    "TMaxExceeded", "T_additive", "T_mult_positive", "T_mult_unitary",
+    "Verdict", "WrongSupportKind", "analytic_extension_trace", "biane_Ht",
+    "blow_up_time", "cauchy_derivative", "cauchy_transform",
+    "circ_inner_radius", "curvature_check_circle", "distance_to_boundary",
+    "eigenvalues", "emit", "empirical_S", "empirical_dSde", "evaluate_grid",
+    "extension_margin", "extract_levelset", "f_gamma_formula",
+    "flow_additive", "hamilton_flow_mult", "herglotz", "hl_radii",
+    "laplacian_identity_check", "level_crossing_on_ray", "log_potential",
+    "map_boundary", "multiplicities", "neg2_moments", "neg2_trace",
     "neg4_trace", "p0_p2_positive", "p_tilde_unitary", "parse_pgm",
-    "perturbed_symmetrized_law", "phi_formula", "phi_map", "point_in_region",
-    "psi_formula", "psi_map", "reg_cauchy_transform", "reg_resolvent",
-    "reg_resolvent_deps", "sample_atomic", "sample_atomic_positive",
-    "sample_atomic_unitary", "sample_b", "sample_elliptic", "sample_ginibre",
-    "sample_haar_unitary", "shifted_singular_values",
-    "sigma_additive_membership", "sigma_boundary", "sigma_boundary_positive",
-    "sigma_boundary_unitary", "spectral_test_additive", "spectral_test_mult",
+    "perturbed_symmetrized_law", "phi_formula", "point_in_region",
+    "psi_formula", "reg_cauchy_transform", "reg_resolvent",
+    "reg_resolvent_deps", "sample_atomic", "sample_b", "sample_elliptic",
+    "sample_ginibre", "sample_haar_unitary", "shifted_singular_values",
+    "sigma_boundary_positive", "spectral_test", "spectral_test_positive",
     "stieltjes_invert", "support_report", "symmetrize", "vt",
 ]

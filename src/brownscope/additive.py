@@ -24,31 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import region as _region
-from .errors import (InsideDomain, InversionFailed, LifetimeExceeded,
-                     NegativeEpsilon, _check_gamma)
+from .errors import InversionFailed, LifetimeExceeded, NegativeEpsilon
 from .measures import (SpectralMeasure, cauchy_transform, neg2_trace,
                        neg4_trace, reg_resolvent, reg_resolvent_deps)
 
 MEMBERSHIP_TOL = 1e-9
 _NEWTON_MAX_ITER = 100
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Time and covariance parameters of the perturbation.
-
-    gamma is the second mixed moment of the elliptic family; |gamma| <= t
-    is required (gamma = 0 is the circular case, gamma = t the semicircular
-    one)."""
-
-    t: float
-    gamma: complex = 0j
-
-    def __post_init__(self):
-        if not (self.t > 0):
-            raise ValueError("t must be positive")
-        _check_gamma(self.t, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -67,6 +48,7 @@ class Membership(enum.Enum):
 class Verdict(enum.Enum):
     OUTSIDE_SPECTRUM = "outside-spectrum"
     UNDETERMINED = "undetermined"
+    ZERO_ATOM_CASE = "zero-atom-case"  # the positive model at z = 0
 
 
 def flow_additive(eps0: float, p0: float, t: float) -> HamiltonState:
@@ -93,7 +75,7 @@ def T_additive(mu_x: SpectralMeasure, lam):
 
 def _band_membership(T: float, t: float) -> Membership:
     """Classify a lifetime value T against the level t with the relative
-    band MEMBERSHIP_TOL; shared by every model's membership test."""
+    band MEMBERSHIP_TOL; the one band rule of every model's tests."""
     band = MEMBERSHIP_TOL * max(abs(t), 1e-300)
     if T < t - band:
         return Membership.INSIDE
@@ -102,32 +84,15 @@ def _band_membership(T: float, t: float) -> Membership:
     return Membership.BOUNDARY
 
 
-def _require_outside(membership: Membership, lam) -> None:
-    """Guard of the push-forward maps: refuse lam unless it is strictly
-    outside the closed time-t domain."""
-    if membership is not Membership.OUTSIDE:
-        raise InsideDomain(f"lam = {lam} is not strictly outside the domain")
-
-
-def sigma_additive_membership(mu_x: SpectralMeasure, lam, t: float) -> Membership:
-    """Classify lam against Sigma_t with a relative tolerance band around
-    the level T = t."""
-    return _band_membership(float(T_additive(mu_x, lam)), t)
-
-
-def spectral_test_additive(mu_x: SpectralMeasure, sigma_x_distance, lam,
-                           t: float) -> Verdict:
-    """One-sided exclusion test for the spectrum of the perturbed operator:
-    a point with positive distance to the reference spectrum AND lifetime
-    exceeding t is certified outside.  Everything else is undetermined
-    (the test never certifies membership).
-
-    sigma_x_distance(lam) must return the distance from lam to the
-    spectrum of the unperturbed operator.
-    """
-    if sigma_x_distance(lam) <= 0:
+def spectral_test(mu: SpectralMeasure, lifetime, lam, t: float) -> Verdict:
+    """One-sided exclusion test for the spectrum of the perturbed operator,
+    shared by every model: lam is certified outside when it keeps clear of
+    the reference support (farther than mu.guard_band) and its lifetime
+    lifetime(mu, lam) exceeds t beyond the membership band.  Everything
+    else is undetermined (the test never certifies membership)."""
+    if mu.support_distance(lam) <= mu.guard_band:
         return Verdict.UNDETERMINED
-    if sigma_additive_membership(mu_x, lam, t) is Membership.OUTSIDE:
+    if _band_membership(float(lifetime(mu, lam)), t) is Membership.OUTSIDE:
         return Verdict.OUTSIDE_SPECTRUM
     return Verdict.UNDETERMINED
 
@@ -159,8 +124,9 @@ def analytic_extension_trace(mu_x: SpectralMeasure, lam, t: float,
     eps_arr = np.atleast_1d(np.asarray(eps_samples, dtype=float))
     out = np.empty(eps_arr.shape)
     for idx, eps in enumerate(eps_arr):
-        if eps == 0.0:
-            _, p, shrink = _eps_of_eps0(mu_x, lam, t, 0.0)
+        if eps == 0.0:  # then eps0 = 0: skip eps0 * shrink^2 (0 * inf at an atom)
+            p = reg_resolvent(mu_x, lam, 0.0)
+            shrink = 1.0 - t * p
             if shrink <= 0:
                 raise InversionFailed(
                     "lam is not outside the closed time-t domain")
@@ -234,7 +200,7 @@ def extension_margin(mu_x: SpectralMeasure, lam, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# push-forward map and its image region
+# push-forward map
 # ---------------------------------------------------------------------------
 
 
@@ -243,33 +209,6 @@ def phi_formula(mu_x: SpectralMeasure, gamma: complex, lam):
     map, valid up to (and limiting onto) the domain boundary."""
     arr = np.asarray(lam, dtype=complex)
     return arr + gamma * cauchy_transform(mu_x, arr)
-
-
-def phi_map(mu_x: SpectralMeasure, params: ModelParams, lam):
-    """Push-forward map on the exterior of the closed time-t domain.
-    Raises InsideDomain unless lam is strictly outside (boundary included
-    in the refusal; use phi_formula for limiting boundary evaluation)."""
-    _require_outside(sigma_additive_membership(mu_x, lam, params.t), lam)
-    if np.min(mu_x.support_distance(lam)) <= mu_x.guard_band:
-        raise InsideDomain(f"lam = {lam} touches the reference support")
-    return phi_formula(mu_x, params.gamma, lam)
-
-
-def e_region(mu_x: SpectralMeasure, params: ModelParams,
-             boundary: _region.Boundary) -> _region.Boundary:
-    """Image of the domain boundary under the push-forward map, evaluated
-    by the exterior formula limiting onto the boundary."""
-    return _region.map_boundary(
-        boundary, lambda z: phi_formula(mu_x, params.gamma, z))
-
-
-def sigma_boundary(mu_x: SpectralMeasure, t: float, bounds,
-                   nx: int = 512, ny: int = 512) -> _region.Boundary:
-    """Marching-squares extraction of the T = t level set."""
-    grid = _region.evaluate_grid(
-        lambda z: T_additive(mu_x, z), bounds, nx, ny,
-        conj_symmetric=mu_x.on_real_line)
-    return _region.extract_levelset(grid, t)
 
 
 def laplacian_identity_check(mu_x: SpectralMeasure, lam, h: float = 1e-3):

@@ -127,8 +127,14 @@ def _number(v) -> bool:
             and abs(v) <= sys.float_info.max)
 
 
+# largest count (a grid axis, oracle.n or oracle.k, --steps) and largest
+# node count (nx * ny, n_r * n_theta, the oracle's n * n matrix entries)
+_MAX_COUNT, _MAX_NODES = 1 << 16, 1 << 22
+
+
 def _count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+    return (isinstance(v, int) and not isinstance(v, bool)
+            and 1 <= v <= _MAX_COUNT)
 
 
 def load_config(args) -> dict:
@@ -171,13 +177,25 @@ def load_config(args) -> dict:
     if not all(_number(grid[k]) for k in ("re_min", "re_max", "im_min",
                                           "im_max")):
         raise ConfigError("grid bounds must be numbers")
+    if not all(0 < grid[hi] - grid[lo] < math.inf for lo, hi in (
+            ("re_min", "re_max"), ("im_min", "im_max"))):
+        raise ConfigError("grid bounds need re_min < re_max and "
+                          "im_min < im_max, with finite differences")
     r_max = 1.0 if rg["r_max"] is None else rg["r_max"]  # None: from the law
     if not all(_number(r) and r > 0 for r in (rg["r_min"], r_max)):
         raise ConfigError("rgrid.r_min and rgrid.r_max must be numbers > 0")
-    if not all(map(_count, (grid["nx"], grid["ny"], rg["n_r"], rg["n_theta"],
-                            o["n"], o["k"]))):
-        raise ConfigError("grid.nx, grid.ny, rgrid.n_r, rgrid.n_theta, "
-                          "oracle.n and oracle.k must be integers >= 1")
+    if rg["r_max"] is not None and rg["r_min"] >= rg["r_max"]:
+        raise ConfigError("rgrid needs r_min < r_max")
+    sizes = (grid["nx"], grid["ny"], rg["n_r"], rg["n_theta"], o["n"], o["k"],
+             getattr(args, "steps", 1))
+    if not all(map(_count, sizes)):
+        raise ConfigError(f"grid.nx, grid.ny, rgrid.n_r, rgrid.n_theta, "
+                          f"oracle.n, oracle.k and --steps must be integers "
+                          f"in [1, {_MAX_COUNT}]")
+    if max(grid["nx"] * grid["ny"], rg["n_r"] * rg["n_theta"],
+           o["n"] * o["n"]) > _MAX_NODES:
+        raise ConfigError(f"a grid holds at most {_MAX_NODES} nodes, and "
+                          f"oracle.n is at most {math.isqrt(_MAX_NODES)}")
     if not (isinstance(o["seed"], int) and not isinstance(o["seed"], bool)
             and (o["dilation"] is None or _number(o["dilation"]))):
         raise ConfigError("oracle seed must be an integer, dilation a number")
@@ -317,17 +335,14 @@ def cmd_spectest(cfg, args) -> bytes:
     doc = {"schema": "brownscope-spectest/1", "meta": _meta(cfg, "spectest"),
            "model": model, "point": [args.re, args.im], "t": t,
            "gamma": cfg["gamma"], "zero_atom": None}
-    family, _, kind = model.partition("-")
-    if family == "add":
-        verdict = additive.spectral_test_additive(
-            mu, lambda w: float(np.min(mu.support_distance(w))), z, t)
+    if model == "mult-positive":  # its lifetime excludes z = 0
+        verdict = multiplicative.spectral_test_positive(mu, z, t, _gamma(cfg))
     else:
-        res = multiplicative.spectral_test_mult(
-            kind, mu, z, additive.ModelParams(t, _gamma(cfg)))
-        verdict, doc["zero_atom"] = res.verdict, res.zero_atom
-    doc["verdict"] = verdict.value
-    if kind != "positive":  # the positive-case lifetime excludes z = 0
+        verdict = additive.spectral_test(mu, _LIFETIME[model], z, t)
         doc["lifetime"] = float(_LIFETIME[model](mu, z))
+    if verdict is additive.Verdict.ZERO_ATOM_CASE:
+        doc["zero_atom"] = multiplicative._atom_mass_at_zero(mu) > 0
+    doc["verdict"] = verdict.value
     return (json.dumps(doc, sort_keys=True) + "\n").encode()
 
 

@@ -30,11 +30,6 @@ class InversionFailed(BrownscopeError):
     """Newton inversion of the time-t regularization map did not converge."""
 
 
-class InsideDomain(BrownscopeError):
-    """A push-forward map was requested at a point not strictly outside
-    the closed lifetime domain."""
-
-
 class OutsideOmega(BrownscopeError):
     """Evaluation point lies below the subordination graph, where the
     half-plane map is not defined."""

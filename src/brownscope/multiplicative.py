@@ -38,15 +38,13 @@ is exactly the unitary lifetime formula above, for every circle law.
 
 from __future__ import annotations
 
-import enum
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import region as _region
-from .additive import (Membership, ModelParams, _band_membership,
-                       _require_outside)
+from .additive import Membership, Verdict, _band_membership, spectral_test
 from .errors import (BlowUp, ContinuationFailed, EvaluationOnSupport,
                      OriginExcluded, WrongSupportKind)
 from .measures import (SpectralMeasure, cauchy_derivative, cauchy_transform,
@@ -65,23 +63,6 @@ class HamiltonStateMult:
     p_lambda: complex
     p_epsilon: float
     elapsed: float
-
-
-class DRegion(enum.Enum):
-    INSIDE_D = "inside-d"
-    OUTSIDE_D = "outside-d"
-
-
-class MultVerdict(enum.Enum):
-    OUTSIDE_SPECTRUM = "outside-spectrum"
-    UNDETERMINED = "undetermined"
-    ZERO_ATOM_CASE = "zero-atom-case"
-
-
-@dataclass(frozen=True)
-class MultTestResult:
-    verdict: MultVerdict
-    zero_atom: bool | None = None
 
 
 def _log_ratio_factor(u):
@@ -122,10 +103,6 @@ def T_mult_unitary(mu_u: SpectralMeasure, lam):
     return float(T[()]) if scalar else T
 
 
-def membership_unitary(mu_u: SpectralMeasure, lam, t: float) -> Membership:
-    return _band_membership(float(T_mult_unitary(mu_u, lam)), t)
-
-
 def psi_formula(mu_u: SpectralMeasure, gamma: complex, lam):
     """lam * exp(gamma * J(lam)) with J the half-plane transform of mu_u;
     the exterior evaluation of the unitary push-forward map.  The same
@@ -136,20 +113,6 @@ def psi_formula(mu_u: SpectralMeasure, gamma: complex, lam):
 
 
 f_gamma_formula = psi_formula
-
-
-def psi_map(mu_u: SpectralMeasure, params: ModelParams, lam):
-    """Unitary push-forward map, refused unless lam is strictly outside
-    the closed time-t domain (psi_formula is the boundary-limit escape)."""
-    _require_outside(membership_unitary(mu_u, lam, params.t), lam)
-    return psi_formula(mu_u, params.gamma, lam)
-
-
-def sigma_boundary_unitary(mu_u: SpectralMeasure, t: float, bounds,
-                           nx: int = 512, ny: int = 512) -> _region.Boundary:
-    grid = _region.evaluate_grid(lambda z: T_mult_unitary(mu_u, z),
-                                 bounds, nx, ny)
-    return _region.extract_levelset(grid, t)
 
 
 def curvature_check_circle(mu_u: SpectralMeasure, theta: float) -> float:
@@ -310,16 +273,6 @@ def _T_at_zero(mu_x: SpectralMeasure) -> float:
     return np.inf
 
 
-def membership_positive(mu_x: SpectralMeasure, lam, t: float) -> Membership:
-    return _band_membership(float(T_mult_positive(mu_x, lam)), t)
-
-
-def f_gamma_map(mu_x: SpectralMeasure, params: ModelParams, lam):
-    if complex(lam) != 0:  # the origin is exempt from the domain test
-        _require_outside(membership_positive(mu_x, lam, params.t), lam)
-    return f_gamma_formula(mu_x, params.gamma, lam)
-
-
 def _f_gamma_deriv(mu_x, gamma, lam):
     # f = lam exp(gamma J) with J = 1/2 - lam G, so dJ/dlam = -G - lam G'
     g = cauchy_transform(mu_x, lam)
@@ -382,59 +335,29 @@ def _f_gamma_preimage(mu_x: SpectralMeasure, gamma: complex, t: float, z):
     return lam
 
 
-def d_region_membership(mu_x: SpectralMeasure, params: ModelParams,
-                        z) -> DRegion:
-    """Membership of z in the image region D of the positive-case map:
-    z is outside D exactly when its preimage path stays exterior to the
-    closed time-t domain all the way in from infinity.  A stalled path is
-    reported as a warning and counted as inside."""
-    try:
-        lam = _f_gamma_preimage(mu_x, params.gamma, params.t, z)
-    except ContinuationFailed as exc:
-        warnings.warn(f"continuation stalled, reporting inside: {exc}")
-        return DRegion.INSIDE_D
-    if lam is None:
-        return DRegion.INSIDE_D
-    return DRegion.OUTSIDE_D
+def spectral_test_positive(mu_x: SpectralMeasure, z, t: float,
+                           gamma: complex) -> Verdict:
+    """One-sided spectral exclusion test for the positive model.
 
-
-def spectral_test_mult(kind: str, mu: SpectralMeasure, point,
-                       params: ModelParams) -> MultTestResult:
-    """One-sided spectral exclusion test for multiplicative models.
-
-    kind = "unitary": point is certified outside the perturbed spectrum
-    exactly when it is strictly outside the closed time-t domain (this
-    includes point = 0, which is never in the spectrum).
-
-    kind = "positive": point 0 is special; when 0 is outside the closed
-    domain the zero-atom dichotomy applies and the result reports whether
-    the reference law carries an atom at 0.  Other points are resolved
-    through the preimage of the push-forward map; points whose preimage
-    path enters the domain (or stalls) stay undetermined, as do points in
-    the boundary tolerance band.
-    """
-    if kind == "unitary":
-        if membership_unitary(mu, point, params.t) is Membership.OUTSIDE:
-            return MultTestResult(MultVerdict.OUTSIDE_SPECTRUM)
-        return MultTestResult(MultVerdict.UNDETERMINED)
-    if kind != "positive":
-        raise ValueError(f"unknown kind {kind!r}")
-    z = complex(point)
+    z = 0 is special: when 0 is outside the closed time-t domain the
+    zero-atom dichotomy applies (ZERO_ATOM_CASE; whether the law carries
+    an atom at 0 decides which side it falls on).  Other points are
+    resolved through the preimage of the push-forward map, which then
+    faces spectral_test; points whose preimage path enters the domain (or
+    stalls) stay undetermined."""
+    z = complex(z)
     if z == 0:
-        if _zero_outside_closed_domain(mu, params.t):
-            w0 = _atom_mass_at_zero(mu)
-            return MultTestResult(MultVerdict.ZERO_ATOM_CASE, w0 > 0)
-        return MultTestResult(MultVerdict.UNDETERMINED)
+        if _zero_outside_closed_domain(mu_x, t):
+            return Verdict.ZERO_ATOM_CASE
+        return Verdict.UNDETERMINED
     try:
-        lam = _f_gamma_preimage(mu, params.gamma, params.t, z)
+        lam = _f_gamma_preimage(mu_x, gamma, t, z)
     except ContinuationFailed as exc:
         warnings.warn(f"continuation stalled, leaving undetermined: {exc}")
-        return MultTestResult(MultVerdict.UNDETERMINED)
+        return Verdict.UNDETERMINED
     if lam is None:
-        return MultTestResult(MultVerdict.UNDETERMINED)
-    if membership_positive(mu, lam, params.t) is Membership.OUTSIDE:
-        return MultTestResult(MultVerdict.OUTSIDE_SPECTRUM)
-    return MultTestResult(MultVerdict.UNDETERMINED)
+        return Verdict.UNDETERMINED
+    return spectral_test(mu_x, T_mult_positive, lam, t)
 
 
 def _atom_mass_at_zero(mu: SpectralMeasure) -> float:

@@ -84,9 +84,9 @@ class Boundary:
 def evaluate_grid(f, bounds, nx: int, ny: int, *,
                   conj_symmetric: bool = False) -> Grid:
     """Sample f on an nx-by-ny cell-centered grid over bounds =
-    (re_min, re_max, im_min, im_max).  f is tried once on the complex node
-    array; if that raises TypeError (a scalar-only f) or returns the wrong
-    shape, it is called pointwise.  Any other error propagates.
+    (re_min, re_max, im_min, im_max).  f is called once, on the complex
+    node array, and must return values of its shape (ValueError
+    otherwise); its errors propagate.
 
     conj_symmetric=True promises f(conj z) = f(z).  When also im_min =
     -im_max, f sees only the node columns j >= ny // 2 (the middle one of
@@ -100,16 +100,10 @@ def evaluate_grid(f, bounds, nx: int, ny: int, *,
              np.zeros((nx, ny)))
     lo = ny // 2 if conj_symmetric and im_min == -im_max else 0
     nodes = g.nodes()[:, lo:]
-    try:
-        vals = np.asarray(f(nodes), dtype=float)
-    except TypeError:
-        vals = None
-    if vals is None or vals.shape != nodes.shape:
-        vals = np.empty(nodes.shape, dtype=float)
-        flat_nodes = nodes.reshape(-1)
-        flat = vals.reshape(-1)
-        for idx, z in enumerate(flat_nodes):
-            flat[idx] = float(f(complex(z)))
+    vals = np.asarray(f(nodes), dtype=float)
+    if vals.shape != nodes.shape:
+        raise ValueError(f"f returned shape {vals.shape} on nodes of shape "
+                         f"{nodes.shape}")
     vals = np.concatenate([vals[:, ::-1][:, :lo], vals], axis=1)
     return Grid(re_min, re_max, im_min, im_max, nx, ny, vals)
 

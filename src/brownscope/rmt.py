@@ -96,18 +96,6 @@ def sample_atomic(n: int, positions, weights, seed: int,
     return (u * diag[None, :]) @ u.conj().T
 
 
-def sample_atomic_unitary(n: int, mu, seed: int, stream: int = 0) -> np.ndarray:
-    if mu.support != "circle" or mu.kind != "atomic":
-        raise ValueError("needs an atomic circle-supported law")
-    return sample_atomic(n, mu.positions, mu.weights, seed, stream)
-
-
-def sample_atomic_positive(n: int, mu, seed: int, stream: int = 0) -> np.ndarray:
-    if mu.support != "nonneg" or mu.kind != "atomic":
-        raise ValueError("needs an atomic nonneg-supported law")
-    return sample_atomic(n, mu.positions, mu.weights, seed, stream)
-
-
 def sample_b(n: int, t: float, gamma: complex, k: int = _DEFAULT_K,
              seed: int = 0, stream: int = 0) -> np.ndarray:
     """Multiplicative Gaussian family at time t, product approximation
@@ -182,28 +170,15 @@ def eigenvalues(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(a)
 
 
-def support_report(spectrum: EmpiricalSpectrum, region_test=None,
-                   dilation: float = 0.0,
-                   boundary: Boundary | None = None) -> dict:
-    """Fraction of eigenvalues inside a region, optionally dilated.
-
-    region_test(z) -> bool is the raw membership predicate; when a
-    boundary polyline is supplied the dilation is applied through the
-    distance to the polyline (a point within `dilation` of the boundary
-    counts as inside), and region_test defaults to the even-odd test
-    against that boundary."""
+def support_report(spectrum: EmpiricalSpectrum, boundary: Boundary,
+                   dilation: float = 0.0) -> dict:
+    """Fraction of eigenvalues inside the region of a boundary polyline
+    (the even-odd test), dilated by counting every eigenvalue within
+    `dilation` of the polyline as inside."""
     eig = spectrum.eigenvalues
-    if region_test is None:
-        if boundary is None:
-            raise ValueError("need region_test or boundary")
-        inside = point_in_region(boundary, eig)
-    else:
-        inside = np.asarray([bool(region_test(z)) for z in eig])
+    inside = point_in_region(boundary, eig)
     if dilation > 0.0:
-        if boundary is None:
-            raise ValueError("dilation needs a boundary polyline")
-        near = distance_to_boundary(boundary, eig) <= dilation
-        inside = inside | near
+        inside = inside | (distance_to_boundary(boundary, eig) <= dilation)
     frac = float(np.count_nonzero(inside)) / len(eig)
     return {
         "n": int(len(eig)),

@@ -8,23 +8,28 @@ in the assertions themselves.
 import numpy as np
 import pytest
 
-from brownscope import (ModelParams, SpectralMeasure, T_additive,
-                        T_mult_unitary, analytic_extension_trace,
-                        blow_up_time, cauchy_transform, curvature_check_circle,
-                        eigenvalues, empirical_dSde, EmpiricalSpectrum,
-                        flow_additive, laplacian_identity_check, map_boundary,
-                        phi_formula, psi_formula, sample_atomic,
-                        sample_atomic_positive, sample_atomic_unitary,
-                        sample_b, sample_ginibre,
-                        sample_haar_unitary, sigma_boundary,
-                        sigma_boundary_unitary, stieltjes_invert,
-                        support_report)
+from brownscope import (SpectralMeasure, T_additive, T_mult_unitary,
+                        analytic_extension_trace, blow_up_time,
+                        cauchy_transform, curvature_check_circle, eigenvalues,
+                        empirical_dSde, EmpiricalSpectrum, evaluate_grid,
+                        extract_levelset, flow_additive,
+                        laplacian_identity_check, map_boundary, phi_formula,
+                        psi_formula, sample_atomic, sample_b, sample_ginibre,
+                        sample_haar_unitary, stieltjes_invert, support_report)
 
 BERN = SpectralMeasure.atomic([-1.0, 1.0], [0.5, 0.5], support="real")
 DELTA1_U = SpectralMeasure.atomic([1.0], [1.0], support="circle")
 ROOTS4 = SpectralMeasure.atomic([1.0, 1j, -1.0, -1j], [0.25] * 4,
                                 support="circle")
 TWO_ATOMS = SpectralMeasure.atomic([1.0, 2.0], [0.5, 0.5], support="nonneg")
+
+
+def _domain(mu, lifetime, t, bounds, nx, ny):
+    """The T = t level set of lifetime(mu, .) on an nx-by-ny grid, as the
+    CLI extracts it."""
+    grid = evaluate_grid(lambda z: lifetime(mu, z), bounds, nx, ny,
+                         conj_symmetric=mu.on_real_line)
+    return extract_levelset(grid, t)
 
 
 def _report(num, ok, detail):
@@ -46,7 +51,7 @@ def test_c01_closed_form_lifetimes():
 
 def test_c02_zero_matrix_domain_is_disk():
     mu0 = SpectralMeasure.atomic([0.0], [1.0], support="real")
-    b = sigma_boundary(mu0, 1.0, (-2, 2, -2, 2), 512, 512)
+    b = _domain(mu0, T_additive, 1.0, (-2, 2, -2, 2), 512, 512)
     pts = np.concatenate([c.points for c in b.polylines])
     dev = float(np.max(np.abs(np.abs(pts) - 1.0)))
     cell = 4.0 / 512
@@ -107,7 +112,8 @@ def test_c04_extension_smoothness_and_matrix_match():
 def test_c05_annulus_law():
     n = 1000
     inner, outer = np.sqrt(1.6), np.sqrt(2.5)
-    h = sample_atomic_positive(n, TWO_ATOMS, seed=5, stream=0)
+    h = sample_atomic(n, TWO_ATOMS.positions, TWO_ATOMS.weights, seed=5,
+                      stream=0)
     u = sample_haar_unitary(n, seed=5, stream=1)
     moduli = np.abs(eigenvalues(u @ h))
     frac = float(np.mean((moduli >= inner * 0.95) & (moduli <= outer * 1.05)))
@@ -119,7 +125,8 @@ def test_c05_annulus_law():
 
 def test_c06_perturbed_inner_radius():
     n, t = 1000, 0.5
-    h = sample_atomic_positive(n, TWO_ATOMS, seed=6, stream=0)
+    h = sample_atomic(n, TWO_ATOMS.positions, TWO_ATOMS.weights, seed=6,
+                      stream=0)
     u = sample_haar_unitary(n, seed=6, stream=1)
     a = u @ h + sample_ginibre(n, t, seed=6, stream=2)
     m = float(np.min(np.abs(eigenvalues(a))))
@@ -131,10 +138,10 @@ def test_c06_perturbed_inner_radius():
 
 def test_c07_pushforward_contains_spectrum():
     n, t, gamma, k = 400, 1.0, -0.5j, 200
-    x = sample_atomic_unitary(n, ROOTS4, seed=7, stream=0)
+    x = sample_atomic(n, ROOTS4.positions, ROOTS4.weights, seed=7, stream=0)
     b = sample_b(n, t, gamma, k=k, seed=7, stream=1)
     spec = EmpiricalSpectrum(eigenvalues(x @ b), {"model": "mult-unitary"})
-    sigma = sigma_boundary_unitary(ROOTS4, t, (-2, 2, -2, 2), 256, 256)
+    sigma = _domain(ROOTS4, T_mult_unitary, t, (-2, 2, -2, 2), 256, 256)
     mapped = map_boundary(sigma, lambda z: psi_formula(ROOTS4, gamma, z))
     rep = support_report(spec, boundary=mapped, dilation=0.05)
     ok = rep["fraction"] >= 0.95

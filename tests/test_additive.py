@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from brownscope import (BadGamma, InsideDomain, LifetimeExceeded, Membership,
-                        ModelParams, SpectralMeasure, T_additive, Verdict,
-                        analytic_extension_trace, e_region, extension_margin,
-                        flow_additive, laplacian_identity_check, neg2_trace,
-                        phi_formula, phi_map, point_in_region, reg_resolvent,
-                        sigma_additive_membership, sigma_boundary,
-                        spectral_test_additive)
+from brownscope import (LifetimeExceeded, Membership, SpectralMeasure,
+                        T_additive, Verdict, analytic_extension_trace,
+                        evaluate_grid, extension_margin, extract_levelset,
+                        flow_additive, laplacian_identity_check, map_boundary,
+                        neg2_trace, phi_formula, point_in_region,
+                        reg_resolvent, spectral_test)
+from brownscope.additive import _band_membership
 
 
 def bernoulli():
@@ -20,8 +20,11 @@ def delta0():
     return SpectralMeasure.atomic([0.0], [1.0], support="real")
 
 
-def atom_distance(mu):
-    return lambda lam: float(np.min(mu.support_distance(lam)))
+def _domain(mu, t, bounds, nx, ny):
+    """The T = t level set on an nx-by-ny grid, as the CLI extracts it."""
+    grid = evaluate_grid(lambda z: T_additive(mu, z), bounds, nx, ny,
+                         conj_symmetric=mu.on_real_line)
+    return extract_levelset(grid, t)
 
 
 # --- characteristic flow ----------------------------------------------------
@@ -105,9 +108,9 @@ def test_lifetime_monotone_in_eps0():
 
 def test_membership_bands():
     mu = bernoulli()
-    assert sigma_additive_membership(mu, 0.0, 2.0) is Membership.INSIDE
-    assert sigma_additive_membership(mu, 0.0, 1.0) is Membership.BOUNDARY
-    assert sigma_additive_membership(mu, 2.0, 1.0) is Membership.OUTSIDE
+    assert _band_membership(T_additive(mu, 0.0), 2.0) is Membership.INSIDE
+    assert _band_membership(T_additive(mu, 0.0), 1.0) is Membership.BOUNDARY
+    assert _band_membership(T_additive(mu, 2.0), 1.0) is Membership.OUTSIDE
 
 
 def test_continuity_proxy_at_non_atom_points():
@@ -129,11 +132,10 @@ def test_continuity_proxy_at_non_atom_points():
 
 def test_spectral_test_verdicts():
     mu = bernoulli()
-    d = atom_distance(mu)
-    assert spectral_test_additive(mu, d, 3.0, 1.0) is Verdict.OUTSIDE_SPECTRUM
+    assert spectral_test(mu, T_additive, 3.0, 1.0) is Verdict.OUTSIDE_SPECTRUM
     assert T_additive(mu, 3.0) == pytest.approx(6.4)
-    assert spectral_test_additive(mu, d, 1.0, 0.5) is Verdict.UNDETERMINED
-    assert spectral_test_additive(mu, d, 0.0, 2.0) is Verdict.UNDETERMINED
+    assert spectral_test(mu, T_additive, 1.0, 0.5) is Verdict.UNDETERMINED
+    assert spectral_test(mu, T_additive, 0.0, 2.0) is Verdict.UNDETERMINED
 
 
 # --- analytic extension -------------------------------------------------------
@@ -192,31 +194,18 @@ def test_extension_margin_positive_and_usable():
 # --- push-forward map ----------------------------------------------------------
 
 def test_phi_values():
-    assert phi_map(delta0(), ModelParams(1.0, 1.0), 2.0) == pytest.approx(2.5)
+    assert phi_formula(delta0(), 1.0, 2.0) == pytest.approx(2.5)
     # gamma = 0 -> identity
-    assert phi_map(bernoulli(), ModelParams(1.0, 0.0), 3.0) == pytest.approx(3.0)
+    assert phi_formula(bernoulli(), 0.0, 3.0) == pytest.approx(3.0)
     # G_x(2i) = -2i/5
-    got = phi_map(bernoulli(), ModelParams(1.0, 1.0), 2j)
+    got = phi_formula(bernoulli(), 1.0, 2j)
     assert got == pytest.approx(1.6j, abs=1e-14)
-
-
-def test_phi_refuses_interior():
-    with pytest.raises(InsideDomain):
-        phi_map(bernoulli(), ModelParams(2.0, 0.5), 0.0)  # T(0)=1 < 2
-    with pytest.raises(InsideDomain):
-        phi_map(bernoulli(), ModelParams(1.0, 0.5), 1.0)  # on the atom
-
-
-def test_model_params_gamma_bound():
-    with pytest.raises(BadGamma):
-        ModelParams(1.0, 1.5)
-    ModelParams(1.0, 1j)  # |gamma| = t allowed
 
 
 def test_e_region_ellipse():
     mu = delta0()
-    b = sigma_boundary(mu, 1.0, (-2, 2, -2, 2), 256, 256)
-    m = e_region(mu, ModelParams(1.0, 0.5), b)
+    b = _domain(mu, 1.0, (-2, 2, -2, 2), 256, 256)
+    m = map_boundary(b, lambda z: phi_formula(mu, 0.5, z))
     pts = np.concatenate([c.points for c in m.polylines])
     assert np.abs(pts.real).max() == pytest.approx(1.5, abs=2e-3)
     assert np.abs(pts.imag).max() == pytest.approx(0.5, abs=2e-3)
@@ -224,8 +213,8 @@ def test_e_region_ellipse():
 
 def test_e_region_gamma_zero_unchanged():
     mu = bernoulli()
-    b = sigma_boundary(mu, 1.0, (-2.5, 2.5, -2, 2), 128, 128)
-    m = e_region(mu, ModelParams(1.0, 0.0), b)
+    b = _domain(mu, 1.0, (-2.5, 2.5, -2, 2), 128, 128)
+    m = map_boundary(b, lambda z: phi_formula(mu, 0.0, z))
     for c0, c1 in zip(b.polylines, m.polylines):
         assert np.allclose(c0.points, c1.points)
 
@@ -253,7 +242,7 @@ def test_exterior_exclusion():
     # every sampled point outside the extracted domain has T > t
     mu = bernoulli()
     t = 1.0
-    b = sigma_boundary(mu, t, (-3, 3, -3, 3), 256, 256)
+    b = _domain(mu, t, (-3, 3, -3, 3), 256, 256)
     rng = np.random.default_rng(11)
     n = 0
     while n < 1000:

@@ -236,6 +236,26 @@ def test_spectest_zero_atom(tmp_path):
     assert doc["zero_atom"] is True
 
 
+def test_spectest_refuses_points_on_a_circle_density(tmp_path):
+    # midway between two of 256 nodes the lifetime is well above t, but
+    # the point lies on the density's support: no model may certify it
+    n = 256
+    circle = {"kind": "density", "support": "circle",
+              "grid": [[2 * np.pi * i / n - np.pi, 1 / (2 * np.pi)]
+                       for i in range(n)]}
+    c = cfg_file(tmp_path, "c.json", {
+        "model": "mult-unitary", "measure": circle, "t": 1e-3})
+    theta = np.pi / n - np.pi
+    doc = json.loads(run_to_file(tmp_path, "s.json", [
+        "spectest", "--config", c, "--re", repr(float(np.cos(theta))),
+        "--im", repr(float(np.sin(theta)))]))
+    assert doc["lifetime"] > 1e-2
+    assert doc["verdict"] == "undetermined"
+    far = json.loads(run_to_file(tmp_path, "f.json", [
+        "spectest", "--config", c, "--re", "3", "--im", "0"]))
+    assert far["verdict"] == "outside-spectrum"
+
+
 # --- validation errors --------------------------------------------------------------
 
 def test_gamma_bound_enforced(tmp_path, capfd):
@@ -312,6 +332,27 @@ def test_oracle_include_eigenvalues(tmp_path):
     assert full == plain
 
 
+def test_oracle_probe_at_an_atom_prints_no_warning(tmp_path):
+    # eps = 0 on an atom: the reference is refused, with nothing on stderr
+    import os
+    import subprocess
+    import sys
+
+    c = cfg_file(tmp_path, "c.json", {
+        "model": "add-elliptic", "measure": BERN_REAL, "t": 1.0,
+        "gamma": [0.3, 0.1], "grid": {"nx": 32, "ny": 32},
+        "oracle": {"n": 30, "seed": 4, "probes": [[1, 0, 0]]}})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-m", "brownscope.cli", "oracle",
+                          "--config", c], capture_output=True, text=True,
+                         timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0
+    assert run.stderr == ""
+    [row] = json.loads(run.stdout)["dsde_probes"]
+    assert "reference" not in row
+    assert "not outside the closed time-t domain" in row["reference_error"]
+
+
 # --- radii -------------------------------------------------------------------------
 
 def test_radii_csv_sweep(tmp_path):
@@ -377,6 +418,20 @@ def test_domain_density_map_failure_is_numerical(tmp_path, capfd):
     ("oracle", {"model": "rdiag", "oracle": {"n": 30},
                 "measure": {"kind": "density", "support": "nonneg",
                             "grid": [[0.5, 0.5], [2.5, 0.5]]}}),
+    # bounds in order, with a finite difference
+    ("domain", {"grid": {"re_min": -1e308, "re_max": 1e308, "nx": 16,
+                         "ny": 16}}),
+    ("lifetime", {"grid": {"re_min": 1.0, "re_max": 1.0}}),
+    ("lifetime", {"grid": {"im_min": 2.0, "im_max": -2.0}}),
+    ("lifetime", {"rgrid": {"r_min": 2.0, "r_max": 1.0}}),
+    # sizes: per count, and per grid or matrix
+    ("lifetime", {"grid": {"nx": 1 << 17, "ny": 1}}),
+    ("lifetime", {"grid": {"nx": 4096, "ny": 4096}}),
+    ("lifetime", {"rgrid": {"n_r": 4096, "n_theta": 4096}}),
+    ("oracle", {"oracle": {"n": 4096, "k": 1}}),
+    ("oracle", {"oracle": {"n": 30, "k": 10 ** 20}}),
+    ("radii --steps 100000000000000000000",
+     {"model": "rdiag", "measure": TWO_ATOMS}),
 ])
 def test_bad_config_values_are_config_errors(tmp_path, capfd, command,
                                              override):
@@ -384,7 +439,7 @@ def test_bad_config_values_are_config_errors(tmp_path, capfd, command,
            "grid": {"nx": 16, "ny": 16}}
     cfg.update(override)
     c = cfg_file(tmp_path, "c.json", cfg)
-    assert cli.main([command, "--config", c]) == 2
+    assert cli.main([*command.split(), "--config", c]) == 2
     [doc] = error_objects(capfd.readouterr().err)
     assert doc["error"]["kind"] == "config"
 

@@ -5,16 +5,17 @@ import warnings
 import numpy as np
 import pytest
 
-from brownscope import (BlowUp, DRegion, EvaluationOnSupport, InsideDomain,
-                        Membership, ModelParams, MultVerdict, OriginExcluded,
-                        SpectralMeasure, T_mult_positive, T_mult_unitary,
-                        WrongSupportKind, blow_up_time, curvature_check_circle,
-                        d_region_membership, f_gamma_formula, f_gamma_map,
-                        hamilton_flow_mult, herglotz, membership_positive,
-                        membership_unitary, p0_p2_positive, p_tilde_unitary,
-                        point_in_region, psi_formula, psi_map, reg_resolvent,
-                        sigma_boundary_positive, sigma_boundary_unitary,
-                        spectral_test_mult)
+from brownscope import (BlowUp, EvaluationOnSupport, Membership,
+                        OriginExcluded, SpectralMeasure, T_mult_positive,
+                        T_mult_unitary, Verdict, WrongSupportKind,
+                        blow_up_time, curvature_check_circle, evaluate_grid,
+                        extract_levelset, f_gamma_formula, hamilton_flow_mult,
+                        herglotz, p0_p2_positive, p_tilde_unitary,
+                        point_in_region, psi_formula, reg_resolvent,
+                        sigma_boundary_positive, spectral_test,
+                        spectral_test_positive)
+from brownscope.additive import _band_membership
+from brownscope.multiplicative import _atom_mass_at_zero, _f_gamma_preimage
 
 
 def delta1_circle():
@@ -76,9 +77,10 @@ def test_T_unitary_rotation_equivariance():
 
 def test_membership_unitary():
     mu = delta1_circle()
-    assert membership_unitary(mu, -1.0, 3.0) is Membership.OUTSIDE
-    assert membership_unitary(mu, -1.0, 5.0) is Membership.INSIDE
-    assert membership_unitary(mu, -1.0, 4.0) is Membership.BOUNDARY
+    T = T_mult_unitary(mu, -1.0)
+    assert _band_membership(T, 3.0) is Membership.OUTSIDE
+    assert _band_membership(T, 5.0) is Membership.INSIDE
+    assert _band_membership(T, 4.0) is Membership.BOUNDARY
 
 
 # --- push-forward maps --------------------------------------------------------
@@ -88,14 +90,8 @@ def test_psi_values():
     assert psi_formula(mu, 0.0, 0.5j) == pytest.approx(0.5j)
     # J vanishes at -1 for the point mass at 1
     assert psi_formula(mu, 0.7 + 0.2j, -1.0) == pytest.approx(-1.0, abs=1e-14)
-    got = psi_map(mu, ModelParams(0.3, 0.3), 2.0)
+    got = psi_formula(mu, 0.3, 2.0)
     assert got == pytest.approx(2 * np.exp(-0.45), abs=1e-13)
-
-
-def test_psi_map_refuses_interior():
-    mu = delta1_circle()
-    with pytest.raises(InsideDomain):
-        psi_map(mu, ModelParams(4.5, 0.5), -1.0)  # T(-1) = 4 < 4.5
 
 
 def test_psi_injectivity_sampling():
@@ -289,12 +285,6 @@ def test_f_gamma_values():
             psi_formula(u1, 0.4j, lam), abs=1e-14)
 
 
-def test_f_gamma_map_guard():
-    mu = SpectralMeasure.atomic([1.0, 2.0], [0.5, 0.5], support="nonneg")
-    with pytest.raises(InsideDomain):
-        f_gamma_map(mu, ModelParams(4.0, 0.5), 1.5)
-
-
 def test_f_gamma_injectivity_sampling():
     mu = SpectralMeasure.atomic([1.0, 2.0], [0.5, 0.5], support="nonneg")
     t, gamma = 0.5, 0.25
@@ -316,69 +306,86 @@ def test_f_gamma_injectivity_sampling():
 
 
 # --- d region -------------------------------------------------------------------
+# z lies outside the image region D of the positive-case map exactly when
+# its preimage path stays exterior to the closed time-t domain
 
 def test_d_region_gamma_zero_matches_sigma():
     mu = SpectralMeasure.atomic([1.0, 2.0], [0.5, 0.5], support="nonneg")
-    params = ModelParams(0.5, 0.0)
     # T(4) about 0.7 > 0.5 -> outside; T(1.5 + 0i)? atoms nearby, inside
-    assert d_region_membership(mu, params, 4.0) is DRegion.OUTSIDE_D
-    assert d_region_membership(mu, params, 1.5) is DRegion.INSIDE_D
+    assert _f_gamma_preimage(mu, 0.0, 0.5, 4.0) is not None
+    assert _f_gamma_preimage(mu, 0.0, 0.5, 1.5) is None
 
 
 def test_d_region_far_points_outside():
     mu = SpectralMeasure.atomic([1.0, 2.0], [0.5, 0.5], support="nonneg")
-    params = ModelParams(0.5, 0.25)
     for z in (30.0, -25.0 + 10j, 40j):
-        assert d_region_membership(mu, params, z) is DRegion.OUTSIDE_D
+        assert _f_gamma_preimage(mu, 0.25, 0.5, z) is not None
 
 
 def test_d_region_forward_image_consistency():
-    # points produced by mapping exterior lambdas forward must be OutsideD
+    # points produced by mapping exterior lambdas forward must be outside D
     mu = SpectralMeasure.atomic([1.0, 2.0], [0.5, 0.5], support="nonneg")
-    params = ModelParams(0.5, 0.25)
+    t, gamma = 0.5, 0.25
     for lam in (4.0, -2.0, 3.0j, 1.0 + 2.5j):
-        assert T_mult_positive(mu, lam) > params.t
-        z = f_gamma_formula(mu, params.gamma, lam)
-        assert d_region_membership(mu, params, z) is DRegion.OUTSIDE_D
+        assert T_mult_positive(mu, lam) > t
+        z = f_gamma_formula(mu, gamma, lam)
+        assert _f_gamma_preimage(mu, gamma, t, z) is not None
+        assert spectral_test_positive(mu, z, t, gamma) is \
+            Verdict.OUTSIDE_SPECTRUM
 
 
 # --- spectral tests ----------------------------------------------------------------
 
 def test_spectral_test_unitary():
     mu = delta1_circle()
-    r = spectral_test_mult("unitary", mu, -1.0, ModelParams(3.0, 0.0))
-    assert r.verdict is MultVerdict.OUTSIDE_SPECTRUM
-    r2 = spectral_test_mult("unitary", mu, -1.0, ModelParams(5.0, 0.0))
-    assert r2.verdict is MultVerdict.UNDETERMINED
+    assert spectral_test(mu, T_mult_unitary, -1.0, 3.0) is \
+        Verdict.OUTSIDE_SPECTRUM
+    assert spectral_test(mu, T_mult_unitary, -1.0, 5.0) is Verdict.UNDETERMINED
     # lam = 0: T = +inf, outside the closed domain for every t
-    r3 = spectral_test_mult("unitary", mu, 0.0, ModelParams(2.0, 0.0))
-    assert r3.verdict is MultVerdict.OUTSIDE_SPECTRUM
+    assert spectral_test(mu, T_mult_unitary, 0.0, 2.0) is \
+        Verdict.OUTSIDE_SPECTRUM
+    # midway between two nodes of a uniform circle density the node sums
+    # stay finite, so T > t there; the point is on the support all the same
+    dens = SpectralMeasure.uniform_circle(256)
+    lam = np.exp(1j * (np.pi / 256 - np.pi))
+    assert T_mult_unitary(dens, lam) > 1e-3
+    assert spectral_test(dens, T_mult_unitary, lam, 1e-3) is \
+        Verdict.UNDETERMINED
 
 
 def test_spectral_test_positive_far_point():
     mu = SpectralMeasure.atomic([1.0, 2.0], [0.5, 0.5], support="nonneg")
-    r = spectral_test_mult("positive", mu, 20.0, ModelParams(0.5, 0.25))
-    assert r.verdict is MultVerdict.OUTSIDE_SPECTRUM
+    assert spectral_test_positive(mu, 20.0, 0.5, 0.25) is \
+        Verdict.OUTSIDE_SPECTRUM
 
 
 def test_spectral_test_zero_atom_cases():
+    # the side of the dichotomy is the law's atom at 0, which the CLI
+    # reports as zero_atom
     with_atom = SpectralMeasure.atomic([0.0, 2.0], [0.5, 0.5],
                                        support="nonneg")
-    r = spectral_test_mult("positive", with_atom, 0.0, ModelParams(1.0, 0.0))
-    assert r.verdict is MultVerdict.ZERO_ATOM_CASE
-    assert r.zero_atom is True
+    assert spectral_test_positive(with_atom, 0.0, 1.0, 0.0) is \
+        Verdict.ZERO_ATOM_CASE
+    assert _atom_mass_at_zero(with_atom) > 0
 
     without = SpectralMeasure.atomic([1.0, 2.0], [0.5, 0.5], support="nonneg")
-    r2 = spectral_test_mult("positive", without, 0.0, ModelParams(0.5, 0.0))
-    assert r2.verdict is MultVerdict.ZERO_ATOM_CASE
-    assert r2.zero_atom is False
+    assert spectral_test_positive(without, 0.0, 0.5, 0.0) is \
+        Verdict.ZERO_ATOM_CASE
+    assert _atom_mass_at_zero(without) == 0
 
 
 # --- boundaries ---------------------------------------------------------------------
 
+def _unitary_domain(mu, t, bounds, nx, ny):
+    """The T = t level set on an nx-by-ny grid, as the CLI extracts it."""
+    grid = evaluate_grid(lambda z: T_mult_unitary(mu, z), bounds, nx, ny,
+                         conj_symmetric=mu.on_real_line)
+    return extract_levelset(grid, t)
+
+
 def test_sigma_unitary_boundary_through_minus_one():
     mu = delta1_circle()
-    b = sigma_boundary_unitary(mu, 4.0, (-2, 2, -2, 2), 256, 256)
+    b = _unitary_domain(mu, 4.0, (-2, 2, -2, 2), 256, 256)
     pts = np.concatenate([c.points for c in b.polylines])
     cell = 4.0 / 256
     assert np.min(np.abs(pts + 1.0)) < 2 * cell
@@ -386,7 +393,7 @@ def test_sigma_unitary_boundary_through_minus_one():
 
 def test_sigma_unitary_conjugation_symmetry():
     mu = delta1_circle()
-    b = sigma_boundary_unitary(mu, 1.0, (-2, 2, -2, 2), 128, 128)
+    b = _unitary_domain(mu, 1.0, (-2, 2, -2, 2), 128, 128)
     pts = np.concatenate([c.points for c in b.polylines])
     cell = 4.0 / 128
     for p in pts[::5]:

@@ -44,17 +44,8 @@ def test_grid_nodes_at_cell_centers():
     assert g.node_im()[-1] == pytest.approx(1.875)
 
 
-def test_grid_pointwise_fallback():
-    # scalar-only f (raises on arrays) must still work
-    def f(z):
-        return abs(complex(z)) ** 2
-    ga = evaluate_grid(f, (-1, 1, -1, 1), 5, 5)
-    gb = evaluate_grid(sq_modulus, (-1, 1, -1, 1), 5, 5)
-    assert np.allclose(ga.values, gb.values)
-
-
 def test_grid_vectorized_error_propagates_once():
-    # only TypeError or a wrong shape falls back to pointwise calls
+    # f is called once, on the node array; its errors are not retried
     calls = []
 
     def f(z):
@@ -63,6 +54,14 @@ def test_grid_vectorized_error_propagates_once():
     with pytest.raises(EvaluationOnSupport):
         evaluate_grid(f, (-1, 1, -1, 1), 5, 5)
     assert calls == [(5, 5)]
+
+
+def test_grid_refuses_a_wrong_shaped_result():
+    with pytest.raises(ValueError, match="shape"):
+        evaluate_grid(lambda z: 1.0, (-1, 1, -1, 1), 5, 5)
+    with pytest.raises(ValueError, match="shape"):
+        evaluate_grid(lambda z: np.ones(z.size), (-1, 1, -1, 1), 5, 6,
+                      conj_symmetric=True)
 
 
 def _recording(f):
@@ -99,21 +98,6 @@ def test_conj_symmetric_flag_needs_mirrored_bounds():
         assert f.shapes == [(5, 6)]
         plain = evaluate_grid(f, bounds, 5, 6)
         assert flagged.values.tobytes() == plain.values.tobytes()
-
-
-@pytest.mark.parametrize("ny", [6, 7])
-def test_conj_symmetric_pointwise_fallback_covers_the_same_half(ny):
-    calls = []
-
-    def f(z):
-        calls.append(z)
-        return abs(complex(z) - 0.25) ** 2  # TypeError on arrays
-    g = evaluate_grid(f, (-1, 1, -2, 2), 5, ny, conj_symmetric=True)
-    # one array call, then one call per node of the upper columns
-    assert len(calls) == 1 + 5 * (ny - ny // 2)
-    assert np.array_equal(calls[1:], g.nodes()[:, ny // 2:].ravel())
-    for j in range(ny):
-        assert np.array_equal(g.values[:, j], g.values[:, ny - 1 - j])
 
 
 # --- extract_levelset -------------------------------------------------------

@@ -5,8 +5,8 @@ import pytest
 
 from brownscope import (BadGamma, Boundary, Chain, EmpiricalSpectrum,
                         SpectralMeasure, eigenvalues, empirical_S,
-                        empirical_dSde, multiplicities, sample_atomic_positive,
-                        sample_atomic_unitary, sample_b, sample_elliptic,
+                        empirical_dSde, multiplicities, sample_atomic,
+                        sample_b, sample_elliptic,
                         sample_ginibre, sample_haar_unitary,
                         shifted_singular_values, support_report)
 
@@ -64,7 +64,7 @@ def test_elliptic_rejects_large_gamma():
 
 def test_atomic_unitary_exact_multiplicities():
     mu = SpectralMeasure.atomic([1.0, 1j, -1.0, -1j], [0.25] * 4, "circle")
-    a = sample_atomic_unitary(400, mu, seed=2)
+    a = sample_atomic(400, mu.positions, mu.weights, seed=2)
     eig = eigenvalues(a)
     for root in (1.0, 1j, -1.0, -1j):
         assert np.sum(np.abs(eig - root) < 1e-8) == 100
@@ -72,7 +72,7 @@ def test_atomic_unitary_exact_multiplicities():
 
 def test_atomic_positive_exact_spectrum():
     mu = SpectralMeasure.atomic([1.0, 2.0], [0.5, 0.5], "nonneg")
-    a = sample_atomic_positive(10, mu, seed=9)
+    a = sample_atomic(10, mu.positions, mu.weights, seed=9)
     assert np.max(np.abs(a - a.conj().T)) < 1e-13
     eig = np.linalg.eigvalsh(a)
     assert np.sum(np.abs(eig - 1.0) < 1e-10) == 5
@@ -155,25 +155,27 @@ def test_spectrum_json_dict():
     assert spec.n == 2
 
 
+def _circle(r):
+    ang = np.linspace(0, 2 * np.pi, 512, endpoint=False)
+    return Boundary([Chain(r * np.exp(1j * ang), True)], 0.0)
+
+
 def test_support_report_predicates():
     u = sample_haar_unitary(50, seed=1)
     spec = EmpiricalSpectrum(eigenvalues(u), {"kind": "haar", "n": 50})
-    assert support_report(spec, region_test=lambda z: abs(z) < 1.01)["fraction"] == 1.0
-    assert support_report(spec, region_test=lambda z: abs(z) < 0.5)["inside"] == 0
+    assert support_report(spec, boundary=_circle(1.01))["fraction"] == 1.0
+    assert support_report(spec, boundary=_circle(0.5))["inside"] == 0
 
 
 def test_support_report_boundary_dilation():
     u = sample_haar_unitary(50, seed=1)
     spec = EmpiricalSpectrum(eigenvalues(u), {"kind": "haar", "n": 50})
-    ang = np.linspace(0, 2 * np.pi, 512, endpoint=False)
-    circle = Boundary([Chain(np.exp(1j * ang), True)], 0.0)
-    rep = support_report(spec, dilation=0.02, boundary=circle)
+    rep = support_report(spec, dilation=0.02, boundary=_circle(1.0))
     assert rep["fraction"] == 1.0
     assert rep["dilation"] == 0.02
-    with pytest.raises(ValueError):
-        support_report(spec)
-    with pytest.raises(ValueError):
-        support_report(spec, region_test=lambda z: True, dilation=0.1)
+    # the polygon through 512 points of the unit circle lies inside it, so
+    # only the dilation takes in the eigenvalues of modulus 1
+    assert support_report(spec, boundary=_circle(1.0))["inside"] == 0
 
 
 # --- sampler draws (SAMPLER_VERSION 2) ------------------------------------------

@@ -8,7 +8,9 @@ directory of this checkout) for every model under lifetime, domain,
 each in json, csv and pgm, on 48^2 grids, 64^2 log-polar grids and an
 n=60, k=6 oracle at seed 5.  These measures are atomic; add-elliptic on a
 201-row semicircle density follows under lifetime, domain and `map --in`,
-in json and csv, since density sums are where kernel changes show.  A few
+in json and csv, since density sums are where kernel changes show, and
+under spectest at 3+0.5i.  mult-unitary on a 256-node uniform circle
+density runs spectest midway between two nodes, on the support.  A few
 error runs close the list: |gamma| > t, usage errors and an unwritable
 --out.  Each run prints one tab-separated line:
 
@@ -61,6 +63,9 @@ FORMATS = ("json", "csv", "pgm")
 DENSITY_ROWS = 201
 DENSITY = {"model": "add-elliptic", "t": 2.0, "gamma": [0.5, 0.0]}
 DENSITY_COMMANDS = ("lifetime", "domain", "map")
+# mult-unitary on a uniform circle density, probed midway between two nodes
+CIRCLE_NODES = 256
+CIRCLE_POINT = math.pi / CIRCLE_NODES - math.pi
 # (name, config file, argv) of the error runs, all on add-elliptic
 ERRORS = [
     ("gamma>t", "gamma.json", ["spectest", "--re", "3", "--im", "0"]),
@@ -97,6 +102,11 @@ def write_inputs(work: Path) -> None:
         DENSITY, measure=semicircle,
         grid={"re_min": -3.0, "re_max": 3.0, "im_min": -3.0, "im_max": 3.0,
               "nx": 48, "ny": 48})))
+    circle = {"kind": "density", "support": "circle",
+              "grid": [[2 * math.pi * i / CIRCLE_NODES - math.pi,
+                        1 / (2 * math.pi)] for i in range(CIRCLE_NODES)]}
+    (work / "circle.json").write_text(json.dumps(
+        {"model": "mult-unitary", "measure": circle, "t": 1e-3}))
 
 
 def run(work: Path, env: dict, label: tuple, argv: list) -> str:
@@ -126,6 +136,13 @@ def main(argv=None) -> int:
             jobs.append((("add-elliptic/density", command, fmt),
                          [*COMMANDS[command], "--config", "density.json",
                           "--format", fmt]))
+    jobs.append((("add-elliptic/density", "spectest-3+0.5i", "json"),
+                 [*COMMANDS["spectest-3+0.5i"], "--config", "density.json"]))
+    jobs.append((("mult-unitary/circle-density", "spectest-between-nodes",
+                  "json"),
+                 ["spectest", f"--re={math.cos(CIRCLE_POINT)!r}",
+                  f"--im={math.sin(CIRCLE_POINT)!r}", "--config",
+                  "circle.json"]))
     for name, cfg, extra in ERRORS:
         jobs.append((("add-elliptic", name, "-"), [*extra, "--config", cfg]))
     with tempfile.TemporaryDirectory() as tmp:
