@@ -14,17 +14,17 @@ from .region import (Boundary, Chain, Grid, distance_to_boundary, emit,
                      map_boundary, parse_pgm, point_in_region)
 from .additive import (MEMBERSHIP_TOL, HamiltonState, Membership, Verdict,
                        T_additive, analytic_extension_trace, extension_margin,
-                       flow_additive, laplacian_identity_check, phi_formula,
-                       spectral_test)
+                       flow_additive, laplacian_identity_check,
+                       phi_derivative, phi_formula, preimage, spectral_test)
 from .multiplicative import (HamiltonStateMult, T_mult_positive,
                              T_mult_unitary, blow_up_time,
                              curvature_check_circle, f_gamma_formula,
                              hamilton_flow_mult, p0_p2_positive,
-                             p_tilde_unitary, psi_formula,
-                             sigma_boundary_positive, spectral_test_positive)
+                             p_tilde_unitary, psi_derivative, psi_formula,
+                             sigma_boundary_positive)
 from .rdiagonal import (AnnulusSpec, biane_Ht, circ_inner_radius, hl_radii,
                         perturbed_symmetrized_law, stieltjes_invert, vt)
-from .rmt import (EmpiricalSpectrum, eigenvalues, empirical_S, empirical_dSde,
+from .rmt import (eigenvalues, empirical_S, empirical_dSde,
                   multiplicities, sample_atomic, sample_b, sample_elliptic,
                   sample_ginibre, sample_haar_unitary,
                   shifted_singular_values, support_report)
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnulusSpec", "BadGamma", "BlowUp", "Boundary", "BrownscopeError",
-    "Chain", "ContinuationFailed", "EmpiricalSpectrum", "EvaluationOnSupport",
+    "Chain", "ContinuationFailed", "EvaluationOnSupport",
     "Grid", "HamiltonState", "HamiltonStateMult", "InversionFailed",
     "LifetimeExceeded", "MEMBERSHIP_TOL", "MapEvaluationError", "Membership",
     "NegativeEpsilon", "OriginExcluded", "OutsideOmega", "SpectralMeasure",
@@ -47,10 +47,11 @@ __all__ = [
     "laplacian_identity_check", "level_crossing_on_ray", "log_potential",
     "map_boundary", "multiplicities", "neg2_moments", "neg2_trace",
     "neg4_trace", "p0_p2_positive", "p_tilde_unitary", "parse_pgm",
-    "perturbed_symmetrized_law", "phi_formula", "point_in_region",
-    "psi_formula", "reg_cauchy_transform", "reg_resolvent",
+    "perturbed_symmetrized_law", "phi_derivative", "phi_formula",
+    "point_in_region", "preimage", "psi_derivative", "psi_formula",
+    "reg_cauchy_transform", "reg_resolvent",
     "reg_resolvent_deps", "sample_atomic", "sample_b", "sample_elliptic",
     "sample_ginibre", "sample_haar_unitary", "shifted_singular_values",
-    "sigma_boundary_positive", "spectral_test", "spectral_test_positive",
+    "sigma_boundary_positive", "spectral_test",
     "stieltjes_invert", "support_report", "symmetrize", "vt",
 ]

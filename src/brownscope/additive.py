@@ -24,9 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InversionFailed, LifetimeExceeded, NegativeEpsilon
-from .measures import (SpectralMeasure, cauchy_transform, neg2_trace,
-                       neg4_trace, reg_resolvent, reg_resolvent_deps)
+from .errors import (ContinuationFailed, EvaluationOnSupport, InversionFailed,
+                     LifetimeExceeded, NegativeEpsilon)
+from .measures import (SpectralMeasure, cauchy_derivative, cauchy_transform,
+                       neg2_trace, neg4_trace, reg_resolvent,
+                       reg_resolvent_deps)
 
 MEMBERSHIP_TOL = 1e-9
 _NEWTON_MAX_ITER = 100
@@ -69,8 +71,10 @@ def T_additive(mu_x: SpectralMeasure, lam):
     """Lifetime of the eps0 -> 0 characteristic at lam: the reciprocal of
     the inverse-square integral, 0 where that integral diverges (IEEE
     1/inf = 0 does the right thing, and the integral is never zero for a
-    probability measure)."""
-    return 1.0 / neg2_trace(mu_x, lam)
+    probability measure); far out, an integral that underflows to 0 gives
+    the right limit T = inf."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / neg2_trace(mu_x, lam)
 
 
 def _band_membership(T: float, t: float) -> Membership:
@@ -95,6 +99,67 @@ def spectral_test(mu: SpectralMeasure, lifetime, lam, t: float) -> Verdict:
     if _band_membership(float(lifetime(mu, lam)), t) is Membership.OUTSIDE:
         return Verdict.OUTSIDE_SPECTRUM
     return Verdict.UNDETERMINED
+
+
+def preimage(mu: SpectralMeasure, f, df, lifetime, t: float, z):
+    """Preimage of z under a model map f(lam) with derivative df(lam) in
+    the exterior of the closed time-t domain, where the map is injective.
+
+    A z that f fixes exactly is its own preimage.  Otherwise capped Newton
+    steps follow the path to z from a far point z0 on its ray (the positive
+    axis for z = 0), seeded at z0^2 / f(z0): far out, every model map is a
+    near rotation-dilation.  None as soon as an accepted point, z itself
+    included, has lifetime(mu, lam) <= t; ContinuationFailed when the path
+    stalls."""
+    z = complex(z)
+
+    def solve(target, cur):
+        """Newton on f(lam) = target from cur; None when it fails."""
+        for _ in range(40):
+            try:
+                err = complex(f(cur)) - target
+                if abs(err) <= 1e-13 * (1.0 + abs(target)):
+                    return cur
+                d = complex(df(cur))
+            except EvaluationOnSupport:
+                return None  # the iterate wandered onto the reference support
+            if d == 0 or not (np.isfinite(d) and np.isfinite(err)):
+                return None
+            step = err / d
+            # cap steps so the iterate cannot tunnel across the domain
+            cap = 0.5 * abs(cur) + 0.1
+            if abs(step) > cap:
+                step *= cap / abs(step)
+            cur -= step
+        return None
+
+    # an overflowing or invalid value fails its Newton step, quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            fixed = complex(f(z)) == z
+        except EvaluationOnSupport:
+            fixed = False
+        if fixed:
+            return z if float(lifetime(mu, z)) > t else None
+        r0 = max(10.0 * (mu.support_radius() + 1.0), 2.0 * abs(z))
+        z0 = z / abs(z) * r0 if z else complex(r0)
+        lam = z0 / (complex(f(z0)) / z0)  # z0^2 / f(z0), kept in range
+        s, ds = 0.0, 0.25
+        while s < 1.0:
+            s_next = min(1.0, s + ds)
+            nxt = solve(z0 + s_next * (z - z0), lam)
+            if nxt is None:
+                ds *= 0.5
+                if ds < 1e-6:
+                    raise ContinuationFailed(
+                        f"path from {z0:.3g} to {z:.3g} stalled at s = {s:.4g}")
+                continue
+            lam, s = nxt, s_next
+            if float(lifetime(mu, lam)) <= t:
+                return None
+            if ds < 0.25:
+                ds *= 2.0
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +274,12 @@ def phi_formula(mu_x: SpectralMeasure, gamma: complex, lam):
     map, valid up to (and limiting onto) the domain boundary."""
     arr = np.asarray(lam, dtype=complex)
     return arr + gamma * cauchy_transform(mu_x, arr)
+
+
+def phi_derivative(mu_x: SpectralMeasure, gamma: complex, lam):
+    """1 + gamma * G'(lam), the derivative of phi_formula; refused on the
+    support, as phi_formula is."""
+    return 1.0 + gamma * cauchy_derivative(mu_x, lam)
 
 
 def laplacian_identity_check(mu_x: SpectralMeasure, lam, h: float = 1e-3):

@@ -27,13 +27,13 @@ import numpy as np
 
 from . import additive, multiplicative, rdiagonal, rmt
 from . import region as region_mod
-from .errors import (BadGamma, BrownscopeError, TMaxExceeded,
-                     WrongSupportKind, _check_gamma)
+from .errors import (BadGamma, BrownscopeError, ContinuationFailed,
+                     TMaxExceeded, WrongSupportKind, _check_gamma)
 from .measures import SpectralMeasure
 
 # The model table: the support kind a model's measure needs (None: any),
-# its lifetime (mu, z) and its push-forward map (mu, gamma, z).  Values
-# stay plain module functions, so they can be rebound after import.
+# its lifetime (mu, z), its push-forward map (mu, gamma, z) and the map's
+# derivative.  Values stay plain module functions, rebindable after import.
 _SUPPORT = {"add-circ": None, "add-elliptic": None, "mult-unitary": "circle",
             "mult-positive": "nonneg", "rdiag": "nonneg"}
 _LIFETIME = {"add-circ": additive.T_additive,
@@ -44,6 +44,10 @@ _MAP = {"add-circ": additive.phi_formula,
         "add-elliptic": additive.phi_formula,
         "mult-unitary": multiplicative.psi_formula,
         "mult-positive": multiplicative.f_gamma_formula}
+_MAP_DERIVATIVE = {"add-circ": additive.phi_derivative,
+                   "add-elliptic": additive.phi_derivative,
+                   "mult-unitary": multiplicative.psi_derivative,
+                   "mult-positive": multiplicative.psi_derivative}
 MODELS = tuple(_SUPPORT)
 
 
@@ -256,8 +260,12 @@ def _extract_domain(cfg, mu) -> region_mod.Boundary:
     if cfg["model"] == "mult-positive":
         # the domain hugs the origin, so it is extracted on a log-polar grid
         rg = cfg["rgrid"]
+        r_max = rg["r_max"] or multiplicative.default_r_max(mu)
+        if rg["r_min"] >= r_max:  # a given r_max passed load_config
+            raise ConfigError(f"rgrid needs r_min < r_max, and the r_max "
+                              f"derived from the measure is {r_max:g}")
         return multiplicative.sigma_boundary_positive(
-            mu, cfg["t"], r_min=rg["r_min"], r_max=rg["r_max"],
+            mu, cfg["t"], r_min=rg["r_min"], r_max=r_max,
             n_r=rg["n_r"], n_theta=rg["n_theta"])
     return region_mod.extract_levelset(_lifetime_grid(cfg, mu), cfg["t"])
 
@@ -329,19 +337,33 @@ def cmd_map(cfg, args) -> bytes:
 
 def cmd_spectest(cfg, args) -> bytes:
     mu = resolve_measure(cfg)
-    model = cfg["model"]
-    t = cfg["t"]
+    model, t, gamma = cfg["model"], cfg["t"], _gamma(cfg)
     z = complex(args.re, args.im)
     doc = {"schema": "brownscope-spectest/1", "meta": _meta(cfg, "spectest"),
            "model": model, "point": [args.re, args.im], "t": t,
-           "gamma": cfg["gamma"], "zero_atom": None}
-    if model == "mult-positive":  # its lifetime excludes z = 0
-        verdict = multiplicative.spectral_test_positive(mu, z, t, _gamma(cfg))
+           "gamma": cfg["gamma"], "zero_atom": None, "preimage": None,
+           "lifetime": None}
+    lifetime, verdict = _LIFETIME[model], additive.Verdict.UNDETERMINED
+    if model == "mult-positive" and z == 0:  # its lifetime excludes z = 0
+        if multiplicative._zero_outside_closed_domain(mu, t):
+            verdict = additive.Verdict.ZERO_ATOM_CASE
+            doc["zero_atom"] = multiplicative._atom_mass_at_zero(mu) > 0
     else:
-        verdict = additive.spectral_test(mu, _LIFETIME[model], z, t)
-        doc["lifetime"] = float(_LIFETIME[model](mu, z))
-    if verdict is additive.Verdict.ZERO_ATOM_CASE:
-        doc["zero_atom"] = multiplicative._atom_mass_at_zero(mu) > 0
+        # the spectrum lies in the image of the time-t domain under the
+        # model map, so z is tested at its preimage (z itself at gamma = 0)
+        lam = z
+        if gamma:
+            try:
+                lam = additive.preimage(
+                    mu, _domain_map_fn(cfg, mu),
+                    functools.partial(_MAP_DERIVATIVE[model], mu, gamma),
+                    lifetime, t, z)
+            except ContinuationFailed:
+                lam = None
+        if lam is not None:
+            verdict = additive.spectral_test(mu, lifetime, lam, t)
+            doc["preimage"] = [lam.real, lam.imag]
+            doc["lifetime"] = float(lifetime(mu, lam))
     doc["verdict"] = verdict.value
     return (json.dumps(doc, sort_keys=True) + "\n").encode()
 
@@ -378,49 +400,45 @@ def cmd_oracle(cfg, args) -> bytes:
         return (json.dumps(report, sort_keys=True) + "\n").encode()
 
     additive_model = model.startswith("add-")
-    if additive_model:
-        a = x + rmt.sample_elliptic(n, t, gamma, seed, stream=1)
-    else:
-        a = x @ rmt.sample_b(n, t, gamma, k=k, seed=seed, stream=1)
-        report["k"] = k
-    spectrum = rmt.EmpiricalSpectrum(rmt.eigenvalues(a))
+    a = (x + rmt.sample_elliptic(n, t, gamma, seed, stream=1) if additive_model
+         else x @ rmt.sample_b(n, t, gamma, k=k, seed=seed, stream=1))
+    eig = rmt.eigenvalues(a)
     report["sampler"] = rmt.SAMPLER_VERSION
     mapped = _mapped(cfg, mu, _extract_domain(cfg, mu))
-    report["support"] = rmt.support_report(spectrum, boundary=mapped,
-                                           dilation=dil)
+    report["support"] = rmt.support_report(eig, boundary=mapped, dilation=dil)
 
     probes = o["probes"]
     if probes is None:
         r = mu.support_radius() + np.sqrt(t) + 1.0
         probes = [[r, 0.0, 1e-3], [0.0, r, 1e-3], [-r, 0.0, 1e-3]]
-    if not additive_model:
-        # second draw with the rotation turned off, for the pairing below
-        a0 = x @ rmt.sample_b(n, t, 0.0, k=k, seed=seed, stream=2)
+    # a probe row pairs the matrix at the mapped point with a reference at lam
+    if additive_model:
+        def reference(lam, eps):
+            return additive.analytic_extension_trace(mu, lam, t, eps)
+    else:
+        report["k"] = k
+        # the pairing check: the plain flow, rotation turned off, at lam
+        reference = functools.partial(
+            rmt.empirical_dSde, x @ rmt.sample_b(n, t, 0.0, k=k, seed=seed,
+                                                 stream=2))
     probe_rows = []
     for pre, pim, eps in probes:
         lam = complex(pre, pim)
         row = {"lambda": [pre, pim], "eps": eps}
-        if additive_model:
-            row["empirical"] = float(rmt.empirical_dSde(a, lam, eps))
-            try:
-                row["reference"] = float(additive.analytic_extension_trace(
-                    mu, lam, t, eps))
-            except BrownscopeError as exc:
-                row["reference_error"] = str(exc)
+        try:
+            ref = float(reference(lam, eps))
+            target = complex(_MAP[model](mu, gamma, lam)) if gamma else lam
+        except BrownscopeError as exc:
+            row["reference_error"] = str(exc)
         else:
-            # pairing check: the rotated flow probed at the mapped point
-            # should agree with the plain flow probed at the source point
-            target = complex(_MAP[model](mu, gamma, lam))
-            row["empirical"] = float(rmt.empirical_dSde(a, target, eps))
-            row["reference"] = float(rmt.empirical_dSde(a0, lam, eps))
-            row["mapped_lambda"] = [target.real, target.imag]
-        if "reference" in row:
-            row["abs_diff"] = abs(row["empirical"] - row["reference"])
-            row["tol_hint"] = 5.0 / np.sqrt(n)
+            emp = float(rmt.empirical_dSde(a, target, eps))
+            row.update(mapped_lambda=[target.real, target.imag], empirical=emp,
+                       reference=ref, abs_diff=abs(emp - ref),
+                       tol_hint=5.0 / np.sqrt(n))
         probe_rows.append(row)
     report["dsde_probes"] = probe_rows
     if o.get("include_eigenvalues"):
-        report["eigenvalues"] = spectrum.to_json_dict()["eigenvalues"]
+        report["eigenvalues"] = [[float(z.real), float(z.imag)] for z in eig]
     return (json.dumps(report, sort_keys=True) + "\n").encode()
 
 

@@ -363,10 +363,12 @@ def _map_blocks(mu: SpectralMeasure, flat, block_fn):
 
 
 def _sq_dist(zb, xb):
-    """|zb - xb|^2 in real arithmetic, in one fresh buffer kernels may reuse."""
-    r2 = zb.real - xb.real
-    r2 *= r2
-    r2 += (zb.imag - xb.imag) ** 2 if np.iscomplexobj(xb) else zb.imag ** 2
+    """|zb - xb|^2 in real arithmetic, in one fresh buffer kernels may reuse;
+    a square past the float range is inf, its right limit."""
+    with np.errstate(over="ignore"):
+        r2 = zb.real - xb.real
+        r2 *= r2
+        r2 += (zb.imag - xb.imag) ** 2 if np.iscomplexobj(xb) else zb.imag ** 2
     return r2
 
 
@@ -414,24 +416,27 @@ def _sum_and_distance(mu: SpectralMeasure, lam, node_fn):
     return out, np.sqrt(min(nearest))
 
 
-def cauchy_transform(mu: SpectralMeasure, z):
-    """G(z) = integral of 1/(z - xi) d mu(xi), reg_cauchy_transform at eps = 0.
-
-    Requires z off the support: exact atoms for atomic measures, a guard
-    band of 10x node spacing for density grids (the quadrature cannot be
-    trusted closer than that); the distance comes from the sum's own pass.
-    """
-    g, dist = _sum_and_distance(mu, z, _cauchy_nodes)
+def _guarded_sum(mu: SpectralMeasure, z, node_fn, name: str):
+    """_sum_and_distance of node_fn, refused when z is within the guard
+    band of a node: exact atoms for atomic measures, 10x node spacing for
+    density grids (the quadrature cannot be trusted closer than that)."""
+    out, dist = _sum_and_distance(mu, z, node_fn)
     if dist <= mu.guard_band:
         raise EvaluationOnSupport(
-            f"cauchy transform requested within {mu.guard_band:.3g} of the support")
-    return g
+            f"{name} requested within {mu.guard_band:.3g} of the support")
+    return out
+
+
+def cauchy_transform(mu: SpectralMeasure, z):
+    """G(z) = integral of 1/(z - xi) d mu(xi), reg_cauchy_transform at eps = 0,
+    for z off the support (_guarded_sum)."""
+    return _guarded_sum(mu, z, _cauchy_nodes, "cauchy transform")
 
 
 def cauchy_derivative(mu: SpectralMeasure, z):
-    """G'(z) = -integral of 1/(z - xi)^2 d mu(xi); unguarded, so callers
-    evaluate cauchy_transform at the same point first."""
-    return _blocked_sum(mu, z, lambda zb, xb, r2: -_cauchy_nodes(zb, xb, r2) ** 2)
+    """G'(z) = -integral of 1/(z - xi)^2 d mu(xi), for z off the support."""
+    return _guarded_sum(mu, z, lambda zb, xb, r2: -_cauchy_nodes(zb, xb, r2) ** 2,
+                        "cauchy derivative")
 
 
 def herglotz(mu: SpectralMeasure, lam):

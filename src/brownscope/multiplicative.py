@@ -38,13 +38,12 @@ is exactly the unitary lifetime formula above, for every circle law.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import region as _region
-from .additive import Membership, Verdict, _band_membership, spectral_test
+from .additive import Membership, _band_membership
 from .errors import (BlowUp, ContinuationFailed, EvaluationOnSupport,
                      OriginExcluded, WrongSupportKind)
 from .measures import (SpectralMeasure, cauchy_derivative, cauchy_transform,
@@ -113,6 +112,16 @@ def psi_formula(mu_u: SpectralMeasure, gamma: complex, lam):
 
 
 f_gamma_formula = psi_formula
+
+
+def psi_derivative(mu_u: SpectralMeasure, gamma: complex, lam):
+    """Derivative of psi_formula (and so of f_gamma_formula): with
+    J = 1/2 - lam G, dJ/dlam = -G - lam G'.  Refused where
+    cauchy_transform is."""
+    arr = np.asarray(lam, dtype=complex)
+    g = cauchy_transform(mu_u, arr)
+    dj = -g - arr * cauchy_derivative(mu_u, arr)
+    return np.exp(gamma * (0.5 - arr * g)) * (1.0 + arr * gamma * dj)
 
 
 def curvature_check_circle(mu_u: SpectralMeasure, theta: float) -> float:
@@ -273,93 +282,6 @@ def _T_at_zero(mu_x: SpectralMeasure) -> float:
     return np.inf
 
 
-def _f_gamma_deriv(mu_x, gamma, lam):
-    # f = lam exp(gamma J) with J = 1/2 - lam G, so dJ/dlam = -G - lam G'
-    g = cauchy_transform(mu_x, lam)
-    dj = -g - lam * cauchy_derivative(mu_x, lam)
-    return np.exp(gamma * (0.5 - lam * g)) * (1.0 + lam * gamma * dj)
-
-
-def _f_gamma_preimage(mu_x: SpectralMeasure, gamma: complex, t: float, z):
-    """Newton path-following for the preimage of z under the positive-case
-    push-forward map, seeded at large modulus where the map is a near
-    rotation-dilation.  Returns the preimage, or None as soon as the path
-    enters the closed time-t domain (then z is not exterior).  Raises
-    ContinuationFailed on a stalled path."""
-    z = complex(z)
-    if z == 0:
-        raise OriginExcluded("preimage continuation excludes z = 0")
-    r_start = max(10.0 * (mu_x.support_radius() + 1.0), 2.0 * abs(z))
-    z_start = z / abs(z) * r_start
-    lam = z_start * np.exp(gamma / 2.0)  # at infinity f(lam) ~ lam e^{-gamma/2}
-
-    def newton(target, lam_guess):
-        cur = complex(lam_guess)
-        for _ in range(40):
-            try:
-                val = complex(f_gamma_formula(mu_x, gamma, cur))
-                err = val - target
-                if abs(err) <= 1e-13 * (1.0 + abs(target)):
-                    return cur
-                d = complex(_f_gamma_deriv(mu_x, gamma, cur))
-            except EvaluationOnSupport:
-                return None  # iterate wandered onto the reference support
-            if d == 0 or not np.isfinite(d):
-                return None
-            step = err / d
-            # cap steps so the iterate cannot tunnel across the domain
-            cap = 0.5 * abs(cur) + 0.1
-            if abs(step) > cap:
-                step *= cap / abs(step)
-            cur = cur - step
-        return None
-
-    s = 0.0
-    ds = 0.25
-    while s < 1.0:
-        s_next = min(1.0, s + ds)
-        target = z_start + s_next * (z - z_start)
-        nxt = newton(target, lam)
-        if nxt is None:
-            ds *= 0.5
-            if ds < 1e-6:
-                raise ContinuationFailed(
-                    f"path from {z_start:.3g} to {z:.3g} stalled at s = {s:.4g}")
-            continue
-        lam = nxt
-        s = s_next
-        if float(T_mult_positive(mu_x, lam)) <= t:
-            return None
-        if ds < 0.25:
-            ds *= 2.0
-    return lam
-
-
-def spectral_test_positive(mu_x: SpectralMeasure, z, t: float,
-                           gamma: complex) -> Verdict:
-    """One-sided spectral exclusion test for the positive model.
-
-    z = 0 is special: when 0 is outside the closed time-t domain the
-    zero-atom dichotomy applies (ZERO_ATOM_CASE; whether the law carries
-    an atom at 0 decides which side it falls on).  Other points are
-    resolved through the preimage of the push-forward map, which then
-    faces spectral_test; points whose preimage path enters the domain (or
-    stalls) stay undetermined."""
-    z = complex(z)
-    if z == 0:
-        if _zero_outside_closed_domain(mu_x, t):
-            return Verdict.ZERO_ATOM_CASE
-        return Verdict.UNDETERMINED
-    try:
-        lam = _f_gamma_preimage(mu_x, gamma, t, z)
-    except ContinuationFailed as exc:
-        warnings.warn(f"continuation stalled, leaving undetermined: {exc}")
-        return Verdict.UNDETERMINED
-    if lam is None:
-        return Verdict.UNDETERMINED
-    return spectral_test(mu_x, T_mult_positive, lam, t)
-
-
 def _atom_mass_at_zero(mu: SpectralMeasure) -> float:
     if mu.kind != "atomic":
         return 0.0
@@ -382,6 +304,11 @@ def _zero_outside_closed_domain(mu_x: SpectralMeasure, t: float) -> bool:
     return all(_band_membership(T, t) is Membership.OUTSIDE for T in lifetimes())
 
 
+def default_r_max(mu_x: SpectralMeasure) -> float:
+    """Outer radius of sigma_boundary_positive's grid when none is given."""
+    return 4.0 * (mu_x.support_radius() + 1.0)
+
+
 def sigma_boundary_positive(mu_x: SpectralMeasure, t: float,
                             r_min: float = 1e-6, r_max: float | None = None,
                             n_r: int = 512, n_theta: int = 512
@@ -391,7 +318,7 @@ def sigma_boundary_positive(mu_x: SpectralMeasure, t: float,
     resolve it poorly).  The disk of radius r_min is excluded.  The angle
     axis is periodic, so chains crossing the positive axis close exactly."""
     if r_max is None:
-        r_max = 4.0 * (mu_x.support_radius() + 1.0)
+        r_max = default_r_max(mu_x)
     bounds = (np.log(r_min), np.log(r_max), 0.0, 2.0 * np.pi)
     grid = _region.evaluate_grid(
         lambda w: T_mult_positive(mu_x, np.exp(w)), bounds, n_r, n_theta)

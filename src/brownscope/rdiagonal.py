@@ -33,9 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .additive import phi_derivative, phi_formula
 from .errors import OutsideOmega, TMaxExceeded, WrongSupportKind
-from .measures import (SpectralMeasure, cauchy_derivative, cauchy_transform,
-                       reg_resolvent, symmetrize, _trapezoid_weights)
+from .measures import (SpectralMeasure, cauchy_transform, reg_resolvent,
+                       symmetrize, _trapezoid_weights)
 
 _BISECT_TOL = 1e-10
 
@@ -125,11 +126,12 @@ def vt(mu_sym: SpectralMeasure, t: float, x: float) -> float:
 
 def biane_Ht(mu_sym: SpectralMeasure, t: float, z: complex) -> complex:
     """Subordination map H_t(z) = z + t G(z) on the open region above the
-    constraint graph; refused below or on the graph."""
+    constraint graph, the additive map phi_formula at gamma = t; refused
+    below or on the graph."""
     z = complex(z)
     if z.imag <= vt(mu_sym, t, z.real):
         raise OutsideOmega(f"z = {z} is not above the constraint graph")
-    return complex(z + t * cauchy_transform(mu_sym, z))
+    return complex(phi_formula(mu_sym, t, z))
 
 
 def stieltjes_invert(G, x_grid, y: float) -> SpectralMeasure:
@@ -181,11 +183,10 @@ def _invert_Ht(mu_sym, t, target, z0):
     z = complex(z0)
     floor = 1e-12
     for _ in range(80):
-        g = complex(cauchy_transform(mu_sym, z))
-        f = z + t * g - target
+        f = complex(phi_formula(mu_sym, t, z)) - target
         if abs(f) <= 1e-13 * (1.0 + abs(target)):
             return z
-        d = 1.0 + t * complex(cauchy_derivative(mu_sym, z))
+        d = complex(phi_derivative(mu_sym, t, z))
         if d == 0:
             break
         step = f / d

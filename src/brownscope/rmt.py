@@ -21,8 +21,6 @@ version 1 a (seed, stream) key gave other elliptic matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import _check_gamma
@@ -145,37 +143,15 @@ def empirical_dSde(a: np.ndarray, lam: complex, eps) -> float | np.ndarray:
     return _svd_probe(np.reciprocal, a, lam, eps)
 
 
-@dataclass(frozen=True)
-class EmpiricalSpectrum:
-    """Eigenvalues of one ensemble draw plus the descriptor that produced
-    it (kind, n, t, gamma, k, seed, stream as applicable)."""
-
-    eigenvalues: np.ndarray
-    ensemble: dict = field(default_factory=dict)
-
-    @property
-    def n(self) -> int:
-        return len(self.eigenvalues)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "brownscope-spectrum/1",
-            "ensemble": self.ensemble,
-            "eigenvalues": [[float(z.real), float(z.imag)]
-                            for z in self.eigenvalues],
-        }
-
-
 def eigenvalues(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(a)
 
 
-def support_report(spectrum: EmpiricalSpectrum, boundary: Boundary,
+def support_report(eig: np.ndarray, boundary: Boundary,
                    dilation: float = 0.0) -> dict:
-    """Fraction of eigenvalues inside the region of a boundary polyline
-    (the even-odd test), dilated by counting every eigenvalue within
-    `dilation` of the polyline as inside."""
-    eig = spectrum.eigenvalues
+    """Fraction of the eigenvalues eig inside the region of a boundary
+    polyline (the even-odd test), dilated by counting every eigenvalue
+    within `dilation` of the polyline as inside."""
     inside = point_in_region(boundary, eig)
     if dilation > 0.0:
         inside = inside | (distance_to_boundary(boundary, eig) <= dilation)

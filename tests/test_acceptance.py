@@ -11,7 +11,7 @@ import pytest
 from brownscope import (SpectralMeasure, T_additive, T_mult_unitary,
                         analytic_extension_trace, blow_up_time,
                         cauchy_transform, curvature_check_circle, eigenvalues,
-                        empirical_dSde, EmpiricalSpectrum, evaluate_grid,
+                        empirical_dSde, evaluate_grid,
                         extract_levelset, flow_additive,
                         laplacian_identity_check, map_boundary, phi_formula,
                         psi_formula, sample_atomic, sample_b, sample_ginibre,
@@ -140,10 +140,10 @@ def test_c07_pushforward_contains_spectrum():
     n, t, gamma, k = 400, 1.0, -0.5j, 200
     x = sample_atomic(n, ROOTS4.positions, ROOTS4.weights, seed=7, stream=0)
     b = sample_b(n, t, gamma, k=k, seed=7, stream=1)
-    spec = EmpiricalSpectrum(eigenvalues(x @ b), {"model": "mult-unitary"})
+    eig = eigenvalues(x @ b)
     sigma = _domain(ROOTS4, T_mult_unitary, t, (-2, 2, -2, 2), 256, 256)
     mapped = map_boundary(sigma, lambda z: psi_formula(ROOTS4, gamma, z))
-    rep = support_report(spec, boundary=mapped, dilation=0.05)
+    rep = support_report(eig, boundary=mapped, dilation=0.05)
     ok = rep["fraction"] >= 0.95
     _report(7, ok, f"fraction {rep['fraction']:.3f} inside mapped boundary "
                    f"+ 0.05 (n={n}, k={k})")

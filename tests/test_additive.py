@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from brownscope import (LifetimeExceeded, Membership, SpectralMeasure,
+from brownscope import (ContinuationFailed, EvaluationOnSupport,
+                        LifetimeExceeded, Membership, SpectralMeasure,
                         T_additive, Verdict, analytic_extension_trace,
                         evaluate_grid, extension_margin, extract_levelset,
                         flow_additive, laplacian_identity_check, map_boundary,
-                        neg2_trace, phi_formula, point_in_region,
-                        reg_resolvent, spectral_test)
+                        neg2_trace, phi_derivative, phi_formula,
+                        point_in_region, preimage, reg_resolvent,
+                        spectral_test)
 from brownscope.additive import _band_membership
 
 
@@ -200,6 +202,56 @@ def test_phi_values():
     # G_x(2i) = -2i/5
     got = phi_formula(bernoulli(), 1.0, 2j)
     assert got == pytest.approx(1.6j, abs=1e-14)
+
+
+def test_phi_derivative_matches_differences():
+    mu, gamma, lam, h = bernoulli(), 0.7 - 0.2j, 1.3 + 0.8j, 1e-6
+    fd = (phi_formula(mu, gamma, lam + h)
+          - phi_formula(mu, gamma, lam - h)) / (2 * h)
+    assert phi_derivative(mu, gamma, lam) == pytest.approx(fd, rel=1e-8)
+    # 1 - gamma / lam^2 for the point mass at 0
+    assert phi_derivative(delta0(), 0.5, 2j) == pytest.approx(1.125)
+    with pytest.raises(EvaluationOnSupport):
+        phi_derivative(mu, gamma, 1.0)
+
+
+def _phi_preimage(mu, gamma, t, z):
+    return preimage(mu, lambda lam: phi_formula(mu, gamma, lam),
+                    lambda lam: phi_derivative(mu, gamma, lam),
+                    T_additive, t, z)
+
+
+def test_preimage_inverts_phi_on_the_exterior():
+    mu, t, gamma = bernoulli(), 1.0, 0.9
+    for lam in (2.2, -2.5 + 0.3j, 0.4 + 1.5j, 3j):
+        assert T_additive(mu, lam) > t
+        z = complex(phi_formula(mu, gamma, lam))
+        assert _phi_preimage(mu, gamma, t, z) == pytest.approx(lam, abs=1e-10)
+    # 2.3 is the image of a point inside the domain (phi reaches 2.51 on
+    # the real axis), so the path enters the domain
+    assert _phi_preimage(mu, gamma, t, 2.3) is None
+
+
+def test_preimage_of_a_fixed_point_is_the_point():
+    # at gamma = 0 every z is fixed and faces the lifetime check alone
+    mu = bernoulli()
+    assert _phi_preimage(mu, 0.0, 1.0, 3.0) == 3.0
+    assert _phi_preimage(mu, 0.0, 1.0, 0.5) is None
+    assert _phi_preimage(mu, 0.0, 1.0, 1.0) is None  # on an atom
+
+
+def test_preimage_of_zero_follows_the_positive_axis():
+    mu = SpectralMeasure.atomic([-1.0, -2.0], [0.5, 0.5], support="real")
+    lam = _phi_preimage(mu, 0.2, 0.1, 0.0)
+    assert abs(complex(phi_formula(mu, 0.2, lam))) < 1e-12
+    assert T_additive(mu, lam) > 0.1
+
+
+def test_preimage_stalls_loudly():
+    mu = bernoulli()
+    with pytest.raises(ContinuationFailed):
+        preimage(mu, lambda lam: 2.0 * lam, lambda lam: 0.0, T_additive,
+                 1.0, 3.0)
 
 
 def test_e_region_ellipse():

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from brownscope import SpectralMeasure, cli, emit, evaluate_grid
+from brownscope import (SpectralMeasure, additive, cli, emit, evaluate_grid,
+                        point_in_region, rmt)
 
 BERN_REAL = {"kind": "atomic", "support": "real",
              "atoms": [[1.0, 0.0, 0.5], [-1.0, 0.0, 0.5]]}
@@ -256,6 +257,84 @@ def test_spectest_refuses_points_on_a_circle_density(tmp_path):
     assert far["verdict"] == "outside-spectrum"
 
 
+# the elliptic model of the Bernoulli law at gamma = 0.9, whose map phi
+# carries the domain's real-axis tip out to 2.51
+BERN_ELLIPTIC = {"model": "add-elliptic", "measure": BERN_REAL, "t": 1.0,
+                 "gamma": [0.9, 0.0]}
+
+
+def spectest(tmp_path, c, z):
+    return json.loads(run_to_file(tmp_path, "s.json", [
+        "spectest", "--config", c, f"--re={float(z.real)!r}",
+        f"--im={float(z.imag)!r}"]))
+
+
+@pytest.mark.parametrize("re, verdict", [
+    (2.3, "undetermined"), (2.5, "undetermined"),
+    (2.7, "outside-spectrum"), (3.0, "outside-spectrum")])
+def test_spectest_tests_the_preimage_under_phi(tmp_path, re, verdict):
+    c = cfg_file(tmp_path, "c.json", BERN_ELLIPTIC)
+    doc = spectest(tmp_path, c, complex(re, 0.0))
+    assert doc["verdict"] == verdict
+    if verdict == "undetermined":  # the path entered the domain
+        assert doc["preimage"] is None and doc["lifetime"] is None
+    else:
+        lam = complex(*doc["preimage"])
+        mu = SpectralMeasure.load(BERN_REAL)
+        assert complex(additive.phi_formula(mu, 0.9, lam)) == pytest.approx(re)
+        assert doc["lifetime"] == pytest.approx(additive.T_additive(mu, lam))
+        assert doc["lifetime"] > 1.0
+
+
+def _elliptic_draw(n):
+    mu = SpectralMeasure.load(BERN_REAL)
+    x = rmt.sample_atomic(n, mu.positions, mu.weights, 7, stream=0)
+    return x + rmt.sample_elliptic(n, 1.0, 0.9, 7, stream=1)
+
+
+def _quartic_draw(n):
+    mu = SpectralMeasure.load(FOURTH_ROOTS)
+    x = rmt.sample_atomic(n, mu.positions, mu.weights, 7, stream=0)
+    return x @ rmt.sample_b(n, 1.0, -0.5j, k=60, seed=7, stream=1)
+
+
+@pytest.mark.parametrize("cfg, draw", [
+    (BERN_ELLIPTIC, functools.partial(_elliptic_draw, 300)),
+    ({"model": "mult-unitary", "measure": FOURTH_ROOTS, "t": 1.0,
+      "gamma": [0.0, -0.5]}, functools.partial(_quartic_draw, 150))],
+    ids=["add-elliptic", "mult-unitary"])
+def test_spectest_certifies_no_eigenvalue_inside_the_mapped_region(
+        tmp_path, cfg, draw):
+    c = cfg_file(tmp_path, "c.json", dict(cfg, grid={
+        "re_min": -3.0, "re_max": 3.0, "im_min": -3.0, "im_max": 3.0,
+        "nx": 256, "ny": 256}))
+    doc = json.loads(run_to_file(tmp_path, "d.json", ["domain", "--config", c]))
+    mapped = cli._boundary_from_doc(doc["mapped"])
+    eig = rmt.eigenvalues(draw())
+    certified = np.array([z for z in eig if spectest(tmp_path, c, z)["verdict"]
+                          == "outside-spectrum"])
+    assert len(certified) > 0
+    assert not np.any(point_in_region(mapped, certified))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["add-circ", "add-elliptic", "mult-unitary",
+                        "mult-positive"]),
+       st.floats(-3.5, 3.5), st.floats(-3.5, 3.5))
+def test_spectest_at_gamma_zero_is_the_spectral_test(model, re, im):
+    # every map is the identity at gamma = 0, so each point is its own
+    # preimage and the verdict is the spectral test's at the point
+    assume(model != "mult-positive" or complex(re, im) != 0)
+    cfg = dict(MATRIX_MODELS[model], model=model, gamma=[0.0, 0.0])
+    mu = SpectralMeasure.load(cfg["measure"])
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = spectest(Path(tmp), cfg_file(Path(tmp), "c.json", cfg),
+                       complex(re, im))
+    want = additive.spectral_test(mu, cli._LIFETIME[model], complex(re, im),
+                                  cfg["t"])
+    assert doc["verdict"] == want.value
+
+
 # --- validation errors --------------------------------------------------------------
 
 def test_gamma_bound_enforced(tmp_path, capfd):
@@ -326,10 +405,29 @@ def test_oracle_include_eigenvalues(tmp_path):
     full = json.loads(run_to_file(tmp_path, "f.json", [
         "oracle", "--config", cfg_file(tmp_path, "f.json.cfg", cfg)]))
     eig = full.pop("eigenvalues")
-    assert len(eig) == 40
-    assert all(len(row) == 2 and all(map(np.isfinite, row)) for row in eig)
+    mu = SpectralMeasure.load(BERN_REAL)
+    x = rmt.sample_atomic(40, mu.positions, mu.weights, 4, stream=0)
+    want = rmt.eigenvalues(x + rmt.sample_elliptic(40, 1.0, 0.3 + 0.1j, 4,
+                                                   stream=1))
+    assert eig == [[float(z.real), float(z.imag)] for z in want]
     del full["meta"], plain["meta"]  # the config hashes differ
     assert full == plain
+
+
+def test_oracle_additive_probes_at_the_mapped_point(tmp_path):
+    # x + elliptic(gamma) probed at phi(lam) pairs with the analytic
+    # extension at lam
+    c = cfg_file(tmp_path, "c.json", dict(
+        BERN_ELLIPTIC, grid={"nx": 64, "ny": 64},
+        oracle={"n": 400, "seed": 7,
+                "probes": [[2.6, 0, 1e-3], [0, 1, 1e-3], [3.0, 0.5, 1e-3]]}))
+    doc = json.loads(run_to_file(tmp_path, "o.json", ["oracle", "--config", c]))
+    mu = SpectralMeasure.load(BERN_REAL)
+    for row in doc["dsde_probes"]:
+        lam = complex(*row["lambda"])
+        assert complex(*row["mapped_lambda"]) == complex(
+            additive.phi_formula(mu, 0.9, lam))
+        assert row["abs_diff"] <= row["tol_hint"]
 
 
 def test_oracle_probe_at_an_atom_prints_no_warning(tmp_path):
@@ -442,6 +540,36 @@ def test_bad_config_values_are_config_errors(tmp_path, capfd, command,
     assert cli.main([*command.split(), "--config", c]) == 2
     [doc] = error_objects(capfd.readouterr().err)
     assert doc["error"]["kind"] == "config"
+
+
+def test_domain_refuses_r_min_above_the_derived_r_max(tmp_path, capfd):
+    # without rgrid.r_max the grid reaches 4 (support radius + 1) = 12
+    c = cfg_file(tmp_path, "c.json", {
+        "model": "mult-positive", "measure": TWO_ATOMS, "t": 0.5,
+        "gamma": [0.2, 0.0], "rgrid": {"r_min": 20, "n_r": 32, "n_theta": 32}})
+    assert cli.main(["domain", "--config", c]) == 2
+    [doc] = error_objects(capfd.readouterr().err)
+    assert doc["error"]["kind"] == "config"
+    assert "r_max derived from the measure is 12" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["domain", "lifetime"])
+def test_huge_grid_bounds_print_nothing_on_stderr(tmp_path, command):
+    # far out |lam - xi|^2 overflows to inf and the lifetime is inf, the
+    # right limits, so numpy has nothing to warn about
+    import os
+    import subprocess
+    import sys
+
+    c = cfg_file(tmp_path, "c.json", dict(
+        BERN_ELLIPTIC, grid={"re_min": -1e308, "re_max": 0.0, "im_min": -2.0,
+                             "im_max": 2.0, "nx": 16, "ny": 16}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-m", "brownscope.cli", command,
+                          "--config", c], capture_output=True, text=True,
+                         timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0
+    assert run.stderr == ""
 
 
 def test_gamma_bound_message(tmp_path, capfd):

@@ -11,11 +11,12 @@ from brownscope import (BlowUp, EvaluationOnSupport, Membership,
                         blow_up_time, curvature_check_circle, evaluate_grid,
                         extract_levelset, f_gamma_formula, hamilton_flow_mult,
                         herglotz, p0_p2_positive, p_tilde_unitary,
-                        point_in_region, psi_formula, reg_resolvent,
-                        sigma_boundary_positive, spectral_test,
-                        spectral_test_positive)
+                        point_in_region, preimage, psi_derivative,
+                        psi_formula, reg_resolvent, sigma_boundary_positive,
+                        spectral_test)
 from brownscope.additive import _band_membership
-from brownscope.multiplicative import _atom_mass_at_zero, _f_gamma_preimage
+from brownscope.multiplicative import (_atom_mass_at_zero,
+                                       _zero_outside_closed_domain)
 
 
 def delta1_circle():
@@ -309,10 +310,16 @@ def test_f_gamma_injectivity_sampling():
 # z lies outside the image region D of the positive-case map exactly when
 # its preimage path stays exterior to the closed time-t domain
 
+def _f_gamma_preimage(mu, gamma, t, z):
+    return preimage(mu, lambda lam: f_gamma_formula(mu, gamma, lam),
+                    lambda lam: psi_derivative(mu, gamma, lam),
+                    T_mult_positive, t, z)
+
+
 def test_d_region_gamma_zero_matches_sigma():
     mu = SpectralMeasure.atomic([1.0, 2.0], [0.5, 0.5], support="nonneg")
     # T(4) about 0.7 > 0.5 -> outside; T(1.5 + 0i)? atoms nearby, inside
-    assert _f_gamma_preimage(mu, 0.0, 0.5, 4.0) is not None
+    assert _f_gamma_preimage(mu, 0.0, 0.5, 4.0) == 4.0
     assert _f_gamma_preimage(mu, 0.0, 0.5, 1.5) is None
 
 
@@ -329,9 +336,24 @@ def test_d_region_forward_image_consistency():
     for lam in (4.0, -2.0, 3.0j, 1.0 + 2.5j):
         assert T_mult_positive(mu, lam) > t
         z = f_gamma_formula(mu, gamma, lam)
-        assert _f_gamma_preimage(mu, gamma, t, z) is not None
-        assert spectral_test_positive(mu, z, t, gamma) is \
+        back = _f_gamma_preimage(mu, gamma, t, z)
+        assert back == pytest.approx(lam, abs=1e-10)
+        assert spectral_test(mu, T_mult_positive, back, t) is \
             Verdict.OUTSIDE_SPECTRUM
+
+
+def test_psi_derivative_matches_differences():
+    # one derivative serves psi and f_gamma, on the circle and the half-line
+    for mu, lam in ((fourth_roots(), 1.7 - 0.4j),
+                    (SpectralMeasure.atomic([1.0, 2.0], [0.5, 0.5],
+                                            support="nonneg"), -0.5 + 1.2j)):
+        h = 1e-6
+        fd = (psi_formula(mu, 0.3 - 0.2j, lam + h)
+              - psi_formula(mu, 0.3 - 0.2j, lam - h)) / (2 * h)
+        assert psi_derivative(mu, 0.3 - 0.2j, lam) == pytest.approx(
+            fd, rel=1e-7)
+    with pytest.raises(EvaluationOnSupport):
+        psi_derivative(fourth_roots(), 0.3, 1j)
 
 
 # --- spectral tests ----------------------------------------------------------------
@@ -355,22 +377,22 @@ def test_spectral_test_unitary():
 
 def test_spectral_test_positive_far_point():
     mu = SpectralMeasure.atomic([1.0, 2.0], [0.5, 0.5], support="nonneg")
-    assert spectral_test_positive(mu, 20.0, 0.5, 0.25) is \
+    lam = _f_gamma_preimage(mu, 0.25, 0.5, 20.0)
+    assert spectral_test(mu, T_mult_positive, lam, 0.5) is \
         Verdict.OUTSIDE_SPECTRUM
 
 
 def test_spectral_test_zero_atom_cases():
-    # the side of the dichotomy is the law's atom at 0, which the CLI
+    # 0 is outside the closed domain for both laws, so the zero-atom
+    # dichotomy applies; its side is the law's atom at 0, which the CLI
     # reports as zero_atom
     with_atom = SpectralMeasure.atomic([0.0, 2.0], [0.5, 0.5],
                                        support="nonneg")
-    assert spectral_test_positive(with_atom, 0.0, 1.0, 0.0) is \
-        Verdict.ZERO_ATOM_CASE
+    assert _zero_outside_closed_domain(with_atom, 1.0)
     assert _atom_mass_at_zero(with_atom) > 0
 
     without = SpectralMeasure.atomic([1.0, 2.0], [0.5, 0.5], support="nonneg")
-    assert spectral_test_positive(without, 0.0, 0.5, 0.0) is \
-        Verdict.ZERO_ATOM_CASE
+    assert _zero_outside_closed_domain(without, 0.5)
     assert _atom_mass_at_zero(without) == 0
 
 

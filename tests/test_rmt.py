@@ -1,14 +1,17 @@
 """Matrix ensembles and empirical probes."""
 
+import json
+
 import numpy as np
 import pytest
 
-from brownscope import (BadGamma, Boundary, Chain, EmpiricalSpectrum,
+from brownscope import (BadGamma, Boundary, Chain,
                         SpectralMeasure, eigenvalues, empirical_S,
                         empirical_dSde, multiplicities, sample_atomic,
                         sample_b, sample_elliptic,
                         sample_ginibre, sample_haar_unitary,
                         shifted_singular_values, support_report)
+from brownscope import cli, rmt
 
 
 # --- reproducible streams -------------------------------------------------------
@@ -147,12 +150,22 @@ def test_probe_eps_array_matches_scalars():
 
 # --- reporting --------------------------------------------------------------------
 
-def test_spectrum_json_dict():
-    spec = EmpiricalSpectrum(np.array([1 + 2j, -0.5j]), {"kind": "test", "n": 2})
-    d = spec.to_json_dict()
-    assert d["schema"] == "brownscope-spectrum/1"
+def test_spectrum_json_dict(tmp_path, monkeypatch):
+    # the oracle writes each eigenvalue as a [re, im] row of plain floats
+    monkeypatch.setattr(rmt, "eigenvalues",
+                        lambda a: np.array([1 + 2j, -0.5j]))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "model": "add-circ", "t": 1.0, "grid": {"nx": 8, "ny": 8},
+        "measure": {"kind": "atomic", "support": "real",
+                    "atoms": [[1.0, 0.0, 0.5], [-1.0, 0.0, 0.5]]},
+        "oracle": {"n": 2, "seed": 1, "include_eigenvalues": True}}))
+    out = tmp_path / "o.json"
+    assert cli.main(["oracle", "--config", str(cfg), "--out", str(out)]) == 0
+    d = json.loads(out.read_text())
+    assert d["schema"] == "brownscope-oracle/1"
     assert d["eigenvalues"] == [[1.0, 2.0], [0.0, -0.5]]
-    assert spec.n == 2
+    assert d["n"] == 2
 
 
 def _circle(r):
@@ -162,20 +175,20 @@ def _circle(r):
 
 def test_support_report_predicates():
     u = sample_haar_unitary(50, seed=1)
-    spec = EmpiricalSpectrum(eigenvalues(u), {"kind": "haar", "n": 50})
-    assert support_report(spec, boundary=_circle(1.01))["fraction"] == 1.0
-    assert support_report(spec, boundary=_circle(0.5))["inside"] == 0
+    eig = eigenvalues(u)
+    assert support_report(eig, boundary=_circle(1.01))["fraction"] == 1.0
+    assert support_report(eig, boundary=_circle(0.5))["inside"] == 0
 
 
 def test_support_report_boundary_dilation():
     u = sample_haar_unitary(50, seed=1)
-    spec = EmpiricalSpectrum(eigenvalues(u), {"kind": "haar", "n": 50})
-    rep = support_report(spec, dilation=0.02, boundary=_circle(1.0))
+    eig = eigenvalues(u)
+    rep = support_report(eig, dilation=0.02, boundary=_circle(1.0))
     assert rep["fraction"] == 1.0
     assert rep["dilation"] == 0.02
     # the polygon through 512 points of the unit circle lies inside it, so
     # only the dilation takes in the eigenvalues of modulus 1
-    assert support_report(spec, boundary=_circle(1.0))["inside"] == 0
+    assert support_report(eig, boundary=_circle(1.0))["inside"] == 0
 
 
 # --- sampler draws (SAMPLER_VERSION 2) ------------------------------------------

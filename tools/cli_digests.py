@@ -10,7 +10,10 @@ n=60, k=6 oracle at seed 5.  These measures are atomic; add-elliptic on a
 201-row semicircle density follows under lifetime, domain and `map --in`,
 in json and csv, since density sums are where kernel changes show, and
 under spectest at 3+0.5i.  mult-unitary on a 256-node uniform circle
-density runs spectest midway between two nodes, on the support.  A few
+density runs spectest midway between two nodes, on the support.
+add-elliptic at gamma = 0.9 runs spectest at 2.3 and 2.7: its map phi
+carries the domain's real-axis tip out to 2.51, so 2.3 is the image of a
+point inside the domain and 2.7 of one outside.  A few
 error runs close the list: |gamma| > t, usage errors and an unwritable
 --out.  Each run prints one tab-separated line:
 
@@ -66,6 +69,10 @@ DENSITY_COMMANDS = ("lifetime", "domain", "map")
 # mult-unitary on a uniform circle density, probed midway between two nodes
 CIRCLE_NODES = 256
 CIRCLE_POINT = math.pi / CIRCLE_NODES - math.pi
+# add-elliptic at a gamma that moves the domain's tip from 2.0 out to 2.51
+ELLIPTIC_09 = dict(MODELS["add-elliptic"], model="add-elliptic",
+                   gamma=[0.9, 0.0])
+ELLIPTIC_09_POINTS = ("2.3", "2.7")
 # (name, config file, argv) of the error runs, all on add-elliptic
 ERRORS = [
     ("gamma>t", "gamma.json", ["spectest", "--re", "3", "--im", "0"]),
@@ -90,6 +97,7 @@ def write_inputs(work: Path) -> None:
                    rgrid={"n_r": 64, "n_theta": 64},
                    oracle={"n": 60, "k": 6, "seed": 5})
         (work / f"{model}.json").write_text(json.dumps(cfg))
+    (work / "elliptic-0.9.json").write_text(json.dumps(ELLIPTIC_09))
     (work / "gamma.json").write_text(json.dumps(
         dict(MODELS["add-elliptic"], model="add-elliptic", gamma=[1.5, 0.0])))
     xs = [-2.0 + 4.0 * i / (DENSITY_ROWS - 1) for i in range(DENSITY_ROWS)]
@@ -143,6 +151,10 @@ def main(argv=None) -> int:
                  ["spectest", f"--re={math.cos(CIRCLE_POINT)!r}",
                   f"--im={math.sin(CIRCLE_POINT)!r}", "--config",
                   "circle.json"]))
+    for re in ELLIPTIC_09_POINTS:
+        jobs.append((("add-elliptic/gamma-0.9", f"spectest-{re}", "json"),
+                     ["spectest", "--re", re, "--im", "0", "--config",
+                      "elliptic-0.9.json"]))
     for name, cfg, extra in ERRORS:
         jobs.append((("add-elliptic", name, "-"), [*extra, "--config", cfg]))
     with tempfile.TemporaryDirectory() as tmp:
