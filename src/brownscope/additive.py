@@ -118,7 +118,7 @@ def preimage(mu: SpectralMeasure, f, df, lifetime, t: float, z):
         for _ in range(40):
             try:
                 err = complex(f(cur)) - target
-                if abs(err) <= 1e-13 * (1.0 + abs(target)):
+                if abs(err) <= 1e-13 * abs(target):
                     return cur
                 d = complex(df(cur))
             except EvaluationOnSupport:
@@ -126,6 +126,10 @@ def preimage(mu: SpectralMeasure, f, df, lifetime, t: float, z):
             if d == 0 or not (np.isfinite(d) and np.isfinite(err)):
                 return None
             step = err / d
+            # a target at or near 0 may sit below the rounding of f: a
+            # step within rounding of the iterate ends the iteration
+            if abs(step) <= 1e-15 * abs(cur):
+                return cur
             # cap steps so the iterate cannot tunnel across the domain
             cap = 0.5 * abs(cur) + 0.1
             if abs(step) > cap:
@@ -147,7 +151,8 @@ def preimage(mu: SpectralMeasure, f, df, lifetime, t: float, z):
         s, ds = 0.0, 0.25
         while s < 1.0:
             s_next = min(1.0, s + ds)
-            nxt = solve(z0 + s_next * (z - z0), lam)
+            # the last target is z itself, not z0 + (z - z0) rounded
+            nxt = solve(z0 + s_next * (z - z0) if s_next < 1.0 else z, lam)
             if nxt is None:
                 ds *= 0.5
                 if ds < 1e-6:

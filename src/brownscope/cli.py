@@ -363,7 +363,8 @@ def cmd_spectest(cfg, args) -> bytes:
         if lam is not None:
             verdict = additive.spectral_test(mu, lifetime, lam, t)
             doc["preimage"] = [lam.real, lam.imag]
-            doc["lifetime"] = float(lifetime(mu, lam))
+            # a lifetime may be infinite: spelled as in the grid documents
+            doc["lifetime"] = region_mod._json_float(float(lifetime(mu, lam)))
     doc["verdict"] = verdict.value
     return (json.dumps(doc, sort_keys=True) + "\n").encode()
 

@@ -88,17 +88,35 @@ def p_tilde_unitary(mu_u: SpectralMeasure, lam):
     return reg_resolvent(mu_u, lam, 0.0)
 
 
+def _far_out(mu: SpectralMeasure, arr, stand_in):
+    """(mask, points): the points so far out that |xi / lam| < 1e-150 on
+    the support and |lam|^2 may overflow, and arr with stand_in in their
+    place.  There both lifetimes are log(|lam|^2 / integral |xi|^2 d mu)
+    to double precision, which _T_far_out returns."""
+    far = np.abs(arr) > 1e150 * (1.0 + mu.support_radius())
+    return far, (np.where(far, stand_in, arr) if far.any() else arr)
+
+
+def _T_far_out(mu: SpectralMeasure, arr):
+    m2 = float(np.sum(mu.prob_weights * np.abs(mu.positions) ** 2))
+    with np.errstate(divide="ignore"):  # m2 = 0: a point mass at 0
+        return 2.0 * np.log(np.abs(arr)) - np.log(m2)
+
+
 def T_mult_unitary(mu_u: SpectralMeasure, lam):
     """Unitary-case lifetime.  Vectorized; returns +inf at lam = 0 and 0
-    where the inverse-square integral diverges."""
+    where the inverse-square integral diverges; far out, _T_far_out."""
     arr = np.asarray(lam, dtype=complex)
     scalar = arr.ndim == 0
-    p = np.asarray(p_tilde_unitary(mu_u, arr), dtype=float)
-    r2 = np.abs(arr) ** 2
+    far, pts = _far_out(mu_u, arr, 0.0)  # 0 is off the circle
+    p = np.asarray(p_tilde_unitary(mu_u, pts), dtype=float)
+    r2 = np.abs(pts) ** 2
     factor = _log_ratio_factor(r2 - 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         T = np.where(np.isinf(p), 0.0, factor / np.where(np.isinf(p), 1.0, p))
     T = np.where(r2 == 0.0, np.inf, T)
+    if far.any():
+        T = np.where(far, _T_far_out(mu_u, arr), T)
     return float(T[()]) if scalar else T
 
 
@@ -248,13 +266,14 @@ def T_mult_positive(mu_x: SpectralMeasure, lam):
     (on the circle |lam|^2 p0 = p2 the value is 1/p2).  T = 0 where the
     integrals diverge.  Vectorized; a scalar lam = 0 is refused.  Where
     |lam|^2 is 0 (an array's lam = 0, or an underflow) T is the radial
-    limit _T_at_zero."""
+    limit _T_at_zero; far out, _T_far_out."""
     arr = np.asarray(lam, dtype=complex)
     if arr.ndim == 0 and complex(arr) == 0:
         raise OriginExcluded("the positive-case lifetime excludes lam = 0")
-    origin = np.abs(arr) ** 2 == 0
-    # 1j stands in there: off the half-line, so p0 and p2 are finite
-    pts = np.where(origin, 1j, arr)
+    # 1j stands in far out and at 0: off the half-line, so p0 and p2 are finite
+    far, pts = _far_out(mu_x, arr, 1j)
+    origin = np.abs(pts) ** 2 == 0
+    pts = np.where(origin, 1j, pts)
     p0, p2 = p0_p2_positive(mu_x, pts)
     a = (np.abs(pts) ** 2) * p0
     diverged = np.isinf(p0) | np.isinf(p2)
@@ -268,6 +287,8 @@ def T_mult_positive(mu_x: SpectralMeasure, lam):
     T = np.where(diverged, 0.0, T)
     if origin.any():
         T = np.where(origin, _T_at_zero(mu_x), T)
+    if far.any():
+        T = np.where(far, _T_far_out(mu_x, arr), T)
     return float(T[()]) if arr.ndim == 0 else T
 
 

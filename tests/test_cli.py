@@ -335,6 +335,72 @@ def test_spectest_at_gamma_zero_is_the_spectral_test(model, re, im):
     assert doc["verdict"] == want.value
 
 
+def _cli_subprocess(argv):
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "brownscope.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
+def _strict_json(text):
+    """json.loads that refuses Infinity and NaN, as strict readers do."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("model, re, lifetime", [
+    ("mult-unitary", "0", "inf"), ("mult-unitary", "1e300", None),
+    ("add-elliptic", "1e300", "inf")])
+def test_spectest_writes_strict_json(tmp_path, model, re, lifetime):
+    # an infinite lifetime is spelled "inf", as in the grid documents
+    c = cfg_file(tmp_path, "c.json", dict(MATRIX_MODELS[model], model=model))
+    doc = _strict_json(run_to_file(tmp_path, "s.json", [
+        "spectest", "--config", c, f"--re={re}", "--im=0"]).decode())
+    assert doc["verdict"] == "outside-spectrum"
+    if lifetime is None:
+        assert np.isfinite(doc["lifetime"])
+    else:
+        assert doc["lifetime"] == lifetime
+
+
+@pytest.mark.parametrize("model", ["mult-unitary", "mult-positive"])
+def test_spectest_far_out_is_outside_without_warnings(tmp_path, model):
+    # |lam|^2 overflows at 1e300; far out both multiplicative lifetimes are
+    # log(|lam|^2 / integral |xi|^2 d mu), which needs no square
+    c = cfg_file(tmp_path, "c.json", dict(MATRIX_MODELS[model], model=model))
+    mu = SpectralMeasure.load(MATRIX_MODELS[model]["measure"])
+    m2 = float(np.sum(mu.prob_weights * np.abs(mu.positions) ** 2))
+    for re in ("1e300", "-1e300"):
+        run = _cli_subprocess(["spectest", "--config", c, f"--re={re}",
+                               "--im=0"])
+        assert run.returncode == 0
+        assert run.stderr == ""
+        doc = _strict_json(run.stdout)
+        assert doc["verdict"] == "outside-spectrum"
+        lam = complex(*doc["preimage"])
+        want = 2.0 * np.log(abs(lam)) - np.log(m2)
+        assert doc["lifetime"] == pytest.approx(want, rel=1e-15)
+
+
+def test_spectest_preimage_of_a_tiny_point_is_relative(tmp_path):
+    # near 0 an absolute residual bound would accept any point within
+    # 1e-13 of 0 as the preimage of 1e-300i
+    c = cfg_file(tmp_path, "c.json", dict(MATRIX_MODELS["mult-positive"],
+                                          model="mult-positive"))
+    z = 1e-300j
+    doc = spectest(tmp_path, c, z)
+    lam = complex(*doc["preimage"])
+    mu = SpectralMeasure.load(TWO_ATOMS)
+    fz = complex(cli._MAP["mult-positive"](mu, 0.2, lam))
+    assert abs(fz - z) <= 1e-12 * abs(z)
+    assert doc["verdict"] == "outside-spectrum"
+
+
 # --- validation errors --------------------------------------------------------------
 
 def test_gamma_bound_enforced(tmp_path, capfd):

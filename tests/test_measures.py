@@ -20,7 +20,7 @@ from brownscope import (EvaluationOnSupport, NegativeEpsilon, SpectralMeasure,
                         cauchy_transform, herglotz, log_potential, neg2_trace,
                         neg4_trace, p0_p2_positive, reg_resolvent,
                         reg_resolvent_deps, symmetrize)
-from brownscope import measures
+from brownscope import evaluate_grid, measures
 
 
 def bernoulli():
@@ -447,10 +447,12 @@ def test_kernels_exact_infinities_at_atoms(name, monkeypatch):
         assert np.all(log_potential(mu, lam) == -np.inf)
         assert np.all(np.isfinite(reg_resolvent(mu, lam, 0.3)))
     if mu.support == "nonneg":
-        with np.errstate(invalid="ignore"):  # p2 is 0 * inf at an atom at 0
-            p0, p2 = p0_p2_positive(mu, atoms)
+        p0, p2 = p0_p2_positive(mu, atoms)
         assert np.all(p0 == np.inf)
         assert np.all(p2[atoms != 0] == np.inf)
+        # at 0 the atom there drops out of p2: its limit is 1 - mu({0})
+        assert np.all(p2[atoms == 0] == 1.0 - mu.prob_weights[atoms == 0].sum())
+        assert p0_p2_positive(mu, 0.0)[1] == 1.0 - mu.prob_weights[0]
 
 
 _coord = st.floats(-3.0, 3.0, allow_nan=False)
@@ -681,6 +683,180 @@ def test_kernel_memory_stays_cache_sized(use_pool, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+# --- the panel tree: far nodes summed through Chebyshev proxies -------------
+
+def _tree_measures():
+    # a 2,049-row trapezoid semicircle, as loaded from a grid document, and
+    # a 2,048-node Gauss-Legendre density on the half-line
+    x = np.linspace(-2.0, 2.0, 2049)
+    rows = [[a, float(np.sqrt(max(4.0 - a * a, 0.0)))] for a in x]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the rows are not normalized
+        trap = SpectralMeasure.from_json_dict(
+            {"kind": "density", "support": "real", "grid": rows})
+    gl = SpectralMeasure.from_density(lambda v: v * np.exp(-v), 0.0, 6.0,
+                                      "nonneg", n=2048)
+    return {"trapezoid-2049": trap, "gauss-legendre-2048": gl}
+
+
+TREE_MEASURES = _tree_measures()
+
+
+def _one_leaf(mu):
+    """A copy of mu whose panel tree is one leaf: every sum direct."""
+    copy = SpectralMeasure(mu.support, mu.positions, mu.weights, mu.quad_weights)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_LEAF_NODES", 1 << 40)
+        assert measures._tree(copy).depth == 0
+    return copy
+
+
+def test_tree_measures_engage_the_tree():
+    for mu in TREE_MEASURES.values():
+        tree = measures._tree(mu)
+        # halving stops at the first level of leaves of at most 64 nodes
+        assert tree.depth > 0
+        assert 32 <= tree.leaf_sizes.min() <= tree.leaf_sizes.max() <= 64
+    # off the real line, or at most 64 nodes: one leaf, every sum direct
+    for name in ("density-circle", "density-complex", "density-real"):
+        assert measures._tree(KERNEL_MEASURES[name]).depth == 0
+
+
+# a point: Re relative to the hull [a, b] (0 and 1 are its ends), |Im| in
+# guard bands (0 is on the axis, 1 at the band, 1 + 1e-9 just off it), and
+# the half-plane
+_tree_points = st.lists(
+    st.tuples(st.floats(-0.5, 1.5),
+              st.sampled_from([0.0, 1e-6, 0.3, 1.0, 1.0 + 1e-9, 2.5, 40.0, 1e3]),
+              st.booleans()),
+    min_size=8, max_size=40)
+
+
+def _place(mu, pts):
+    a, b = mu.positions.real.min(), mu.positions.real.max()
+    return np.array([complex(a + u * (b - a), -v * mu.guard_band if low
+                             else v * mu.guard_band) for u, v, low in pts])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.sampled_from(list(TREE_MEASURES)), _tree_points)
+def test_tree_sums_match_direct_sums(name, pts):
+    # the far field is a Chebyshev interpolant of each kernel on the panel
+    # hull; within 1e-13 of the summed magnitudes everywhere, up to the
+    # guard band and inside the hull
+    mu = TREE_MEASURES[name]
+    z = _place(mu, pts)
+    dist = mu.min_node_distance(z)
+    kernels = KERNELS + [
+        ("neg2_moments p0", lambda mu, z: measures.neg2_moments(mu, z)[0],
+         lambda d: np.abs(d) ** -2.0, False),
+        ("neg2_moments p2", lambda mu, z: measures.neg2_moments(mu, z)[1],
+         None, False)]
+    for label, kernel, summand, guarded in kernels:
+        if guarded:
+            keep = dist > mu.guard_band
+        elif "eps < 0" in label:
+            keep = dist * dist > -NEG_EPS
+        else:
+            keep = dist > 0
+        lam = z[keep]
+        if len(lam) * len(mu.positions) < measures._LIST_MIN_PAIRS:
+            continue
+        d = lam[:, None] - mu.positions[None, :]
+        if summand is None:  # |xi|^2 / |lam - xi|^2
+            terms = np.abs(mu.positions) ** 2 / np.abs(d) ** 2
+        else:
+            terms = summand(d)
+        ref = terms @ mu.prob_weights
+        size = np.abs(terms) @ mu.prob_weights
+        got = kernel(mu, lam)
+        assert np.all(np.abs(got - ref) <= 1e-13 * size), label
+
+
+@pytest.mark.parametrize("name", list(TREE_MEASURES))
+def test_tree_sums_keep_their_bytes(name, use_pool):
+    mu = TREE_MEASURES[name]
+    rng = np.random.default_rng(11)
+    z = rng.uniform(-3, 7, 600) + 1j * rng.uniform(-3, 3, 600)
+    z = z[mu.min_node_distance(z) > mu.guard_band]
+    lifetimes = [T_additive] + ([T_mult_positive] if mu.support == "nonneg" else [])
+    # any worker count
+    inline = [T(mu, z) for T in lifetimes] + [cauchy_transform(mu, z)]
+    for workers in (4, 1):
+        use_pool(workers)
+        again = [T(mu, z) for T in lifetimes] + [cauchy_transform(mu, z)]
+        for a, b in zip(inline, again):
+            assert a.tobytes() == b.tobytes()
+    # conjugation: the lists see Im lam only through |Im lam|
+    for T in lifetimes:
+        assert T(mu, np.conj(z)).tobytes() == T(mu, z).tobytes()
+    assert np.array_equal(cauchy_transform(mu, np.conj(z)),
+                          np.conj(cauchy_transform(mu, z)))
+    # a half row of 128 points is one list block in the mirrored grid and
+    # in the full one, so the evaluated half is the full grid's, bit for bit
+    f = lambda w: T_additive(mu, w)  # noqa: E731
+    bounds = (-3.0, 7.0, -2.0, 2.0)
+    half = evaluate_grid(f, bounds, 5, 2 * measures._LIST_POINTS,
+                         conj_symmetric=True)
+    full = evaluate_grid(f, bounds, 5, 2 * measures._LIST_POINTS)
+    assert half.values.tobytes() == full.values.tobytes()
+
+
+@pytest.mark.parametrize("name", list(TREE_MEASURES))
+def test_tree_guard_decisions_match_a_one_leaf_tree(name):
+    # the nearest node is found, not bounded, so every guard band and
+    # NegativeEpsilon decision is the direct sum's
+    mu = TREE_MEASURES[name]
+    flat = _one_leaf(mu)
+    x = mu.positions.real
+    band = mu.guard_band
+    z = np.concatenate([x[::97] + 1j * band, x[::89] - 1j * band * (1 + 1e-15),
+                        x[::101] + 1j * band * (1 - 1e-15), x[5::83] + 0.1j,
+                        [x.min() - band, x.max() + band, x.max() + 2 * band]])
+    node_fn = lambda zb, xb, r2: measures._inv(r2, 0.0)  # noqa: E731
+    for pts in (z, z[:40], z[::-1]):
+        _, d_tree = measures._sum_and_distance(mu, pts, node_fn)
+        _, d_flat = measures._sum_and_distance(flat, pts, node_fn)
+        assert d_tree == d_flat
+    for p in z:
+        batch = np.concatenate([[p], z[:15] + 5j])
+        outcomes = []
+        for m in (mu, flat):
+            got = []
+            for kernel in (lambda lam: cauchy_transform(m, lam),
+                           lambda lam: reg_resolvent(m, lam, -(0.1 * band) ** 2),
+                           lambda lam: reg_resolvent(m, lam, -band * band)):
+                try:
+                    kernel(batch)
+                    got.append("ok")
+                except (EvaluationOnSupport, NegativeEpsilon) as exc:
+                    got.append(type(exc).__name__)
+            outcomes.append(got)
+        assert outcomes[0] == outcomes[1], p
+
+
+def test_tree_sums_are_exactly_infinite_at_atoms():
+    rng = np.random.default_rng(3)
+    atoms = np.sort(rng.uniform(-2.0, 2.0, 500))
+    mu = SpectralMeasure.atomic(atoms, rng.uniform(0.1, 1.0, 500), "real")
+    assert measures._tree(mu).depth > 0
+    for lam in (atoms, atoms[::7] + 0j, atoms[123]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(reg_resolvent(mu, lam, 0.0) == np.inf)
+            assert np.all(neg2_trace(mu, lam) == np.inf)
+            assert np.all(neg4_trace(mu, lam) == np.inf)
+            assert np.all(reg_resolvent_deps(mu, lam, 0.0) == -np.inf)
+            assert np.all(log_potential(mu, lam) == -np.inf)
+            assert np.all(np.isfinite(reg_resolvent(mu, lam, 0.3)))
+    # on the half-line, with an atom at 0: p2 there is 1 - mu({0})
+    pos = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 3.0, 499))])
+    mu = SpectralMeasure.atomic(pos, np.full(500, 0.002), "nonneg")
+    p0, p2 = p0_p2_positive(mu, pos)
+    assert np.all(p0 == np.inf)
+    assert p2[0] == 1.0 - mu.prob_weights[0] and np.all(p2[1:] == np.inf)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -9,8 +9,11 @@ each in json, csv and pgm, on 48^2 grids, 64^2 log-polar grids and an
 n=60, k=6 oracle at seed 5.  These measures are atomic; add-elliptic on a
 201-row semicircle density follows under lifetime, domain and `map --in`,
 in json and csv, since density sums are where kernel changes show, and
-under spectest at 3+0.5i.  mult-unitary on a 256-node uniform circle
-density runs spectest midway between two nodes, on the support.
+under spectest at 3+0.5i.  mult-positive on a 401-row half-line density
+follows under lifetime and domain, in json: densities on the real line are
+summed through the kernels' panel tree.  mult-unitary on a 256-node
+uniform circle density runs spectest midway between two nodes, on the
+support.
 add-elliptic at gamma = 0.9 runs spectest at 2.3 and 2.7: its map phi
 carries the domain's real-axis tip out to 2.51, so 2.3 is the image of a
 point inside the domain and 2.7 of one outside.  A few
@@ -20,7 +23,10 @@ error runs close the list: |gamma| > t, usage errors and an unwritable
     model  command  format  exit-code  sha256(stdout)  last stderr line
 
 To show that a change keeps the CLI's output, run this on a copy of the
-parent commit and on the change and diff the two outputs.
+parent commit and on the change and diff the two outputs.  With
+--keep DIR each run's stdout is also written to DIR, one file per line
+named after its first three fields, so the numbers of a line that moved
+can be compared.
 """
 
 from __future__ import annotations
@@ -66,6 +72,12 @@ FORMATS = ("json", "csv", "pgm")
 DENSITY_ROWS = 201
 DENSITY = {"model": "add-elliptic", "t": 2.0, "gamma": [0.5, 0.0]}
 DENSITY_COMMANDS = ("lifetime", "domain", "map")
+# mult-positive on the density sqrt((x - 1)(4 - x)) on [1, 4], which the
+# panel tree of the kernel layer serves (it has more than 64 rows); off 0,
+# so the mapped boundary keeps clear of the guard band
+HALF_LINE_ROWS = 401
+HALF_LINE = {"model": "mult-positive", "t": 0.5, "gamma": [0.2, 0.0]}
+HALF_LINE_COMMANDS = ("lifetime", "domain")
 # mult-unitary on a uniform circle density, probed midway between two nodes
 CIRCLE_NODES = 256
 CIRCLE_POINT = math.pi / CIRCLE_NODES - math.pi
@@ -110,6 +122,16 @@ def write_inputs(work: Path) -> None:
         DENSITY, measure=semicircle,
         grid={"re_min": -3.0, "re_max": 3.0, "im_min": -3.0, "im_max": 3.0,
               "nx": 48, "ny": 48})))
+    xs = [1.0 + 3.0 * i / (HALF_LINE_ROWS - 1) for i in range(HALF_LINE_ROWS)]
+    fs = [math.sqrt(max((x - 1.0) * (4.0 - x), 0.0)) for x in xs]
+    mass = sum(0.5 * (fs[i] + fs[i + 1]) * (xs[i + 1] - xs[i])
+               for i in range(HALF_LINE_ROWS - 1))
+    (work / "half-line.json").write_text(json.dumps(dict(
+        HALF_LINE, measure={"kind": "density", "support": "nonneg",
+                            "grid": [[x, f / mass] for x, f in zip(xs, fs)]},
+        grid={"re_min": -3.0, "re_max": 5.0, "im_min": -3.0, "im_max": 3.0,
+              "nx": 48, "ny": 48},
+        rgrid={"n_r": 64, "n_theta": 64})))
     circle = {"kind": "density", "support": "circle",
               "grid": [[2 * math.pi * i / CIRCLE_NODES - math.pi,
                         1 / (2 * math.pi)] for i in range(CIRCLE_NODES)]}
@@ -117,9 +139,12 @@ def write_inputs(work: Path) -> None:
         {"model": "mult-unitary", "measure": circle, "t": 1e-3}))
 
 
-def run(work: Path, env: dict, label: tuple, argv: list) -> str:
+def run(work: Path, env: dict, label: tuple, argv: list, keep=None) -> str:
     proc = subprocess.run([sys.executable, "-m", "brownscope.cli", *argv],
                           cwd=work, env=env, capture_output=True, timeout=600)
+    if keep is not None:
+        name = "_".join(label).replace("/", "-")
+        (keep / name).write_bytes(proc.stdout)
     err = proc.stderr.decode(errors="replace").strip().splitlines()
     return "\t".join([*label, str(proc.returncode),
                       hashlib.sha256(proc.stdout).hexdigest(),
@@ -130,7 +155,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                     help="directory holding the brownscope package")
+    ap.add_argument("--keep", type=Path, default=None,
+                    help="directory to write each run's stdout to")
     args = ap.parse_args(argv)
+    if args.keep is not None:
+        args.keep.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
     jobs = []
     for model in MODELS:
@@ -144,6 +173,10 @@ def main(argv=None) -> int:
             jobs.append((("add-elliptic/density", command, fmt),
                          [*COMMANDS[command], "--config", "density.json",
                           "--format", fmt]))
+    for command in HALF_LINE_COMMANDS:
+        jobs.append((("mult-positive/half-line-density", command, "json"),
+                     [*COMMANDS[command], "--config", "half-line.json",
+                      "--format", "json"]))
     jobs.append((("add-elliptic/density", "spectest-3+0.5i", "json"),
                  [*COMMANDS["spectest-3+0.5i"], "--config", "density.json"]))
     jobs.append((("mult-unitary/circle-density", "spectest-between-nodes",
@@ -161,7 +194,7 @@ def main(argv=None) -> int:
         work = Path(tmp)
         write_inputs(work)
         for label, extra in jobs:
-            print(run(work, env, label, extra), flush=True)
+            print(run(work, env, label, extra, args.keep), flush=True)
     return 0
 
 
