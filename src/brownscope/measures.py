@@ -32,11 +32,8 @@ Every other sum is direct: a measure off the real line, or of at most 64
 nodes (a tree of one leaf), and a call of fewer than _LIST_MIN_PAIRS =
 2^13 point x node pairs, where building lists costs more than it saves.
 Direct sums run over row blocks of 2^16 point x node floats, which stay
-in a core's cache.  Calls of 2^22 pairs or more spread their blocks over
-a pool with one thread per usable CPU (numpy and BLAS release the GIL);
-smaller and single-block calls, and all tree sums, run inline.  The
-blocks depend only on the block size and the node count, so results are
-the same bytes for any worker count.
+in a core's cache.  Every sum, direct or through the tree, runs on the
+calling thread.
 
 Transforms are vectorized over the evaluation point.  Scalars in give
 scalars out; arrays in give arrays of the same shape out.  Quantities that
@@ -46,11 +43,8 @@ atom) come back as float infinities rather than raising.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import json
-import os
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -62,23 +56,16 @@ SUPPORT_KINDS = ("real", "nonneg", "circle", "complex")
 
 # Points x nodes floats per block: 2^16 (512 KiB) stays in a core's cache.
 _BLOCK_ELEMENTS = 1 << 16
-# Calls of fewer point x node pairs, and single-block calls, run inline.
-_POOL_PAIRS = 1 << 22
 # The panel tree: nodes per leaf at most, Chebyshev proxies per panel, and
 # the distance from a block of points, in panel widths, past which a panel
 # is summed through its proxies.
 _LEAF_NODES = 64
 _PROXIES = 24
 _FAR_RATIO = 1.0
-# Points per block of an interaction-list sum.  List sums run inline:
-# their many small steps hold the interpreter lock, and pooled threads ran
-# them no faster.  Calls of fewer point x node pairs sum every node: their
-# lists would cost more than they save.
+# Points per block of an interaction-list sum.  Calls of fewer point x
+# node pairs sum every node: their lists would cost more than they save.
 _LIST_POINTS = 128
 _LIST_MIN_PAIRS = 1 << 13
-
-_pool = None
-_pool_lock = threading.Lock()
 
 _LOAD_RENORM_WARN = 1e-9
 
@@ -341,60 +328,19 @@ def _trapezoid_weights(x, period=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _executor():
-    """The thread pool, created on first use: one worker per usable CPU."""
-    global _pool
-    from concurrent.futures import ThreadPoolExecutor  # slow import, off small calls
-    with _pool_lock:
-        if _pool is None:
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count())
-            _pool = ThreadPoolExecutor(cpus, thread_name_prefix="measures")
-    return _pool
-
-
-# a forked child has none of the pool's threads, so it starts its own
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
-
-
 def _map_blocks(mu: SpectralMeasure, flat, block_fn):
     """block_fn(zb, xb, r2) over blocks of _BLOCK_ELEMENTS // nodes flat
     points (an empty call is one empty block), concatenated: zb is a block's
     points as a column, xb the node row (real-line nodes as floats) and r2
-    = |zb - xb|^2 a fresh array that block_fn may overwrite.  Pooled tasks
-    run in a copy of the caller's context; the first error stops the call
-    and is raised once."""
+    = |zb - xb|^2 a fresh array that block_fn may overwrite."""
     nodes = mu.positions.real if mu.on_real_line else mu.positions
     xb = nodes[None, :]
     block = max(1, _BLOCK_ELEMENTS // len(nodes))
-
-    def run(i):
+    parts = []
+    for i in range(0, max(len(flat), 1), block):
         zb = flat[i : i + block, None]
-        return block_fn(zb, xb, _sq_dist(zb, xb))
-
-    def task(blocks, err):
-        with np.errstate(**err):
-            return [run(i) for i in blocks]
-
-    starts = range(0, max(len(flat), 1), block)
-    if len(starts) == 1:
-        return run(0)
-    if len(flat) * len(nodes) < _POOL_PAIRS:
-        return np.concatenate([run(i) for i in starts])
-    # a task runs about a quarter of the pool threshold in blocks, with the
-    # caller's error state (numpy 1.x keeps it per thread, 2.x in the context)
-    per = max(1, (_POOL_PAIRS >> 2) // (block * len(nodes)))
-    pool = _executor()
-    futures = [pool.submit(contextvars.copy_context().run, task,
-                           starts[k : k + per], np.geterr())
-               for k in range(0, len(starts), per)]
-    try:
-        return np.concatenate([part for f in futures for part in f.result()])
-    finally:
-        for f in futures:
-            if not f.cancel():
-                f.exception()  # waits for a task already running
+        parts.append(block_fn(zb, xb, _sq_dist(zb, xb)))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _sq_dist(zb, xb):

@@ -1,13 +1,8 @@
 """Measure container and integral transforms."""
 
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -549,104 +544,57 @@ def test_on_real_line_marks_the_real_and_nonneg_supports():
     assert SpectralMeasure.atomic([1j], [1.0], "complex").on_real_line is False
 
 
-# --- pooled blocks: same bytes as inline, errors and warnings intact --------
-
-class _CountingPool(ThreadPoolExecutor):
-    """A thread pool that counts the tasks submitted to it."""
-
-    def __init__(self, workers):
-        super().__init__(workers)
-        self.tasks = 0
-
-    def submit(self, *args, **kwargs):
-        self.tasks += 1
-        return super().submit(*args, **kwargs)
-
+# --- blocked sums: one pass, errors and warnings intact ---------------------
 
 @pytest.fixture
-def use_pool(monkeypatch):
-    """Install a fresh pool of a given worker count and force every
-    multi-block call onto it; yields the installer.  Threads switch often,
-    so state shared between workers would show."""
-    pools = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+def count_blocks(monkeypatch):
+    """Count the blocks the direct sums run: one _sq_dist call each."""
+    calls = [0]
+    sq_dist = measures._sq_dist
 
-    def install(workers):
-        pool = _CountingPool(workers)
-        pools.append(pool)
-        monkeypatch.setattr(measures, "_pool", pool)
-        monkeypatch.setattr(measures, "_POOL_PAIRS", 0)
-        return pool
+    def counted(zb, xb):
+        calls[0] += 1
+        return sq_dist(zb, xb)
 
-    try:
-        yield install
-    finally:
-        sys.setswitchinterval(interval)
-        for pool in pools:
-            pool.shutdown(wait=True)
-
-
-# every public function that sums over the nodes, as (name, fn, guarded)
-POOLED = [(label, kernel, guarded) for label, kernel, _, guarded in KERNELS] + [
-    ("neg2_trace", neg2_trace, False),
-    ("neg2_moments", lambda mu, z: np.stack(measures.neg2_moments(mu, z)), False),
-    ("herglotz", herglotz, True),
-    ("min_node_distance", lambda mu, z: mu.min_node_distance(z), False),
-]
+    monkeypatch.setattr(measures, "_sq_dist", counted)
+    return calls
 
 
 @pytest.mark.parametrize("name", list(KERNEL_MEASURES))
-def test_pooled_kernels_match_inline_bit_for_bit(name, monkeypatch, use_pool):
+def test_negative_eps_guard_reads_its_own_pass(name, monkeypatch, count_blocks):
     mu = KERNEL_MEASURES[name]
-    # blocks of 7 points: 60 points run eight full blocks and a ragged one
-    monkeypatch.setattr(measures, "_BLOCK_ELEMENTS", 7 * len(mu.positions))
-    for label, kernel, guarded in POOLED:
-        monkeypatch.setattr(measures, "_POOL_PAIRS", 1 << 62)
-        z = _kernel_points(mu, guarded)
-        inline = kernel(mu, z)
-        for workers in (4, 1):
-            pool = use_pool(workers)
-            np.testing.assert_array_equal(kernel(mu, z), inline, err_msg=label)
-            assert pool.tasks >= 9, label
-
-
-@pytest.mark.parametrize("name", list(KERNEL_MEASURES))
-def test_negative_eps_guard_reads_its_own_pass(name, monkeypatch, use_pool):
-    mu = KERNEL_MEASURES[name]
-    # blocks of 7 points: 60 points run nine blocks, one pooled task each
+    # blocks of 7 points: 60 points run nine blocks, in a single pass
     monkeypatch.setattr(measures, "_BLOCK_ELEMENTS", 7 * len(mu.positions))
     z = _kernel_points(mu, False)
-    tasks = []
+    blocks = []
     for eps in (0.0, NEG_EPS):
-        pool = use_pool(2)
+        count_blocks[0] = 0
         got = reg_resolvent(mu, z, eps)
-        tasks.append(pool.tasks)
+        blocks.append(count_blocks[0])
         # the plain sum, with no guard around it
         with np.errstate(divide="ignore"):
             plain = measures._blocked_sum(
                 mu, z, lambda zb, xb, r2: measures._inv(r2, eps))
         np.testing.assert_array_equal(got, plain)
-    assert tasks == [9, 9]
+    assert blocks == [9, 9]
 
 
-def test_pooled_guard_and_infinities_raise_no_warnings(monkeypatch, use_pool):
-    # one point per block, so every array below runs on the pool
+def test_pooled_guard_and_infinities_raise_no_warnings(monkeypatch, count_blocks):
+    # one point per block, so every array below runs many blocks
     monkeypatch.setattr(measures, "_BLOCK_ELEMENTS", 1)
-    pool = use_pool(2)
     test_cauchy_guard_raises_without_warnings()
     for name in KERNEL_MEASURES:
         if name.startswith("atomic"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 test_kernels_exact_infinities_at_atoms(name, monkeypatch)
-    assert pool.tasks > 0
+    assert count_blocks[0] > 0
 
 
-def test_pooled_error_surfaces_once_and_pool_recovers(monkeypatch, use_pool):
+def test_pooled_error_surfaces_once_and_pool_recovers(monkeypatch):
+    # an error in one block stops the call and is raised once
     mu = KERNEL_MEASURES["density-real"]
     monkeypatch.setattr(measures, "_BLOCK_ELEMENTS", 7 * len(mu.positions))
-    pool = use_pool(2)
     z = _kernel_points(mu, False)
     raised = []
 
@@ -659,30 +607,24 @@ def test_pooled_error_surfaces_once_and_pool_recovers(monkeypatch, use_pool):
     with pytest.raises(ZeroDivisionError, match="block 3"):
         measures._blocked_sum(mu, z, node_fn)
     assert raised == [7]
-    monkeypatch.setattr(measures, "_POOL_PAIRS", 1 << 62)
-    inline = neg2_trace(mu, z)
-    monkeypatch.setattr(measures, "_POOL_PAIRS", 0)
-    tasks = pool.tasks
-    np.testing.assert_array_equal(neg2_trace(mu, z), inline)
-    assert pool.tasks > tasks
 
 
-def test_kernel_memory_stays_cache_sized(use_pool, monkeypatch):
-    # 65,536 points x 2,049 nodes: 1 GiB as one float buffer; two workers,
-    # so the bound does not depend on the machine's CPU count
-    pairs = measures._POOL_PAIRS
-    use_pool(2)
-    monkeypatch.setattr(measures, "_POOL_PAIRS", pairs)
-    mu = SpectralMeasure.from_density(lambda v: 1.0 - v * v, -1.0, 1.0, n=2049)
+def test_kernel_memory_stays_cache_sized():
+    # 65,536 points x 2,049 nodes: 1 GiB as one float buffer.  The real
+    # density is summed through its panel tree, the circle density directly
+    # in blocks
     g = np.linspace(-2.0, 2.0, 256)
     z = g[:, None] + 1j * g[None, :]
-    tracemalloc.start()
-    try:
-        neg2_trace(mu, z)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 << 20
+    for mu in (SpectralMeasure.from_density(lambda v: 1.0 - v * v, -1.0, 1.0,
+                                            n=2049),
+               SpectralMeasure.uniform_circle(2048)):
+        tracemalloc.start()
+        try:
+            neg2_trace(mu, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, mu.support
 
 
 # --- the panel tree: far nodes summed through Chebyshev proxies -------------
@@ -776,19 +718,12 @@ def test_tree_sums_match_direct_sums(name, pts):
 
 
 @pytest.mark.parametrize("name", list(TREE_MEASURES))
-def test_tree_sums_keep_their_bytes(name, use_pool):
+def test_tree_sums_keep_their_bytes(name):
     mu = TREE_MEASURES[name]
     rng = np.random.default_rng(11)
     z = rng.uniform(-3, 7, 600) + 1j * rng.uniform(-3, 3, 600)
     z = z[mu.min_node_distance(z) > mu.guard_band]
     lifetimes = [T_additive] + ([T_mult_positive] if mu.support == "nonneg" else [])
-    # any worker count
-    inline = [T(mu, z) for T in lifetimes] + [cauchy_transform(mu, z)]
-    for workers in (4, 1):
-        use_pool(workers)
-        again = [T(mu, z) for T in lifetimes] + [cauchy_transform(mu, z)]
-        for a, b in zip(inline, again):
-            assert a.tobytes() == b.tobytes()
     # conjugation: the lists see Im lam only through |Im lam|
     for T in lifetimes:
         assert T(mu, np.conj(z)).tobytes() == T(mu, z).tobytes()
@@ -857,37 +792,3 @@ def test_tree_sums_are_exactly_infinite_at_atoms():
     p0, p2 = p0_p2_positive(mu, pos)
     assert np.all(p0 == np.inf)
     assert p2[0] == 1.0 - mu.prob_weights[0] and np.all(p2[1:] == np.inf)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_gets_its_own_pool():
-    # the child inherits the started pool but none of its threads
-    script = """
-import os, signal, numpy as np
-from brownscope import measures
-measures._POOL_PAIRS, measures._BLOCK_ELEMENTS = 0, 1
-mu = measures.SpectralMeasure.atomic([0.0, 1.0], [0.5, 0.5])
-z = np.array([2.0, 3.0j, 4.0])
-ref = measures.neg2_trace(mu, z)
-pid = os.fork()
-if pid == 0:
-    signal.alarm(30)
-    os._exit(0 if np.array_equal(measures.neg2_trace(mu, z), ref) else 1)
-print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-"""
-    src = str(Path(measures.__file__).resolve().parents[1])
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, timeout=120, check=True,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert run.stdout.strip() == "0"
-
-
-def test_cli_import_leaves_the_pool_unloaded():
-    # concurrent.futures imports logging, which every CLI run would pay for
-    src = str(Path(measures.__file__).resolve().parents[1])
-    code = ("import sys, brownscope.cli; print(sorted(m for m in "
-            "('concurrent.futures', 'logging') if m in sys.modules))")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=120, check=True,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert run.stdout.strip() == "[]"

@@ -13,7 +13,8 @@ under spectest at 3+0.5i.  mult-positive on a 401-row half-line density
 follows under lifetime and domain, in json: densities on the real line are
 summed through the kernels' panel tree.  mult-unitary on a 256-node
 uniform circle density runs spectest midway between two nodes, on the
-support.
+support, and on a 2,048-node uniform circle density runs lifetime in
+json: 48^2 points x 2,048 nodes is the largest direct kernel sum here.
 add-elliptic at gamma = 0.9 runs spectest at 2.3 and 2.7: its map phi
 carries the domain's real-axis tip out to 2.51, so 2.3 is the image of a
 point inside the domain and 2.7 of one outside.  A few
@@ -81,6 +82,8 @@ HALF_LINE_COMMANDS = ("lifetime", "domain")
 # mult-unitary on a uniform circle density, probed midway between two nodes
 CIRCLE_NODES = 256
 CIRCLE_POINT = math.pi / CIRCLE_NODES - math.pi
+# and a finer one, summed directly since it lies off the real line
+FINE_CIRCLE_NODES = 2048
 # add-elliptic at a gamma that moves the domain's tip from 2.0 out to 2.51
 ELLIPTIC_09 = dict(MODELS["add-elliptic"], model="add-elliptic",
                    gamma=[0.9, 0.0])
@@ -132,11 +135,18 @@ def write_inputs(work: Path) -> None:
         grid={"re_min": -3.0, "re_max": 5.0, "im_min": -3.0, "im_max": 3.0,
               "nx": 48, "ny": 48},
         rgrid={"n_r": 64, "n_theta": 64})))
-    circle = {"kind": "density", "support": "circle",
-              "grid": [[2 * math.pi * i / CIRCLE_NODES - math.pi,
-                        1 / (2 * math.pi)] for i in range(CIRCLE_NODES)]}
+    def circle(n):
+        return {"kind": "density", "support": "circle",
+                "grid": [[2 * math.pi * i / n - math.pi, 1 / (2 * math.pi)]
+                         for i in range(n)]}
+
     (work / "circle.json").write_text(json.dumps(
-        {"model": "mult-unitary", "measure": circle, "t": 1e-3}))
+        {"model": "mult-unitary", "measure": circle(CIRCLE_NODES), "t": 1e-3}))
+    (work / "fine-circle.json").write_text(json.dumps(dict(
+        MODELS["mult-unitary"], model="mult-unitary",
+        measure=circle(FINE_CIRCLE_NODES),
+        grid={"re_min": -3.0, "re_max": 3.0, "im_min": -3.0, "im_max": 3.0,
+              "nx": 48, "ny": 48})))
 
 
 def run(work: Path, env: dict, label: tuple, argv: list, keep=None) -> str:
@@ -184,6 +194,8 @@ def main(argv=None) -> int:
                  ["spectest", f"--re={math.cos(CIRCLE_POINT)!r}",
                   f"--im={math.sin(CIRCLE_POINT)!r}", "--config",
                   "circle.json"]))
+    jobs.append((("mult-unitary/fine-circle-density", "lifetime", "json"),
+                 ["lifetime", "--config", "fine-circle.json", "--format", "json"]))
     for re in ELLIPTIC_09_POINTS:
         jobs.append((("add-elliptic/gamma-0.9", f"spectest-{re}", "json"),
                      ["spectest", "--re", re, "--im", "0", "--config",
