@@ -105,16 +105,21 @@ def _T_far_out(mu: SpectralMeasure, arr):
 
 def T_mult_unitary(mu_u: SpectralMeasure, lam):
     """Unitary-case lifetime.  Vectorized; returns +inf at lam = 0 and 0
-    where the inverse-square integral diverges; far out, _T_far_out."""
+    where the inverse-square integral diverges; far out, _T_far_out.
+    Below |lam|^2 = 1/4 the factor is 2 log|lam| / (|lam|^2 - 1), which
+    neither cancels nor underflows."""
     arr = np.asarray(lam, dtype=complex)
     scalar = arr.ndim == 0
     far, pts = _far_out(mu_u, arr, 0.0)  # 0 is off the circle
     p = np.asarray(p_tilde_unitary(mu_u, pts), dtype=float)
-    r2 = np.abs(pts) ** 2
+    mod = np.abs(pts)
+    r2 = mod * mod
     factor = _log_ratio_factor(r2 - 1.0)
+    near = r2 < 0.25
     with np.errstate(divide="ignore", invalid="ignore"):
+        factor[near] = 2.0 * np.log(mod[near]) / (r2[near] - 1.0)
         T = np.where(np.isinf(p), 0.0, factor / np.where(np.isinf(p), 1.0, p))
-    T = np.where(r2 == 0.0, np.inf, T)
+    T = np.where(pts == 0, np.inf, T)
     if far.any():
         T = np.where(far, _T_far_out(mu_u, arr), T)
     return float(T[()]) if scalar else T

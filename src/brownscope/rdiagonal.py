@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .additive import phi_derivative, phi_formula
-from .errors import OutsideOmega, TMaxExceeded, WrongSupportKind
+from .errors import InversionFailed, OutsideOmega, TMaxExceeded, WrongSupportKind
 from .measures import (SpectralMeasure, cauchy_transform, reg_resolvent,
                        symmetrize, _trapezoid_weights)
 
@@ -179,7 +179,8 @@ def perturbed_symmetrized_law(mu_h: SpectralMeasure, t: float, x_grid,
 
 def _invert_Ht(mu_sym, t, target, z0):
     """Newton solve of H_t(z) = target in the upper region, warm-started
-    from the previous preimage."""
+    from the previous preimage; InversionFailed after 80 steps or where
+    the derivative vanishes."""
     z = complex(z0)
     floor = 1e-12
     for _ in range(80):
@@ -188,7 +189,7 @@ def _invert_Ht(mu_sym, t, target, z0):
             return z
         d = complex(phi_derivative(mu_sym, t, z))
         if d == 0:
-            break
+            raise InversionFailed(f"H_t has a vanishing derivative at {z:.6g}")
         step = f / d
         cand = z - step
         while cand.imag <= floor:
@@ -197,4 +198,4 @@ def _invert_Ht(mu_sym, t, target, z0):
             if abs(step) < 1e-300:
                 break
         z = cand
-    return z
+    raise InversionFailed(f"Newton did not converge for H_t(z) = {target:.6g}")

@@ -48,6 +48,20 @@ def test_T_unitary_values():
     assert T_mult_unitary(mu, 1.0) == 0.0  # atom: p_tilde infinite
 
 
+def test_T_unitary_near_zero_is_relative():
+    # log(|lam|^2) / (|lam|^2 - 1) cancels near 0 and |lam|^2 underflows;
+    # T keeps its relative accuracy all the way down, and T(0) is inf
+    mu = fourth_roots()
+    for r in (1e-3, 1e-7, 1e-9, 1e-100, 1e-200):
+        want = -2.0 * np.log(r) / ((1.0 - r * r) * p_tilde_unitary(mu, r))
+        got = T_mult_unitary(mu, r)
+        assert abs(got - want) <= 1e-13 * want, r
+        assert T_mult_unitary(mu, np.array([r * 1j]))[0] == pytest.approx(
+            want, rel=1e-13)
+    assert T_mult_unitary(mu, 0.0) == np.inf
+    assert T_mult_unitary(mu, np.array([0.0, 1e-200]))[0] == np.inf
+
+
 def test_T_unitary_series_branch_on_circle():
     # on |lam| = 1 the log-ratio factor takes its limiting value 1,
     # so T = |lam - 1|^2 exactly for the point mass at 1

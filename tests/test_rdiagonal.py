@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from brownscope import (AnnulusSpec, OutsideOmega, SpectralMeasure,
-                        TMaxExceeded, WrongSupportKind, biane_Ht,
-                        cauchy_transform, circ_inner_radius, hl_radii,
-                        perturbed_symmetrized_law, stieltjes_invert,
-                        symmetrize, vt)
+from brownscope import (AnnulusSpec, InversionFailed, OutsideOmega,
+                        SpectralMeasure, TMaxExceeded, WrongSupportKind,
+                        biane_Ht, cauchy_transform, circ_inner_radius,
+                        hl_radii, perturbed_symmetrized_law, rdiagonal,
+                        stieltjes_invert, symmetrize, vt)
 
 
 def two_atoms():
@@ -196,6 +196,20 @@ def test_perturbed_law_symmetric_and_normalized():
     assert pw.sum() == pytest.approx(1.0, abs=1e-12)
     dens = rec.weights
     assert np.max(np.abs(dens - dens[::-1])) < 1e-3
+
+
+def test_perturbed_law_refuses_a_failed_inversion(monkeypatch):
+    # a Newton solve that cannot go on, or does not converge, raises
+    # instead of handing on its last iterate
+    mu_h = two_atoms()
+    xs = np.linspace(-3, 3, 5)
+    monkeypatch.setattr(rdiagonal, "phi_derivative", lambda mu, t, z: 0.0)
+    with pytest.raises(InversionFailed, match="derivative"):
+        perturbed_symmetrized_law(mu_h, 0.5, xs)
+    # steps a million times too short never reach the target
+    monkeypatch.setattr(rdiagonal, "phi_derivative", lambda mu, t, z: 1e6)
+    with pytest.raises(InversionFailed, match="converge"):
+        perturbed_symmetrized_law(mu_h, 0.5, xs)
 
 
 def test_perturbed_law_inner_radius_chain():
