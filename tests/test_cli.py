@@ -944,10 +944,8 @@ def test_cli_import_leaves_costly_scipy_modules_unloaded():
     from pathlib import Path
 
     src = str(Path(cli.__file__).resolve().parents[1])
-    # concurrent.futures imports logging, which every CLI run would pay for
     code = ("import sys, brownscope.cli; print(sorted(m for m in "
-            "('scipy.integrate', 'scipy.special', 'concurrent.futures', "
-            "'logging') if m in sys.modules))")
+            "('scipy.integrate', 'scipy.special') if m in sys.modules))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=120, check=True,
                          env=dict(os.environ, PYTHONPATH=src))

@@ -1,8 +1,12 @@
 """Measure container and integral transforms."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -607,6 +611,18 @@ def test_pooled_error_surfaces_once_and_pool_recovers(monkeypatch):
     with pytest.raises(ZeroDivisionError, match="block 3"):
         measures._blocked_sum(mu, z, node_fn)
     assert raised == [7]
+
+
+def test_cli_import_leaves_the_pool_unloaded():
+    # no thread pool is left to load: concurrent.futures imports logging,
+    # which every CLI run would pay for
+    src = str(Path(measures.__file__).resolve().parents[1])
+    code = ("import sys, brownscope.cli; print(sorted(m for m in "
+            "('concurrent.futures', 'logging') if m in sys.modules))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.stdout.strip() == "[]"
 
 
 def test_kernel_memory_stays_cache_sized():
