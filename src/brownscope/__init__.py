@@ -19,7 +19,7 @@ from .additive import (MEMBERSHIP_TOL, HamiltonState, Membership, Verdict,
 from .multiplicative import (HamiltonStateMult, T_mult_positive,
                              T_mult_unitary, blow_up_time,
                              curvature_check_circle, f_gamma_formula,
-                             hamilton_flow_mult, p0_p2_positive,
+                             flow_dSde, hamilton_flow_mult, p0_p2_positive,
                              p_tilde_unitary, psi_derivative, psi_formula,
                              sigma_boundary_positive)
 from .rdiagonal import (AnnulusSpec, biane_Ht, circ_inner_radius, hl_radii,
@@ -43,7 +43,7 @@ __all__ = [
     "circ_inner_radius", "curvature_check_circle", "distance_to_boundary",
     "eigenvalues", "emit", "empirical_S", "empirical_dSde", "evaluate_grid",
     "extension_margin", "extract_levelset", "f_gamma_formula",
-    "flow_additive", "hamilton_flow_mult", "herglotz", "hl_radii",
+    "flow_additive", "flow_dSde", "hamilton_flow_mult", "herglotz", "hl_radii",
     "laplacian_identity_check", "level_crossing_on_ray", "log_potential",
     "map_boundary", "multiplicities", "neg2_moments", "neg2_trace",
     "neg4_trace", "p0_p2_positive", "p_tilde_unitary", "parse_pgm",

@@ -44,6 +44,12 @@ _MAP = {"add-circ": additive.phi_formula,
         "add-elliptic": additive.phi_formula,
         "mult-unitary": multiplicative.psi_formula,
         "mult-positive": multiplicative.f_gamma_formula}
+# the oracle probes' reference dS/deps (mu, lam, t, eps) of the gamma = 0
+# model: the analytic extension for add-*, the characteristic flow for mult-*
+_REFERENCE = {"add-circ": additive.analytic_extension_trace,
+              "add-elliptic": additive.analytic_extension_trace,
+              "mult-unitary": multiplicative.flow_dSde,
+              "mult-positive": multiplicative.flow_dSde}
 _MAP_DERIVATIVE = {"add-circ": additive.phi_derivative,
                    "add-elliptic": additive.phi_derivative,
                    "mult-unitary": multiplicative.psi_derivative,
@@ -400,9 +406,11 @@ def cmd_oracle(cfg, args) -> bytes:
             report["predicted_inner"] = 0.0
         return (json.dumps(report, sort_keys=True) + "\n").encode()
 
-    additive_model = model.startswith("add-")
-    a = (x + rmt.sample_elliptic(n, t, gamma, seed, stream=1) if additive_model
-         else x @ rmt.sample_b(n, t, gamma, k=k, seed=seed, stream=1))
+    if model.startswith("add-"):
+        a = x + rmt.sample_elliptic(n, t, gamma, seed, stream=1)
+    else:
+        a = x @ rmt.sample_b(n, t, gamma, k=k, seed=seed, stream=1)
+        report["k"] = k
     eig = rmt.eigenvalues(a)
     report["sampler"] = rmt.SAMPLER_VERSION
     mapped = _mapped(cfg, mu, _extract_domain(cfg, mu))
@@ -413,21 +421,12 @@ def cmd_oracle(cfg, args) -> bytes:
         r = mu.support_radius() + np.sqrt(t) + 1.0
         probes = [[r, 0.0, 1e-3], [0.0, r, 1e-3], [-r, 0.0, 1e-3]]
     # a probe row pairs the matrix at the mapped point with a reference at lam
-    if additive_model:
-        def reference(lam, eps):
-            return additive.analytic_extension_trace(mu, lam, t, eps)
-    else:
-        report["k"] = k
-        # the pairing check: the plain flow, rotation turned off, at lam
-        reference = functools.partial(
-            rmt.empirical_dSde, x @ rmt.sample_b(n, t, 0.0, k=k, seed=seed,
-                                                 stream=2))
     probe_rows = []
     for pre, pim, eps in probes:
         lam = complex(pre, pim)
         row = {"lambda": [pre, pim], "eps": eps}
         try:
-            ref = float(reference(lam, eps))
+            ref = float(_REFERENCE[model](mu, lam, t, eps))
             target = complex(_MAP[model](mu, gamma, lam)) if gamma else lam
         except BrownscopeError as exc:
             row["reference_error"] = str(exc)

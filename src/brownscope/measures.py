@@ -134,9 +134,12 @@ class SpectralMeasure:
             if np.max(np.abs(np.abs(pos) - 1.0)) > 1e-12:
                 raise WrongSupportKind(
                     "circle measure has nodes off the unit circle")
-        mass = float(np.sum(w if qw is None else w * qw))
+        with np.errstate(over="ignore"):
+            mass = float(np.sum(w if qw is None else w * qw))
         if mass <= 0:
             raise ValueError("measure has no mass")
+        if mass == np.inf:  # w / mass would set every weight to 0
+            raise ValueError("measure mass overflows the float range")
         # Normalize exactly; loaders warn separately when the input was off.
         w = w / mass
         object.__setattr__(self, "positions", pos)
@@ -281,11 +284,9 @@ class SpectralMeasure:
                 raise ValueError("atoms must be rows of [re, im, weight]")
             pos = atoms[:, 0] + 1j * atoms[:, 1]
             w = atoms[:, 2]
-            total = float(np.sum(w))
-            if abs(total - 1.0) > _LOAD_RENORM_WARN:
-                warnings.warn(f"atom weights sum to {total:.12g}; renormalizing")
-            return SpectralMeasure(support, pos, w, None)
-        if kind == "density":
+            mu = SpectralMeasure(support, pos, w, None)
+            what, total = "atom weights sum to", float(np.sum(w))
+        elif kind == "density":
             grid = np.asarray(obj["grid"], dtype=float)
             if grid.ndim != 2 or grid.shape[1] != 2:
                 raise ValueError("grid must be rows of [x, f(x)]")
@@ -298,11 +299,14 @@ class SpectralMeasure:
             else:
                 pos = x.astype(complex)
                 qw = _trapezoid_weights(x)
-            total = float(np.sum(vals * qw))
-            if abs(total - 1.0) > _LOAD_RENORM_WARN:
-                warnings.warn(f"density mass is {total:.12g}; renormalizing")
-            return SpectralMeasure(support, pos, vals, qw)
-        raise ValueError(f"bad measure kind {kind!r}")
+            mu = SpectralMeasure(support, pos, vals, qw)
+            what, total = "density mass is", float(np.sum(vals * qw))
+        else:
+            raise ValueError(f"bad measure kind {kind!r}")
+        # warn only about an input the constructor accepted
+        if abs(total - 1.0) > _LOAD_RENORM_WARN:
+            warnings.warn(f"{what} {total:.12g}; renormalizing")
+        return mu
 
     @staticmethod
     def load(path_or_dict) -> "SpectralMeasure":

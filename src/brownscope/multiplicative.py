@@ -38,6 +38,7 @@ is exactly the unitary lifetime formula above, for every circle law.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ import numpy as np
 from . import region as _region
 from .additive import Membership, _band_membership
 from .errors import (BlowUp, ContinuationFailed, EvaluationOnSupport,
-                     OriginExcluded, WrongSupportKind)
+                     NegativeEpsilon, OriginExcluded, WrongSupportKind)
 from .measures import (SpectralMeasure, cauchy_derivative, cauchy_transform,
                        herglotz, neg2_moments, neg2_trace, neg4_trace,
                        reg_cauchy_transform, reg_resolvent)
@@ -53,6 +54,14 @@ from .measures import (SpectralMeasure, cauchy_derivative, cauchy_transform,
 _SERIES_SWITCH = 1e-8
 _BLOW_UP_TOL = 1e-8  # the flow has blown up once p_eps passes its reciprocal
 _FLOW_RTOL, _FLOW_ATOL = 1e-10, 1e-12
+# flow_dSde: fixed RK4 steps per characteristic; Newton steps at most, the
+# tolerance on the log residuals, step halvings at most per Newton step,
+# and the forward-difference step of the Jacobian
+_RK4_STEPS = 200
+_SHOOT_MAX_ITER = 20
+_SHOOT_TOL = 1e-12
+_SHOOT_HALVINGS = 10
+_SHOOT_FD = 1e-7
 
 
 @dataclass(frozen=True)
@@ -185,6 +194,18 @@ def _mult_rhs(_t, y):
     return [dx, dy, deps, dplr, dpli, dpe]
 
 
+def _initial_state(mu: SpectralMeasure, lam0: complex, eps0: float) -> list:
+    """The flow's start (x, y, eps, Re p_lam, Im p_lam, p_eps) at
+    (lam0, eps0): p_eps the regularized inverse-square integral, p_lam
+    its complex spatial gradient.  BlowUp at time 0 where p_eps is
+    infinite (eps0 = 0 on an atom)."""
+    pe0 = float(reg_resolvent(mu, lam0, eps0))
+    if np.isinf(pe0):
+        raise BlowUp(0.0, "initial momentum already divergent")
+    pl0 = complex(reg_cauchy_transform(mu, lam0, eps0))
+    return [lam0.real, lam0.imag, eps0, pl0.real, pl0.imag, pe0]
+
+
 def hamilton_flow_mult(mu_u: SpectralMeasure, lam0, eps0: float,
                        t: float) -> HamiltonStateMult:
     """Integrate the characteristic system from (lam0, eps0) for time t.
@@ -200,15 +221,10 @@ def hamilton_flow_mult(mu_u: SpectralMeasure, lam0, eps0: float,
     when the solver stops for any other reason.
     """
     from scipy.integrate import solve_ivp  # costly import, off the CLI paths
-    lam0 = complex(lam0)
     eps0 = float(eps0)
     if eps0 < 0:
         raise ValueError("eps0 must be nonnegative")
-    pe0 = float(reg_resolvent(mu_u, lam0, eps0))
-    if np.isinf(pe0):
-        raise BlowUp(0.0, "initial momentum already divergent")
-    pl0 = complex(reg_cauchy_transform(mu_u, lam0, eps0))
-    y0 = [lam0.real, lam0.imag, eps0, pl0.real, pl0.imag, pe0]
+    y0 = _initial_state(mu_u, complex(lam0), eps0)
     p_max = 1.0 / _BLOW_UP_TOL
 
     def blow_event(_tt, y):
@@ -239,6 +255,116 @@ def hamilton_flow_mult(mu_u: SpectralMeasure, lam0, eps0: float,
     yf = sol.y[:, -1]
     return HamiltonStateMult(complex(yf[0], yf[1]), float(yf[2]),
                              complex(yf[3], yf[4]), float(yf[5]), float(t))
+
+
+def _rk4_flow(y, t: float) -> list:
+    """_mult_rhs integrated over [0, t] by _RK4_STEPS classical RK4 steps
+    on plain floats.  ContinuationFailed once p_eps passes
+    1/_BLOW_UP_TOL or the state stops being finite."""
+    h = t / _RK4_STEPS
+    half, sixth = 0.5 * h, h / 6.0
+    p_max = 1.0 / _BLOW_UP_TOL
+    for _ in range(_RK4_STEPS):
+        if not abs(y[5]) < p_max:  # also catches nan
+            raise ContinuationFailed("the characteristic blew up before time t")
+        k1 = _mult_rhs(0.0, y)
+        k2 = _mult_rhs(0.0, [a + half * b for a, b in zip(y, k1)])
+        k3 = _mult_rhs(0.0, [a + half * b for a, b in zip(y, k2)])
+        k4 = _mult_rhs(0.0, [a + h * b for a, b in zip(y, k3)])
+        y = [a + sixth * (b + 2.0 * (c + d) + e)
+             for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+    if not (abs(y[5]) < p_max and all(map(math.isfinite, y))):
+        raise ContinuationFailed("the characteristic blew up before time t")
+    return y
+
+
+def _landing(mu: SpectralMeasure, lam, t: float, eps: float):
+    """(lam0, eps0, y): the start of the characteristic that lands on
+    (lam, eps) at time t, and its state y there.
+
+    Along a characteristic dlam/dt = eps p_eps lam, so arg lam is fixed
+    and the start is (r0 e^{i arg lam}, eps0); Newton in (log r0, log eps0)
+    with a forward-difference Jacobian, seeded at (|lam|, eps), drives the
+    log residuals of |lam(t)| and eps(t) to zero.  At lam = 0 only eps0 is
+    solved for; at eps = 0 the characteristic from (lam, 0) keeps both, so
+    one integration serves.  NegativeEpsilon for eps < 0, BlowUp for
+    eps = 0 on an atom, ContinuationFailed when the seed's flow blows up
+    or Newton does not converge within _SHOOT_MAX_ITER steps."""
+    lam, eps, t = complex(lam), float(eps), float(t)
+    if eps < 0:
+        raise NegativeEpsilon(f"eps = {eps:.3g}: the flow reference needs eps >= 0")
+    if eps == 0:
+        return lam, 0.0, _rk4_flow(_initial_state(mu, lam, 0.0), t)
+    radius = abs(lam)
+    phase = lam / radius if radius else 1.0
+    # plain floats throughout: u is (log r0, log eps0), or log eps0 alone
+    target = [math.log(radius), math.log(eps)] if radius else [math.log(eps)]
+
+    def start(u):
+        return (phase * math.exp(u[0]) if radius else 0j), math.exp(u[-1])
+
+    def residual(u):
+        try:
+            y = _rk4_flow(_initial_state(mu, *start(u)), t)
+            got = ([math.log(math.hypot(y[0], y[1]))] if radius
+                   else []) + [math.log(y[2])]
+        except (OverflowError, ValueError) as exc:  # exp overflow, log(<= 0)
+            raise ContinuationFailed(
+                f"the shooting left the float range: {exc}") from exc
+        return [a - b for a, b in zip(got, target)], y
+
+    u = target
+    f, y = residual(u)
+    for _ in range(_SHOOT_MAX_ITER):
+        norm = max(map(abs, f))
+        if norm <= _SHOOT_TOL:
+            return (*start(u), y)
+        cols = []  # the Jacobian's columns, by forward differences
+        for j in range(len(u)):
+            shifted = list(u)
+            shifted[j] += _SHOOT_FD
+            cols.append([(a - b) / _SHOOT_FD
+                         for a, b in zip(residual(shifted)[0], f)])
+        try:  # the Newton step -J^{-1} f of a 1x1 or 2x2 J
+            if radius:
+                (a, c), (b, d) = cols
+                det = a * d - b * c
+                step = [(b * f[1] - d * f[0]) / det, (c * f[0] - a * f[1]) / det]
+            else:
+                step = [-f[0] / cols[0][0]]
+        except ZeroDivisionError as exc:
+            raise ContinuationFailed("singular shooting Jacobian") from exc
+        # halve the step until its flow survives and the residual shrinks
+        for _ in range(_SHOOT_HALVINGS):
+            trial = [a + b for a, b in zip(u, step)]
+            try:
+                f_new, y_new = residual(trial)
+            except ContinuationFailed:
+                f_new = None
+            if f_new is not None and max(map(abs, f_new)) < norm:
+                break
+            step = [0.5 * b for b in step]
+        else:
+            raise ContinuationFailed("no shooting step reduced the residual")
+        u, f, y = trial, f_new, y_new
+    raise ContinuationFailed(
+        f"shooting did not converge in {_SHOOT_MAX_ITER} Newton steps")
+
+
+def flow_dSde(mu: SpectralMeasure, lam, t: float, eps) -> float:
+    """dS/deps at (t, lam, eps) of the plain (gamma = 0) model x b_t with x
+    of law mu: p_eps at time t along the characteristic that lands on
+    (lam, eps), found by shooting (_landing) and integrated by fixed-step
+    RK4.  No scipy.  NegativeEpsilon for eps < 0; BlowUp for eps = 0 on
+    an atom; ContinuationFailed when the characteristic blows up or the
+    shooting does not converge, as it does from lam inside the time-t
+    domain at small eps.
+
+    The fixed steps lose accuracy as lam nears the domain's edge, where
+    p_eps grows fast late in the flow: against solve_ivp the result is
+    within 2e-8 relative where T(lam) >= 1.25 t on the tested laws, and
+    within 3e-6 at T(lam) = 1.07 t (quartic law, t = 2, eps = 1e-3)."""
+    return float(_landing(mu, lam, t, eps)[2][5])
 
 
 def blow_up_time(mu_u: SpectralMeasure, lam0, eps0: float,

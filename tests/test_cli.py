@@ -517,6 +517,46 @@ def test_oracle_probe_at_an_atom_prints_no_warning(tmp_path):
     assert "not outside the closed time-t domain" in row["reference_error"]
 
 
+def test_oracle_mult_probe_failures_print_no_warning(tmp_path):
+    # on an atom the characteristic blows up, and eps < 0 is refused: both
+    # rows carry reference_error, with nothing on stderr
+    c = cfg_file(tmp_path, "c.json", {
+        "model": "mult-unitary", "measure": FOURTH_ROOTS, "t": 1.0,
+        "gamma": [0.0, -0.5], "grid": {"nx": 32, "ny": 32},
+        "oracle": {"n": 30, "k": 4, "seed": 4,
+                   "probes": [[1, 0, 1e-3], [3, 0, -1e-3]]}})
+    run = _cli_subprocess(["oracle", "--config", c])
+    assert run.returncode == 0
+    assert run.stderr == ""
+    atom, negative = json.loads(run.stdout)["dsde_probes"]
+    assert "reference" not in atom and "reference" not in negative
+    assert "blew up" in atom["reference_error"]
+    assert "eps >= 0" in negative["reference_error"]
+
+
+def test_oracle_mult_loads_no_scipy_integrate(tmp_path):
+    # the mult-* reference integrates the flow without scipy, whose
+    # integrate package costs more than half a second to import
+    import os
+    import subprocess
+    import sys
+
+    c = cfg_file(tmp_path, "c.json", {
+        "model": "mult-unitary", "measure": FOURTH_ROOTS, "t": 1.0,
+        "grid": {"nx": 32, "ny": 32}, "oracle": {"n": 30, "k": 4, "seed": 4}})
+    out = tmp_path / "o.json"
+    code = ("import sys; from brownscope import cli; "
+            f"code = cli.main(['oracle', '--config', {c!r}, '--out', {str(out)!r}]); "
+            "print(code, 'scipy.integrate' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.stdout.strip() == "0 False"
+    assert all("abs_diff" in row
+               for row in json.loads(out.read_text())["dsde_probes"])
+
+
 # --- radii -------------------------------------------------------------------------
 
 def test_radii_csv_sweep(tmp_path):
@@ -550,6 +590,37 @@ def test_radii_json_past_cap(tmp_path):
 
 def error_objects(err):
     return [json.loads(line) for line in err.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("measure", [
+    {"kind": "atomic", "support": "real",
+     "atoms": [[0.0, 0.0, 1e308], [1.0, 0.0, 1e308]]},
+    {"kind": "density", "support": "real",
+     "grid": [[0.0, 1e308], [1.0, 1e308], [2.0, 1e308]]}],
+    ids=["atoms", "density"])
+def test_measure_whose_mass_overflows_is_refused(tmp_path, measure):
+    # the mass sums to inf, and dividing by it would zero every weight
+    c = cfg_file(tmp_path, "c.json", {"model": "add-elliptic", "t": 1.0,
+                                      "measure": measure})
+    run = _cli_subprocess(["spectest", "--config", c, "--re", "0.5",
+                           "--im", "0.01"])
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert json.loads(run.stderr)["error"]["message"] == (
+        "bad measure: measure mass overflows the float range")
+
+
+def test_refused_density_prints_one_error_object(tmp_path):
+    # its mass is not 1, but the loader refuses it before it would warn
+    c = cfg_file(tmp_path, "c.json", {"model": "add-elliptic", "t": 1.0,
+        "measure": {"kind": "density", "support": "real",
+                    "grid": [[0.0, 0.3], [1.0, -0.1], [2.0, 0.3]]}})
+    run = _cli_subprocess(["spectest", "--config", c, "--re", "3",
+                           "--im", "0"])
+    assert run.returncode == 2
+    doc = json.loads(run.stderr)
+    assert doc["error"]["code"] == 2
+    assert "nonnegative" in doc["error"]["message"]
 
 
 def test_domain_density_map_failure_is_numerical(tmp_path, capfd):

@@ -296,6 +296,22 @@ def test_json_round_trip_density():
         cauchy_transform(mu, z), rel=1e-4)
 
 
+def test_mass_that_overflows_is_refused():
+    with pytest.raises(ValueError, match="overflows"):
+        SpectralMeasure.atomic([0.0, 1.0], [1e308, 1e308])
+    with pytest.raises(ValueError, match="overflows"):  # w * qw overflows
+        SpectralMeasure("real", [0.0, 4.0], [1e308, 1e308], [2.0, 2.0])
+
+
+def test_load_refuses_before_it_warns():
+    doc = {"kind": "density", "support": "real",
+           "grid": [[0.0, 0.3], [1.0, -0.1], [2.0, 0.3]]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="nonnegative"):
+            SpectralMeasure.from_json_dict(doc)
+
+
 def test_load_renormalizes_with_warning():
     doc = {"kind": "atomic", "support": "real",
            "atoms": [[0.0, 0.0, 0.4], [1.0, 0.0, 0.4]]}

@@ -4,18 +4,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from brownscope import (BlowUp, EvaluationOnSupport, Membership,
-                        OriginExcluded, SpectralMeasure, T_mult_positive,
-                        T_mult_unitary, Verdict, WrongSupportKind,
-                        blow_up_time, curvature_check_circle, evaluate_grid,
-                        extract_levelset, f_gamma_formula, hamilton_flow_mult,
-                        herglotz, p0_p2_positive, p_tilde_unitary,
-                        point_in_region, preimage, psi_derivative,
-                        psi_formula, reg_resolvent, sigma_boundary_positive,
-                        spectral_test)
+from brownscope import (BlowUp, ContinuationFailed, EvaluationOnSupport,
+                        Membership, NegativeEpsilon, OriginExcluded,
+                        SpectralMeasure, T_mult_positive, T_mult_unitary,
+                        Verdict, WrongSupportKind, blow_up_time,
+                        curvature_check_circle, evaluate_grid,
+                        extract_levelset, f_gamma_formula, flow_dSde,
+                        hamilton_flow_mult, herglotz, p0_p2_positive,
+                        p_tilde_unitary, point_in_region, preimage,
+                        psi_derivative, psi_formula, reg_resolvent,
+                        sigma_boundary_positive, spectral_test)
 from brownscope.additive import _band_membership
-from brownscope.multiplicative import (_atom_mass_at_zero,
+from brownscope.multiplicative import (_atom_mass_at_zero, _landing,
                                        _zero_outside_closed_domain)
 
 
@@ -26,6 +29,10 @@ def delta1_circle():
 def fourth_roots():
     return SpectralMeasure.atomic([1.0, 1j, -1.0, -1j], [0.25] * 4,
                                   support="circle")
+
+
+def two_atoms():
+    return SpectralMeasure.atomic([1.0, 2.0], [0.5, 0.5], support="nonneg")
 
 
 # --- unitary lifetime -------------------------------------------------------
@@ -186,6 +193,77 @@ def test_flow_solver_failure_is_a_package_error(monkeypatch):
     with pytest.raises(ContinuationFailed, match="step size") as exc:
         hamilton_flow_mult(delta1_circle(), 2.0, 0.1, 1.0)
     assert isinstance(exc.value, BrownscopeError)
+
+
+# --- the flow reference dS/deps ------------------------------------------------
+
+def _riccati(mu, lam, t):
+    """p_eps at time t on the eps0 = 0 characteristic, which keeps lam:
+    the solution of dp/dt = p (a + b p) with a = 2 Re J(lam), b = |lam|^2."""
+    a, b = 2.0 * herglotz(mu, lam).real, abs(lam) ** 2
+    p0 = reg_resolvent(mu, lam, 0.0)
+    grow = np.exp(a * t)
+    return a * p0 * grow / (a + b * p0 * (1.0 - grow))
+
+
+# every point lies outside the closed time-2 domain of its law, with
+# lifetime at least 2.5
+@pytest.mark.parametrize("law, lam", [
+    (fourth_roots, 4.0), (fourth_roots, 3.0 + 3.0j), (fourth_roots, 0.0),
+    (two_atoms, -3.0), (two_atoms, 4.0j), (two_atoms, 0.0)])
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("eps", [1e-3, 0.3])
+def test_flow_reference_agrees_with_solve_ivp(law, lam, t, eps):
+    # the RK4 shooting lands on (lam, eps); solve_ivp from the same start
+    # lands there too, with the same p_eps
+    mu = law()
+    lam0, eps0, _ = _landing(mu, lam, t, eps)
+    ref = flow_dSde(mu, lam, t, eps)
+    state = hamilton_flow_mult(mu, lam0, eps0, t)
+    assert abs(state.lam - lam) <= 1e-6 * max(abs(lam), 1.0)
+    assert state.epsilon == pytest.approx(eps, rel=1e-6)
+    assert state.p_epsilon == pytest.approx(ref, rel=1e-6)
+
+
+@pytest.mark.parametrize("law, lam", [
+    (fourth_roots, 3.0), (fourth_roots, 1.6 + 1.6j), (fourth_roots, 0.2),
+    (two_atoms, -3.0), (two_atoms, 4.0j)])
+def test_flow_reference_tends_to_the_riccati_form(law, lam):
+    mu, t = law(), 0.5 if law is two_atoms else 1.0
+    want = _riccati(mu, lam, t)
+    gaps = [abs(flow_dSde(mu, lam, t, eps) - want)
+            for eps in (1e-2, 1e-4, 1e-6, 1e-8)]
+    assert gaps == sorted(gaps, reverse=True)
+    assert gaps[-1] <= 1e-6 * want
+    assert flow_dSde(mu, lam, t, 0.0) == pytest.approx(want, rel=1e-8)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(law=st.sampled_from([fourth_roots, two_atoms]),
+       r=st.floats(0.0, 4.0), theta=st.floats(0.0, 2.0 * np.pi),
+       t=st.sampled_from([0.5, 1.0, 2.0]),
+       log_eps=st.floats(-4.0, 1.0), log_ratio=st.floats(0.2, 1.0))
+def test_flow_reference_decreases_in_eps(law, r, theta, t, log_eps, log_ratio):
+    # d^2 S / d eps^2 = -tr((... + eps)^-2) < 0, wherever lam lies outside
+    # the closed time-t domain with its band
+    mu = law()
+    lam = r * np.exp(1j * theta)
+    lifetime = T_mult_unitary if law is fourth_roots else T_mult_positive
+    assume(lam != 0 or law is fourth_roots)  # T_mult_positive excludes 0
+    assume(_band_membership(lifetime(mu, lam), t) is Membership.OUTSIDE)
+    eps = 10.0 ** log_eps
+    assert flow_dSde(mu, lam, t, eps) > flow_dSde(mu, lam, t,
+                                                  eps * 10.0 ** log_ratio)
+
+
+def test_flow_reference_failures_are_package_errors():
+    mu = fourth_roots()
+    with pytest.raises(NegativeEpsilon):
+        flow_dSde(mu, 3.0, 1.0, -1e-3)
+    with pytest.raises(ContinuationFailed):  # on an atom, inside the domain
+        flow_dSde(mu, 1.0, 1.0, 1e-3)
+    with pytest.raises(BlowUp):  # eps = 0 on an atom
+        flow_dSde(mu, 1j, 1.0, 0.0)
 
 
 # --- circle curvature ----------------------------------------------------------
