@@ -257,9 +257,8 @@ def _lifetime_grid(cfg, mu) -> region_mod.Grid:
         conj_symmetric=mu.on_real_line)
 
 
-def cmd_lifetime(cfg, args) -> bytes:
-    grid = _lifetime_grid(cfg, resolve_measure(cfg))
-    return region_mod.emit(grid, cfg["format"], meta=_meta(cfg, "lifetime"))
+def cmd_lifetime(cfg, args, mu) -> region_mod.Grid:
+    return _lifetime_grid(cfg, mu)
 
 
 def _extract_domain(cfg, mu) -> region_mod.Boundary:
@@ -288,67 +287,35 @@ def _mapped(cfg, mu, sigma) -> region_mod.Boundary:
     return region_mod.map_boundary(sigma, _domain_map_fn(cfg, mu))
 
 
-def cmd_domain(cfg, args) -> bytes:
-    mu = resolve_measure(cfg)
+def cmd_domain(cfg, args, mu):
     sigma = _extract_domain(cfg, mu)
     mapped = _mapped(cfg, mu, sigma)
-    meta = _meta(cfg, "domain")
-    if cfg["format"] == "json":
-        doc = {
-            "schema": "brownscope-region/1",
-            "kind": "domain",
-            "meta": meta,
-            "level": float(sigma.level),
-            "sigma": json.loads(region_mod.emit(sigma, "json")),
-            "mapped": json.loads(region_mod.emit(mapped, "json")),
-        }
-        return (json.dumps(doc, sort_keys=True) + "\n").encode()
-    lines = [f"# {k} = {meta[k]}" for k in sorted(meta)]
-    lines.append("re,im,chain,closed,role")
-    for role, b in (("sigma", sigma), ("mapped", mapped)):
-        for c_idx, chain in enumerate(b.polylines):
-            for pnt in chain.points:
-                lines.append(f"{float(pnt.real)!r},{float(pnt.imag)!r},"
-                             f"{c_idx},{int(chain.closed)},{role}")
-    return ("\n".join(lines) + "\n").encode()
+    if cfg["format"] == "csv":
+        return region_mod.Table("re,im,chain,closed,role", [
+            (*row, role) for role, b in (("sigma", sigma), ("mapped", mapped))
+            for row in b.rows()])
+    return {"schema": region_mod.SCHEMA, "kind": "domain",
+            "level": float(sigma.level), "sigma": region_mod.document(sigma),
+            "mapped": region_mod.document(mapped)}
 
 
-def _boundary_from_doc(doc) -> region_mod.Boundary:
-    try:
-        if doc.get("schema") != "brownscope-region/1":
-            raise ConfigError("input is not a brownscope-region/1 document")
-        if doc.get("kind") == "domain":
-            doc = doc["sigma"]
-        if doc.get("kind") != "boundary":
-            raise ConfigError("input document does not hold a boundary")
-        chains = [region_mod.Chain(
-            np.asarray([complex(p[0], p[1]) for p in ch["points"]]),
-            bool(ch["closed"])) for ch in doc["polylines"]]
-        return region_mod.Boundary(chains, float(doc.get("level", 0.0)))
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed boundary document: {exc!r}") from exc
-
-
-def cmd_map(cfg, args) -> bytes:
-    mu = resolve_measure(cfg)
+def cmd_map(cfg, args, mu) -> region_mod.Boundary:
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            boundary = region_mod.read_boundary(json.load(fh))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read boundary file: {exc}") from exc
-    boundary = _boundary_from_doc(doc)
-    mapped = region_mod.map_boundary(boundary, _domain_map_fn(cfg, mu))
-    return region_mod.emit(mapped, cfg["format"], meta=_meta(cfg, "map"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return region_mod.map_boundary(boundary, _domain_map_fn(cfg, mu))
 
 
-def cmd_spectest(cfg, args) -> bytes:
-    mu = resolve_measure(cfg)
+def cmd_spectest(cfg, args, mu) -> dict:
     model, t, gamma = cfg["model"], cfg["t"], _gamma(cfg)
     z = complex(args.re, args.im)
-    doc = {"schema": "brownscope-spectest/1", "meta": _meta(cfg, "spectest"),
-           "model": model, "point": [args.re, args.im], "t": t,
-           "gamma": cfg["gamma"], "zero_atom": None, "preimage": None,
-           "lifetime": None}
+    doc = {"schema": "brownscope-spectest/1", "model": model,
+           "point": [args.re, args.im], "t": t, "gamma": cfg["gamma"],
+           "zero_atom": None, "preimage": None, "lifetime": None}
     lifetime, verdict = _LIFETIME[model], additive.Verdict.UNDETERMINED
     if model == "mult-positive" and z == 0:  # its lifetime excludes z = 0
         if multiplicative._zero_outside_closed_domain(mu, t):
@@ -370,21 +337,19 @@ def cmd_spectest(cfg, args) -> bytes:
             verdict = additive.spectral_test(mu, lifetime, lam, t)
             doc["preimage"] = [lam.real, lam.imag]
             # a lifetime may be infinite: spelled as in the grid documents
-            doc["lifetime"] = region_mod._json_float(float(lifetime(mu, lam)))
+            doc["lifetime"] = region_mod.json_float(float(lifetime(mu, lam)))
     doc["verdict"] = verdict.value
-    return (json.dumps(doc, sort_keys=True) + "\n").encode()
+    return doc
 
 
-def cmd_oracle(cfg, args) -> bytes:
-    mu = resolve_measure(cfg)
+def cmd_oracle(cfg, args, mu) -> dict:
     model = cfg["model"]
     t = float(cfg["t"])
     gamma = _gamma(cfg)
     o = cfg["oracle"]
     n, k, seed = int(o["n"]), int(o["k"]), int(o["seed"])
     dil = float(o["dilation"] if o["dilation"] is not None else 3.0 / np.sqrt(n))
-    report = {"schema": "brownscope-oracle/1", "meta": _meta(cfg, "oracle"),
-              "model": model, "n": n, "t": t,
+    report = {"schema": "brownscope-oracle/1", "model": model, "n": n, "t": t,
               "gamma": [gamma.real, gamma.imag], "seed": seed}
     if mu.kind != "atomic":
         raise ConfigError("the oracle command needs an atomic measure")
@@ -404,7 +369,7 @@ def cmd_oracle(cfg, args) -> bytes:
             report["predicted_inner"] = rdiagonal.circ_inner_radius(mu, t)
         except TMaxExceeded:
             report["predicted_inner"] = 0.0
-        return (json.dumps(report, sort_keys=True) + "\n").encode()
+        return report
 
     if model.startswith("add-"):
         a = x + rmt.sample_elliptic(n, t, gamma, seed, stream=1)
@@ -439,37 +404,31 @@ def cmd_oracle(cfg, args) -> bytes:
     report["dsde_probes"] = probe_rows
     if o.get("include_eigenvalues"):
         report["eigenvalues"] = [[float(z.real), float(z.imag)] for z in eig]
-    return (json.dumps(report, sort_keys=True) + "\n").encode()
+    return report
 
 
-def cmd_radii(cfg, args) -> bytes:
-    mu = resolve_measure(cfg)
+def cmd_radii(cfg, args, mu):
     ann = rdiagonal.hl_radii(mu)
     t_max = args.t_max
     if t_max is None:  # short of the time inner ** 2 at which the hole closes
         t_max = 0.9 * ann.inner ** 2 if ann.inner ** 2 else 1.0
-    ts = np.linspace(0.0, t_max, args.steps)
     rows = []
-    for tv in ts:
+    for tv in np.linspace(0.0, t_max, args.steps):
         try:
             rows.append((float(tv), rdiagonal.circ_inner_radius(mu, float(tv))))
         except TMaxExceeded:
             rows.append((float(tv), float("nan")))
-    meta = _meta(cfg, "radii")
     if cfg["format"] == "csv":
-        lines = [f"# {kk} = {meta[kk]}" for kk in sorted(meta)]
-        lines.append(f"# annulus_inner = {ann.inner!r}")
-        lines.append(f"# annulus_outer = {ann.outer!r}")
-        lines.append("t,inner_radius")
-        lines.extend(f"{tv!r},{rv!r}" for tv, rv in rows)
-        return ("\n".join(lines) + "\n").encode()
-    doc = {"schema": "brownscope-radii/1", "meta": meta,
-           "annulus": {"inner": ann.inner, "outer": ann.outer},
-           "sweep": [{"t": tv, "inner_radius": rv} for tv, rv in rows]}
-    return (json.dumps(doc, sort_keys=True) + "\n").encode()
+        return region_mod.Table("t,inner_radius", rows, (
+            ("annulus_inner", ann.inner), ("annulus_outer", ann.outer)))
+    return {"schema": "brownscope-radii/1",
+            "annulus": {"inner": ann.inner, "outer": ann.outer},
+            "sweep": [{"t": tv, "inner_radius": rv}
+                      for tv, rv in rows]}
 
 
-# run(cfg, args) returns the output bytes; flags are keys of _FLAGS
+# run(cfg, args, mu) returns what region.emit writes: a Grid, a Boundary, a
+# document dict (json) or a Table (csv); flags are keys of _FLAGS
 _Command = collections.namedtuple("_Command", "run help formats models flags")
 # each command with the formats it writes, the models it serves and its
 # own flags; build_parser and main read nothing else about a command
@@ -506,7 +465,9 @@ def main(argv=None) -> int:
                 f"{args.command} output supports {' or '.join(row.formats)}")
         if cfg["model"] not in row.models:
             raise ConfigError(f"{args.command} does not serve model {cfg['model']}")
-        out = row.run(cfg, args)
+        mu = resolve_measure(cfg)
+        out = region_mod.emit(row.run(cfg, args, mu), cfg["format"],
+                              _meta(cfg, args.command))
         if cfg["out"]:
             try:
                 with open(cfg["out"], "wb") as fh:

@@ -10,11 +10,13 @@ sign-agnostic; callers decide which side of the level is "inside".
 Output formats: csv (one row per node or polyline point), json (a
 self-describing document under the schema tag "brownscope-region/1"), and
 16-bit binary PGM for grids (affine value map recorded in header comments,
-top image row = max imaginary part).
+top image row = max imaginary part).  emit also writes the documents the
+CLI builds: a dict as a json line and a Table as csv.
 """
 
 from __future__ import annotations
 
+import collections
 import io
 import json
 from dataclasses import dataclass
@@ -79,6 +81,17 @@ class Chain:
 class Boundary:
     polylines: list
     level: float
+
+    def rows(self) -> list:
+        """(re, im, chain index, closed flag) of every point, chain by chain."""
+        return [(float(p.real), float(p.imag), c_idx, int(chain.closed))
+                for c_idx, chain in enumerate(self.polylines)
+                for p in chain.points]
+
+
+# a csv document: a header line, rows of cells, and (key, value) comment
+# lines written after the meta comments
+Table = collections.namedtuple("Table", "header rows comments", defaults=((),))
 
 
 def evaluate_grid(f, bounds, nx: int, ny: int, *,
@@ -399,14 +412,20 @@ def level_crossing_on_ray(f, center, angle, r_lo, r_hi, level) -> float:
 # ---------------------------------------------------------------------------
 
 
+SCHEMA = "brownscope-region/1"
+
+
 def emit(obj, fmt: str, meta: dict | None = None) -> bytes:
-    """Serialize a Grid or Boundary.  Formats: csv, json, pgm (grids only).
-    meta entries are recorded in header comments (csv, pgm) or a "meta"
-    field (json)."""
-    if fmt == "csv":
-        return _emit_csv(obj, meta)
+    """Serialize a Grid or Boundary (csv, json; pgm for grids), a document
+    dict (json) or a Table (csv).  meta entries are recorded in header
+    comments (csv, pgm) or a "meta" field (json)."""
     if fmt == "json":
-        return _emit_json(obj, meta)
+        doc = dict(obj) if isinstance(obj, dict) else document(obj)
+        if meta:
+            doc["meta"] = dict(meta)
+        return (json.dumps(doc, sort_keys=True) + "\n").encode()
+    if fmt == "csv":
+        return _emit_csv(obj if isinstance(obj, Table) else _table(obj), meta)
     if fmt == "pgm":
         if not isinstance(obj, Grid):
             raise ValueError("pgm output is defined for grids only")
@@ -415,38 +434,30 @@ def emit(obj, fmt: str, meta: dict | None = None) -> bytes:
 
 
 def _meta_lines(meta):
-    if not meta:
-        return []
-    return [f"# {k} = {meta[k]}" for k in sorted(meta)]
+    return [f"# {k} = {meta[k]}" for k in sorted(meta or {})]
 
 
-def _emit_csv(obj, meta) -> bytes:
-    buf = io.StringIO()
-    for line in _meta_lines(meta):
-        buf.write(line + "\n")
+def _table(obj) -> Table:
     if isinstance(obj, Grid):
-        buf.write("re,im,value\n")
-        res = obj.node_re()
-        ims = obj.node_im()
-        for i in range(obj.nx):
-            for j in range(obj.ny):
-                buf.write(f"{float(res[i])!r},{float(ims[j])!r},"
-                          f"{float(obj.values[i, j])!r}\n")
-    elif isinstance(obj, Boundary):
-        buf.write("re,im,chain,closed\n")
-        for c_idx, chain in enumerate(obj.polylines):
-            flag = int(chain.closed)
-            for p in chain.points:
-                buf.write(f"{float(p.real)!r},{float(p.imag)!r},{c_idx},{flag}\n")
-    else:
-        raise TypeError(f"cannot emit {type(obj).__name__}")
-    return buf.getvalue().encode()
+        res, ims = obj.node_re(), obj.node_im()
+        return Table("re,im,value", (
+            (float(res[i]), float(ims[j]), float(obj.values[i, j]))
+            for i in range(obj.nx) for j in range(obj.ny)))
+    if isinstance(obj, Boundary):
+        return Table("re,im,chain,closed", obj.rows())
+    raise TypeError(f"cannot emit {type(obj).__name__}")
 
 
-def _emit_json(obj, meta) -> bytes:
-    doc = {"schema": "brownscope-region/1"}
-    if meta:
-        doc["meta"] = dict(meta)
+def _emit_csv(table: Table, meta) -> bytes:
+    # str of a float is its repr: the shortest string that reads back
+    lines = [*_meta_lines(meta), *(f"# {k} = {v}" for k, v in table.comments),
+             table.header, *(",".join(map(str, row)) for row in table.rows)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def document(obj) -> dict:
+    """The brownscope-region/1 document of a Grid or Boundary, without meta."""
+    doc = {"schema": SCHEMA}
     if isinstance(obj, Grid):
         doc["kind"] = "grid"
         doc["bounds"] = [float(obj.re_min), float(obj.re_max),
@@ -464,9 +475,34 @@ def _emit_json(obj, meta) -> bytes:
         ]
     else:
         raise TypeError(f"cannot emit {type(obj).__name__}")
-    return (json.dumps(doc, sort_keys=True) + "\n").encode()
+    return doc
 
 
+def read_boundary(doc) -> Boundary:
+    """The Boundary of a brownscope-region/1 boundary document, or the
+    sigma boundary of a domain document.  ValueError when doc is neither
+    or is malformed."""
+    try:
+        if doc.get("schema") != SCHEMA:
+            raise ValueError(f"input is not a {SCHEMA} document")
+        if doc.get("kind") == "domain":
+            doc = doc["sigma"]
+        if doc.get("kind") != "boundary":
+            raise ValueError("input document does not hold a boundary")
+        chains = [Chain(np.asarray([complex(p[0], p[1]) for p in ch["points"]]),
+                        bool(ch["closed"])) for ch in doc["polylines"]]
+        return Boundary(chains, float(doc.get("level", 0.0)))
+    except (AttributeError, IndexError, KeyError, OverflowError,
+            TypeError) as exc:
+        raise ValueError(f"malformed boundary document: {exc!r}") from exc
+
+
+def json_float(x):
+    """x as strict JSON: a float, or "inf", "-inf" or "nan"."""
+    return _json_float(x)
+
+
+# grid documents call this private name per value: traces wrap public ones
 def _json_float(x):
     if np.isposinf(x):
         return "inf"

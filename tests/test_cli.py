@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from brownscope import (SpectralMeasure, additive, cli, emit, evaluate_grid,
-                        point_in_region, rmt)
+                        point_in_region, region, rmt)
 
 BERN_REAL = {"kind": "atomic", "support": "real",
              "atoms": [[1.0, 0.0, 0.5], [-1.0, 0.0, 0.5]]}
@@ -309,7 +309,7 @@ def test_spectest_certifies_no_eigenvalue_inside_the_mapped_region(
         "re_min": -3.0, "re_max": 3.0, "im_min": -3.0, "im_max": 3.0,
         "nx": 256, "ny": 256}))
     doc = json.loads(run_to_file(tmp_path, "d.json", ["domain", "--config", c]))
-    mapped = cli._boundary_from_doc(doc["mapped"])
+    mapped = region.read_boundary(doc["mapped"])
     eig = rmt.eigenvalues(draw())
     certified = np.array([z for z in eig if spectest(tmp_path, c, z)["verdict"]
                           == "outside-spectrum"])

@@ -17,7 +17,11 @@ support, and on a 2,048-node uniform circle density runs lifetime in
 json: 48^2 points x 2,048 nodes is the largest direct kernel sum here.
 add-elliptic at gamma = 0.9 runs spectest at 2.3 and 2.7: its map phi
 carries the domain's real-axis tip out to 2.51, so 2.3 is the image of a
-point inside the domain and 2.7 of one outside.  A few
+point inside the domain and 2.7 of one outside.  Two groups reach the
+non-finite spellings: mult-unitary lifetime on a 5^2 grid whose middle
+node is 0, where the lifetime is infinite, in json, csv and pgm, and
+rdiag `radii --t-max 3 --steps 4`, whose sweep passes the time the hole
+closes, in json and csv.  A few
 error runs close the list: |gamma| > t, usage errors and an unwritable
 --out.  Each run prints one tab-separated line:
 
@@ -88,6 +92,10 @@ FINE_CIRCLE_NODES = 2048
 ELLIPTIC_09 = dict(MODELS["add-elliptic"], model="add-elliptic",
                    gamma=[0.9, 0.0])
 ELLIPTIC_09_POINTS = ("2.3", "2.7")
+# mult-unitary on a 5^2 grid over [-2.5, 2.5]^2: the middle node is 0
+ORIGIN_GRID = dict(MODELS["mult-unitary"], model="mult-unitary",
+                   grid={"re_min": -2.5, "re_max": 2.5, "im_min": -2.5,
+                         "im_max": 2.5, "nx": 5, "ny": 5})
 # (name, config file, argv) of the error runs, all on add-elliptic
 ERRORS = [
     ("gamma>t", "gamma.json", ["spectest", "--re", "3", "--im", "0"]),
@@ -113,6 +121,7 @@ def write_inputs(work: Path) -> None:
                    oracle={"n": 60, "k": 6, "seed": 5})
         (work / f"{model}.json").write_text(json.dumps(cfg))
     (work / "elliptic-0.9.json").write_text(json.dumps(ELLIPTIC_09))
+    (work / "origin-grid.json").write_text(json.dumps(ORIGIN_GRID))
     (work / "gamma.json").write_text(json.dumps(
         dict(MODELS["add-elliptic"], model="add-elliptic", gamma=[1.5, 0.0])))
     xs = [-2.0 + 4.0 * i / (DENSITY_ROWS - 1) for i in range(DENSITY_ROWS)]
@@ -200,6 +209,14 @@ def main(argv=None) -> int:
         jobs.append((("add-elliptic/gamma-0.9", f"spectest-{re}", "json"),
                      ["spectest", "--re", re, "--im", "0", "--config",
                       "elliptic-0.9.json"]))
+    for fmt in FORMATS:
+        jobs.append((("mult-unitary/origin-grid", "lifetime", fmt),
+                     ["lifetime", "--config", "origin-grid.json",
+                      "--format", fmt]))
+    for fmt in ("json", "csv"):
+        jobs.append((("rdiag", "radii-past-closing", fmt),
+                     ["radii", "--t-max", "3", "--steps", "4", "--config",
+                      "rdiag.json", "--format", fmt]))
     for name, cfg, extra in ERRORS:
         jobs.append((("add-elliptic", name, "-"), [*extra, "--config", cfg]))
     with tempfile.TemporaryDirectory() as tmp:
