@@ -493,10 +493,15 @@ def _tree(mu: SpectralMeasure) -> _PanelTree:
 
 def _summed(mu: SpectralMeasure, lam, node_fn, weights=None, reach=0.0,
             nearest=None):
-    """The sums of _blocked_sum.  reach bounds how far from lam or conj(lam)
-    the kernel's singularities lie.  A list given as nearest collects the
-    least |lam - xi|^2 of each block.  Calls of fewer than _LIST_MIN_PAIRS
-    point x node pairs, and one-leaf trees, sum every node directly."""
+    """Sum_j w_j * node_fn(lam, xi_j, |lam - xi_j|^2) over blocks of points:
+    node_fn gets one block's points as a column, a row of nodes (or of
+    proxies standing for far panels) and their r2 array, which it may
+    overwrite.  weights defaults to the probability weights; an (m, c)
+    matrix gives c sums per point on a trailing axis; scalars in give
+    scalars out.  reach bounds how far from lam or conj(lam) the kernel's
+    singularities lie, and a list given as nearest collects the least
+    |lam - xi|^2 of each block.  Calls of fewer than _LIST_MIN_PAIRS pairs,
+    and one-leaf trees, sum every node directly."""
     arr = np.asarray(lam, dtype=complex)
     flat = arr.reshape(-1)
     tree = _tree(mu)
@@ -514,16 +519,6 @@ def _summed(mu: SpectralMeasure, lam, node_fn, weights=None, reach=0.0,
     return out.reshape(arr.shape + w.shape[1:])[()]
 
 
-def _blocked_sum(mu: SpectralMeasure, lam, node_fn, weights=None):
-    """Sum_j w_j * node_fn(lam, xi_j, |lam - xi_j|^2) over blocks of points:
-    node_fn gets one block's points as a column, a row of nodes (or of
-    proxies standing for far panels) and their r2 array, which it may
-    overwrite.  weights defaults to the probability weights; an (m, c)
-    matrix gives c sums per point on a trailing axis.  Scalars in give
-    scalars out."""
-    return _summed(mu, lam, node_fn, weights)
-
-
 def _cauchy_nodes(zb, xb, r2, eps=0.0):
     """conj(zb - xb) / (r2 + eps) per node, over the buffer of r2."""
     return (np.conj(zb) - np.conj(xb)) * _inv(r2, eps)
@@ -533,7 +528,7 @@ def reg_cauchy_transform(mu: SpectralMeasure, lam, eps):
     """G_eps(lam) = integral of conj(lam - xi) / (|lam - xi|^2 + eps) d mu(xi),
     the Cauchy transform regularized by eps >= 0; unguarded."""
     eps = float(eps)
-    return _blocked_sum(mu, lam, lambda zb, xb, r2: _cauchy_nodes(zb, xb, r2, eps))
+    return _summed(mu, lam, lambda zb, xb, r2: _cauchy_nodes(zb, xb, r2, eps))
 
 
 def _sum_and_distance(mu: SpectralMeasure, lam, node_fn, reach=0.0):
@@ -585,7 +580,7 @@ def reg_resolvent(mu: SpectralMeasure, lam, eps):
     eps = float(eps)
     if eps >= 0:
         with np.errstate(divide="ignore"):
-            return _blocked_sum(mu, lam, lambda zb, xb, r2: _inv(r2, eps))
+            return _summed(mu, lam, lambda zb, xb, r2: _inv(r2, eps))
     # the poles |lam - xi|^2 = -eps lie within sqrt(-eps) of lam or conj(lam)
     out, dist = _sum_and_distance(mu, lam, lambda zb, xb, r2: _inv(r2, eps),
                                   np.sqrt(-eps))
@@ -599,7 +594,7 @@ def reg_resolvent_deps(mu: SpectralMeasure, lam, eps):
     """d/d eps of reg_resolvent: -integral of (|xi - lam|^2 + eps)^-2."""
     eps = float(eps)
     with np.errstate(divide="ignore"):
-        return _blocked_sum(mu, lam, lambda zb, xb, r2: -_inv(r2, eps) ** 2)
+        return _summed(mu, lam, lambda zb, xb, r2: -_inv(r2, eps) ** 2)
 
 
 def neg2_trace(mu: SpectralMeasure, lam):
@@ -615,7 +610,7 @@ def neg2_moments(mu: SpectralMeasure, lam):
     w = mu.prob_weights
     w2 = np.stack([w, w * _sq_dist(mu.positions, 0.0)], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 * inf at 0
-        both = _blocked_sum(mu, arr, lambda zb, xb, r2: _inv(r2, 0.0), w2)
+        both = _summed(mu, arr, lambda zb, xb, r2: _inv(r2, 0.0), w2)
     p2 = both[..., 1]
     at_zero = mu.positions == 0
     if at_zero.any():
@@ -631,7 +626,7 @@ def neg4_trace(mu: SpectralMeasure, lam):
 def log_potential(mu: SpectralMeasure, lam):
     """Integral of log |xi - lam|^2 d mu(xi); -inf exactly at an atom."""
     with np.errstate(divide="ignore"):
-        return _blocked_sum(mu, lam, lambda zb, xb, r2: np.log(r2, out=r2))
+        return _summed(mu, lam, lambda zb, xb, r2: np.log(r2, out=r2))
 
 
 def symmetrize(mu: SpectralMeasure) -> SpectralMeasure:

@@ -593,7 +593,7 @@ def test_negative_eps_guard_reads_its_own_pass(name, monkeypatch, count_blocks):
         blocks.append(count_blocks[0])
         # the plain sum, with no guard around it
         with np.errstate(divide="ignore"):
-            plain = measures._blocked_sum(
+            plain = measures._summed(
                 mu, z, lambda zb, xb, r2: measures._inv(r2, eps))
         np.testing.assert_array_equal(got, plain)
     assert blocks == [9, 9]
@@ -625,7 +625,7 @@ def test_pooled_error_surfaces_once_and_pool_recovers(monkeypatch):
         return r2
 
     with pytest.raises(ZeroDivisionError, match="block 3"):
-        measures._blocked_sum(mu, z, node_fn)
+        measures._summed(mu, z, node_fn)
     assert raised == [7]
 
 
