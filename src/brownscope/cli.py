@@ -155,7 +155,7 @@ def load_config(args) -> dict:
                 user = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config must be a JSON object")
@@ -303,7 +303,7 @@ def cmd_map(cfg, args, mu) -> region_mod.Boundary:
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
             boundary = region_mod.read_boundary(json.load(fh))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read boundary file: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -331,8 +331,8 @@ def cmd_spectest(cfg, args, mu) -> dict:
                     mu, _domain_map_fn(cfg, mu),
                     functools.partial(_MAP_DERIVATIVE[model], mu, gamma),
                     lifetime, t, z)
-            except ContinuationFailed:
-                lam = None
+            except ContinuationFailed as exc:
+                lam, doc["preimage_error"] = None, str(exc)
         if lam is not None:
             verdict = additive.spectral_test(mu, lifetime, lam, t)
             doc["preimage"] = [lam.real, lam.imag]
@@ -383,8 +383,14 @@ def cmd_oracle(cfg, args, mu) -> dict:
 
     probes = o["probes"]
     if probes is None:
-        r = mu.support_radius() + np.sqrt(t) + 1.0
-        probes = [[r, 0.0, 1e-3], [0.0, r, 1e-3], [-r, 0.0, 1e-3]]
+        # on three rays from the support radius + sqrt(t) + 1, r doubles
+        # until the lifetime is 1.25 t, within which flow_dSde is good to 2e-8
+        probes = []
+        for ray in (1.0, 1j, -1.0):
+            r = mu.support_radius() + np.sqrt(t) + 1.0
+            while _LIFETIME[model](mu, r * ray) < 1.25 * t:
+                r *= 2.0
+            probes.append([(r * ray).real, (r * ray).imag, 1e-3])
     # a probe row pairs the matrix at the mapped point with a reference at lam
     probe_rows = []
     for pre, pim, eps in probes:
@@ -423,7 +429,7 @@ def cmd_radii(cfg, args, mu):
             ("annulus_inner", ann.inner), ("annulus_outer", ann.outer)))
     return {"schema": "brownscope-radii/1",
             "annulus": {"inner": ann.inner, "outer": ann.outer},
-            "sweep": [{"t": tv, "inner_radius": rv}
+            "sweep": [{"t": tv, "inner_radius": region_mod.json_float(rv)}
                       for tv, rv in rows]}
 
 

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from brownscope import (SpectralMeasure, additive, cli, emit, evaluate_grid,
-                        point_in_region, region, rmt)
+from brownscope import (ContinuationFailed, SpectralMeasure, additive, cli,
+                        emit, evaluate_grid, point_in_region, region, rmt)
 
 BERN_REAL = {"kind": "atomic", "support": "real",
              "atoms": [[1.0, 0.0, 0.5], [-1.0, 0.0, 0.5]]}
@@ -199,7 +199,9 @@ def test_map_identity_round_trip(tmp_path):
     [1, 2],
     {"schema": "brownscope-region/1", "kind": "boundary", "level": 1.0,
      "polylines": [{"closed": True, "points": [[1]]}]},
-], ids=["no-polylines", "json-list", "short-point-row"])
+    {"schema": "brownscope-region/1", "kind": "boundary", "level": 10 ** 400,
+     "polylines": []},
+], ids=["no-polylines", "json-list", "short-point-row", "level-past-float"])
 def test_map_malformed_boundary_is_config_error(tmp_path, capfd, doc):
     c = cfg_file(tmp_path, "c.json", {
         "model": "add-elliptic", "measure": BERN_REAL, "t": 1.0,
@@ -208,6 +210,18 @@ def test_map_malformed_boundary_is_config_error(tmp_path, capfd, doc):
     assert cli.main(["map", "--config", c, "--in", str(tmp_path / "b.json")]) == 2
     [err] = error_objects(capfd.readouterr().err)
     assert err["error"]["kind"] == "config"
+
+
+def test_input_files_that_are_not_utf8_are_config_errors(tmp_path, capfd):
+    c = cfg_file(tmp_path, "c.json", {
+        "model": "add-elliptic", "measure": BERN_REAL, "t": 1.0,
+        "gamma": [0.3, 0.0]})
+    (tmp_path / "latin.json").write_bytes(b"\xff\xfe{}")
+    for argv in (["map", "--config", c, "--in", str(tmp_path / "latin.json")],
+                 ["lifetime", "--config", str(tmp_path / "latin.json")]):
+        assert cli.main(argv) == 2
+        [err] = error_objects(capfd.readouterr().err)
+        assert err["error"]["kind"] == "config"
 
 
 # --- spectest ----------------------------------------------------------------------
@@ -387,6 +401,25 @@ def test_spectest_far_out_is_outside_without_warnings(tmp_path, model):
         assert doc["lifetime"] == pytest.approx(want, rel=1e-15)
 
 
+def test_spectest_reports_a_stalled_preimage(tmp_path, monkeypatch):
+    # a stalled continuation leaves the verdict undetermined, and says so
+    c = cfg_file(tmp_path, "c.json", BERN_ELLIPTIC)
+    plain = spectest(tmp_path, c, 3.0)
+    assert "preimage_error" not in plain and plain["preimage"] is not None
+
+    def stall(*args):
+        raise ContinuationFailed("continuation stalled at s = 0.5")
+
+    monkeypatch.setattr(additive, "preimage", stall)
+    doc = spectest(tmp_path, c, 3.0)
+    assert doc["preimage_error"] == "continuation stalled at s = 0.5"
+    assert doc["verdict"] == "undetermined"
+    assert doc["preimage"] is None and doc["lifetime"] is None
+    del doc["preimage_error"]
+    assert doc == dict(plain, verdict="undetermined", preimage=None,
+                       lifetime=None)
+
+
 def test_spectest_preimage_of_a_tiny_point_is_relative(tmp_path):
     # near 0 an absolute residual bound would accept any point within
     # 1e-13 of 0 as the preimage of 1e-300i
@@ -534,6 +567,25 @@ def test_oracle_mult_probe_failures_print_no_warning(tmp_path):
     assert "eps >= 0" in negative["reference_error"]
 
 
+def test_oracle_mult_positive_default_probes_are_outside_the_domain(tmp_path):
+    # at t = 1 the domain of atoms 1 and 2 reaches past the first default
+    # radius on the positive axis; each default probe moves out until the
+    # lifetime there is 1.25 t, where the flow reference is accurate
+    c = cfg_file(tmp_path, "c.json", {
+        "model": "mult-positive", "measure": TWO_ATOMS, "t": 1.0,
+        "grid": {"nx": 32, "ny": 32}, "rgrid": {"n_r": 32, "n_theta": 32},
+        "oracle": {"n": 30, "k": 4, "seed": 4}})
+    doc = json.loads(run_to_file(tmp_path, "o.json", ["oracle", "--config", c]))
+    mu = SpectralMeasure.load(TWO_ATOMS)
+    rows = doc["dsde_probes"]
+    assert len(rows) == 3
+    for row in rows:
+        assert "reference_error" not in row
+        lam = complex(*row["lambda"])
+        assert cli._LIFETIME["mult-positive"](mu, lam) >= 1.25
+        assert abs(lam) >= 2.0 + 1.0 + 1.0
+
+
 def test_oracle_mult_loads_no_scipy_integrate(tmp_path):
     # the mult-* reference integrates the flow without scipy, whose
     # integrate package costs more than half a second to import
@@ -583,7 +635,18 @@ def test_radii_json_past_cap(tmp_path):
     sweep = doc["sweep"]
     assert sweep[0]["inner_radius"] == pytest.approx(np.sqrt(1.6))
     assert sweep[1]["inner_radius"] == pytest.approx(np.sqrt(0.6))
-    assert np.isnan(sweep[2]["inner_radius"])
+    assert sweep[2]["inner_radius"] == "nan"
+
+
+def test_radii_json_past_cap_is_strict_json(tmp_path):
+    # past the time the hole closes the radius is spelled "nan", as in the
+    # grid documents, not as the non-standard NaN
+    c = cfg_file(tmp_path, "c.json", {"model": "rdiag", "measure": TWO_ATOMS})
+    doc = _strict_json(run_to_file(tmp_path, "r.json", [
+        "radii", "--config", c, "--t-max", "3", "--steps", "4"]).decode())
+    radii = [row["inner_radius"] for row in doc["sweep"]]
+    assert radii[:2] == pytest.approx([np.sqrt(1.6), np.sqrt(0.6)])
+    assert radii[2:] == ["nan", "nan"]
 
 
 # --- error contract and config validation -------------------------------------------

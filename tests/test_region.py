@@ -12,6 +12,7 @@ from brownscope import (Boundary, Chain, EvaluationOnSupport, Grid,
                         MapEvaluationError, distance_to_boundary, emit,
                         evaluate_grid, extract_levelset, level_crossing_on_ray,
                         map_boundary, parse_pgm, point_in_region)
+from brownscope.region import document, read_boundary
 
 
 def all_points(b: Boundary) -> np.ndarray:
@@ -417,3 +418,32 @@ def test_pgm_round_trip_property(g):
     # the clamps: nan and -inf read back as vmin, +inf as vmax
     assert np.all(g2.values[np.isnan(v) | (v == -np.inf)] == vmin)
     assert np.all(np.abs(g2.values[v == np.inf] - vmax) <= tol)
+
+
+_coordinate = st.floats(allow_nan=False)
+
+
+@st.composite
+def boundaries(draw):
+    chains = [Chain(np.asarray([complex(re, im) for re, im in draw(st.lists(
+        st.tuples(_coordinate, _coordinate), min_size=1, max_size=6))]),
+        draw(st.booleans())) for _ in range(draw(st.integers(0, 3)))]
+    return Boundary(chains, draw(_coordinate))
+
+
+def _assert_same_boundary(got, b):
+    assert got.level == b.level
+    assert [c.closed for c in got.polylines] == [c.closed for c in b.polylines]
+    for cg, cb in zip(got.polylines, b.polylines):
+        np.testing.assert_array_equal(cg.points, cb.points)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(boundaries())
+def test_read_boundary_inverts_emit_property(b):
+    # points, closed flags and level come back exactly, from a boundary
+    # document and from the sigma of a domain document
+    _assert_same_boundary(read_boundary(json.loads(emit(b, "json"))), b)
+    domain = {"schema": "brownscope-region/1", "kind": "domain",
+              "level": b.level, "sigma": document(b), "mapped": document(b)}
+    _assert_same_boundary(read_boundary(json.loads(emit(domain, "json"))), b)
