@@ -520,8 +520,11 @@ def _summed(mu: SpectralMeasure, lam, node_fn, weights=None, reach=0.0,
 
 
 def _cauchy_nodes(zb, xb, r2, eps=0.0):
-    """conj(zb - xb) / (r2 + eps) per node, over the buffer of r2."""
-    return (np.conj(zb) - np.conj(xb)) * _inv(r2, eps)
+    """conj(zb - xb) / (r2 + eps) per node, over the buffer of r2 and
+    scaled in the difference's buffer, so one complex block is live."""
+    out = np.conj(zb) - np.conj(xb)
+    out *= _inv(r2, eps)
+    return out
 
 
 def reg_cauchy_transform(mu: SpectralMeasure, lam, eps):

@@ -295,12 +295,15 @@ def _assemble_chains(segments, point_at, level) -> Boundary:
 def map_boundary(boundary: Boundary, m) -> Boundary:
     """Apply a point map to every polyline, inserting source midpoints
     wherever an image segment is more than _MAX_EXPANSION times longer than
-    its source segment.  Map failures carry the offending point index."""
+    its source segment.  m is called once on each chain's points and once
+    on each midpoint.  If the chain's call raises, its points are mapped
+    one at a time, so a failure names the point it happened at, as a
+    midpoint's names the segment that inserted it."""
     mapped_chains = []
     for chain in boundary.polylines:
-        src = list(chain.points)
+        src = np.asarray(chain.points, dtype=complex)
         if chain.closed:
-            src.append(src[0])
+            src = np.append(src, src[:1])
 
         def safe(idx, z):
             try:
@@ -308,7 +311,17 @@ def map_boundary(boundary: Boundary, m) -> Boundary:
             except Exception as exc:  # noqa: BLE001 - context then re-raise
                 raise MapEvaluationError(idx, z, exc) from exc
 
-        out_pts = [safe(0, src[0])]
+        try:
+            images = np.asarray(m(src), dtype=complex).reshape(src.shape)
+        except Exception:  # noqa: BLE001 - mapped again point by point
+            images = None
+
+        def image(idx):
+            if images is None:
+                return safe(idx, src[idx])
+            return complex(images[idx])
+
+        out_pts = [image(0)]
 
         def refine(z0, w0, z1, w1, idx, depth):
             if depth < _MAX_DEPTH and abs(w1 - w0) > _MAX_EXPANSION * abs(z1 - z0) > 0:
@@ -320,7 +333,7 @@ def map_boundary(boundary: Boundary, m) -> Boundary:
                 out_pts.append(w1)
 
         for idx in range(1, len(src)):
-            w1 = safe(idx, src[idx])
+            w1 = image(idx)
             refine(src[idx - 1], out_pts[-1], src[idx], w1, idx, 0)
 
         pts = np.asarray(out_pts, dtype=complex)

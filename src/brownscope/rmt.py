@@ -17,9 +17,27 @@ left factors
 
 with k = 200 by default.  These are the draws of SAMPLER_VERSION 2; under
 version 1 a (seed, stream) key gave other elliptic matrices.
+
+Every Ginibre and elliptic draw is written in place, through one scratch
+matrix: the Philox normals fill its float view and are scaled into the
+real, then the imaginary parts of the output, and the scratch then holds
+the elliptic G^* term.  Each entry gets the bits that forming
+scale * (A + 1j * B), a G and b conj(G)^T as new arrays gave it: the same
+roundings in the same order, with the scalar on the same side of each
+product.  In sample_b the Philox draws, which run on one core, overlap
+the products, which use every BLAS thread: two helper threads build the
+next two factors while the calling thread multiplies the current one
+into one of two product buffers that take turns.  A call holds at most
+seven n x n complex matrices (two products, three factor slots and one
+scratch per helper), joins every helper before it returns and raises a
+helper's exception itself.  Helpers call only private functions, so a
+tracer that wraps the public ones sees calls from the calling thread
+only.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -29,6 +47,8 @@ from .region import Boundary, distance_to_boundary, point_in_region
 SAMPLER_VERSION = 2
 _DEFAULT_K = 200
 _STREAM_STRIDE = 1 << 20
+# Eigenvalues per block of support_report's region tests.
+_REPORT_ROWS = 64
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -37,11 +57,61 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _fill_ginibre(out, scratch, t: float, seed: int, stream: int) -> None:
+    """Write the (seed, stream) Ginibre draw of entry variance t/n into the
+    square complex array out.  The key's 2 n^2 normals go into a float view
+    of scratch, an array like out: the first n^2 (A), times sqrt(t / 2n),
+    become the real parts, and the next n^2 (B) the imaginary parts.  That
+    is scale * (A + 1j * B) bit for bit, since multiplying by a real scale
+    rounds each part on its own."""
+    n = out.shape[0]
+    normals = scratch.reshape(-1).view(np.float64)
+    _rng(seed, stream).standard_normal(out=normals)
+    scale = np.sqrt(t / (2.0 * n))
+    np.multiply(scale, normals[: n * n].reshape(n, n), out=out.real)
+    np.multiply(scale, normals[n * n :].reshape(n, n), out=out.imag)
+
+
+def _elliptic_coefficients(t: float, gamma: complex):
+    """(a, b) with z = a G + b G^*; b is None at gamma = 0."""
+    gamma = complex(gamma)
+    _check_gamma(t, gamma)
+    plus, minus = np.sqrt(t + abs(gamma)), np.sqrt(max(t - abs(gamma), 0.0))
+    phase = 0.5 * np.exp(0.5j * np.angle(gamma))
+    if plus == minus:  # gamma = 0 needs no G^* pass
+        return (plus + minus) * phase, None
+    return (plus + minus) * phase, (plus - minus) * phase
+
+
+def _scale(c, x: np.ndarray) -> None:
+    """x = c * x in place, rounded as c * x into a new array is.  numpy
+    multiplies a one-element array into itself on another loop, whose
+    complex product can differ in the last bit."""
+    if x.size == 1:
+        x[...] = c * x
+    else:
+        np.multiply(c, x, out=x)
+
+
+def _fill_elliptic(out, scratch, coef, seed: int, stream: int) -> None:
+    """Write a G + b G^* into out, G the t = 1 Ginibre draw of the key;
+    scratch, an array like out, takes the normals and then b conj(G)
+    until it is added transposed."""
+    _fill_ginibre(out, scratch, 1.0, seed, stream)
+    a, b = coef
+    if b is not None:
+        np.conjugate(out, out=scratch)
+        _scale(b, scratch)
+    _scale(a, out)
+    if b is not None:
+        np.add(out, scratch.T, out=out)
+
+
 def sample_ginibre(n: int, t: float, seed: int, stream: int = 0) -> np.ndarray:
     """Rotation-invariant Gaussian matrix with entry variance t/n."""
-    rng = _rng(seed, stream)
-    scale = np.sqrt(t / (2.0 * n))
-    return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    out = np.empty((n, n), dtype=complex)
+    _fill_ginibre(out, np.empty_like(out), t, seed, stream)
+    return out
 
 
 def sample_elliptic(n: int, t: float, gamma: complex, seed: int,
@@ -49,15 +119,10 @@ def sample_elliptic(n: int, t: float, gamma: complex, seed: int,
     """Elliptic Gaussian matrix: trace of the square tends to gamma, trace
     of the square modulus to t.  gamma = 0 is the rotation-invariant case,
     gamma = t the Hermitian one."""
-    gamma = complex(gamma)
-    _check_gamma(t, gamma)
-    g = sample_ginibre(n, 1.0, seed, stream)
-    plus, minus = np.sqrt(t + abs(gamma)), np.sqrt(max(t - abs(gamma), 0.0))
-    phase = 0.5 * np.exp(0.5j * np.angle(gamma))
-    z = ((plus + minus) * phase) * g
-    if plus != minus:  # gamma = 0 needs no G^* pass
-        z += ((plus - minus) * phase) * g.conj().T
-    return z
+    coef = _elliptic_coefficients(t, gamma)
+    out = np.empty((n, n), dtype=complex)
+    _fill_elliptic(out, np.empty_like(out), coef, seed, stream)
+    return out
 
 
 def sample_haar_unitary(n: int, seed: int, stream: int = 0) -> np.ndarray:
@@ -98,16 +163,57 @@ def sample_b(n: int, t: float, gamma: complex, k: int = _DEFAULT_K,
              seed: int = 0, stream: int = 0) -> np.ndarray:
     """Multiplicative Gaussian family at time t, product approximation
     with k factors.  Factor j draws its elliptic increment from the
-    derived stream, so the draw set is independent of evaluation order."""
+    derived stream, so the draw set is independent of evaluation order.
+
+    While this thread multiplies factor j into the product, two helper
+    threads build factors j + 1 and j + 2 (see the module docstring)."""
     if k < 1:
         raise ValueError("k must be at least 1")
     scale = 1j / np.sqrt(k)
     shift = 1.0 - gamma / (2.0 * k)
-    for j in range(k):
-        factor = sample_elliptic(n, t, gamma, seed, stream * _STREAM_STRIDE + j + 1)
-        factor *= scale
-        factor.flat[:: n + 1] += shift
-        out = factor if j == 0 else out @ factor
+    coef = _elliptic_coefficients(t, gamma)
+    # the product buffers first: allocated after the slots, they raised
+    # the oracle's peak resident memory by 1.5 MB
+    prods = [np.empty((n, n), dtype=complex) for _ in range(min(k, 2))]
+    slots = [np.empty((n, n), dtype=complex) for _ in range(min(k - 1, 3))]
+    scratch = [np.empty((n, n), dtype=complex) for _ in range(min(k, 2))]
+    # factor 0 is built where the product starts; factor j - 1's slot is
+    # free once it is multiplied in, and factor j + 2 takes it
+    factors = [prods[0]] + [slots[(j - 1) % 3] for j in range(1, k)]
+    helpers, errors = {}, {}
+
+    def build(j):
+        try:
+            factor = factors[j]
+            _fill_elliptic(factor, scratch[j % 2], coef, seed,
+                           stream * _STREAM_STRIDE + j + 1)
+            factor *= scale
+            factor.flat[:: n + 1] += shift
+        except BaseException as exc:  # noqa: BLE001 - raised by the caller
+            errors[j] = exc
+
+    def start(j):
+        if j < k:
+            helper = threading.Thread(target=build, args=(j,))
+            helper.start()
+            helpers[j] = helper
+
+    try:
+        start(0)
+        start(1)
+        out = prods[0]
+        for j in range(k):
+            helpers.pop(j).join()
+            if errors:
+                break
+            start(j + 2)
+            if j:
+                out = np.matmul(out, factors[j], out=prods[j % 2])
+    finally:
+        for helper in helpers.values():
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
     return out
 
 
@@ -117,9 +223,12 @@ def sample_b(n: int, t: float, gamma: complex, k: int = _DEFAULT_K,
 
 
 def shifted_singular_values(a: np.ndarray, lam: complex) -> np.ndarray:
-    n = a.shape[0]
-    return np.linalg.svd(a - complex(lam) * np.eye(n, dtype=complex),
-                         compute_uv=False)
+    """Singular values of a - lam I.  lam is subtracted on the diagonal of
+    a copy, which gives the bits of a - lam * eye(n): off the diagonal,
+    that form subtracts a zero."""
+    shifted = np.array(a, dtype=complex)
+    shifted.flat[:: shifted.shape[0] + 1] -= complex(lam)
+    return np.linalg.svd(shifted, compute_uv=False)
 
 
 def _svd_probe(f, a: np.ndarray, lam: complex, eps) -> float | np.ndarray:
@@ -151,10 +260,17 @@ def support_report(eig: np.ndarray, boundary: Boundary,
                    dilation: float = 0.0) -> dict:
     """Fraction of the eigenvalues eig inside the region of a boundary
     polyline (the even-odd test), dilated by counting every eigenvalue
-    within `dilation` of the polyline as inside."""
-    inside = point_in_region(boundary, eig)
-    if dilation > 0.0:
-        inside = inside | (distance_to_boundary(boundary, eig) <= dilation)
+    within `dilation` of the polyline as inside.  Eigenvalues are tested
+    _REPORT_ROWS at a time, which bounds the (eigenvalues x segments)
+    temporaries of both tests."""
+    eig = np.asarray(eig)
+    inside = np.empty(len(eig), dtype=bool)
+    for lo in range(0, len(eig), _REPORT_ROWS):
+        block = eig[lo : lo + _REPORT_ROWS]
+        hit = point_in_region(boundary, block)
+        if dilation > 0.0:
+            hit |= distance_to_boundary(boundary, block) <= dilation
+        inside[lo : lo + _REPORT_ROWS] = hit
     frac = float(np.count_nonzero(inside)) / len(eig)
     return {
         "n": int(len(eig)),

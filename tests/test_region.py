@@ -294,6 +294,51 @@ def test_map_error_formats_the_point_as_a_python_complex():
     assert "np." not in str(info.value)
 
 
+
+def test_map_calls_once_per_chain_and_once_per_midpoint():
+    ang = 2 * np.pi * np.arange(24) / 24
+    b = Boundary([Chain(np.exp(1j * ang), True),
+                  Chain(np.linspace(2.0, 3.0, 9) + 0.5j, False)], 1.0)
+    calls = []
+
+    def m(z):
+        calls.append(np.shape(z))
+        return 40.0 * np.asarray(z) ** 3
+
+    out = map_boundary(b, m)
+    inserted = sum(len(c.points) for c in out.polylines) \
+        - sum(len(c.points) for c in b.polylines)
+    assert inserted > 0
+    assert len(calls) == len(b.polylines) + inserted
+    # each chain's source points (a closed chain's first one again at its
+    # end) in one call, every midpoint in its own
+    assert calls.count((25,)) == 1 and calls.count((9,)) == 1
+    assert calls.count(()) == inserted
+
+
+def test_map_names_the_guard_band_point_of_a_batch():
+    from functools import partial
+    from brownscope import SpectralMeasure, phi_formula
+    mu = SpectralMeasure.from_density(
+        lambda x: np.sqrt(max(4.0 - x * x, 0.0)) / (2 * np.pi), -2.0, 2.0, n=101)
+    pts = 3.0 * np.exp(1j * np.linspace(0.2, 2.9, 12))
+    pts[5] = 0.5 + 1e-3j  # within 10 node spacings of the support
+    phi = partial(phi_formula, mu, 0.5)
+    with pytest.raises(EvaluationOnSupport):
+        phi(pts)
+    calls = []
+
+    def m(z):
+        calls.append(np.shape(z))
+        return phi(z)
+
+    with pytest.raises(MapEvaluationError) as info:
+        map_boundary(Boundary([Chain(pts, False)], 1.0), m)
+    assert info.value.index == 5 and info.value.point == pts[5]
+    assert isinstance(info.value.cause, EvaluationOnSupport)
+    # the refused batch, then the points up to the one that fails
+    assert calls == [(12,)] + [()] * 6
+
 # --- point membership and ray crossing ---------------------------------------
 
 def test_point_in_region():

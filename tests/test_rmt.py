@@ -219,3 +219,146 @@ def test_sample_b_is_the_product_of_its_factors(k):
                                - gamma / (2 * k) * np.eye(n))
     b = sample_b(n, t, gamma, k=k, seed=seed, stream=stream)
     assert np.max(np.abs(b - expected)) <= 1e-14
+
+
+# --- the threaded, in-place sampler ----------------------------------------------
+
+def _serial_b(n, t, gamma, k, seed, stream):
+    """sample_b as one thread computes it from sample_elliptic factors."""
+    from brownscope.rmt import _STREAM_STRIDE
+    scale, shift = 1j / np.sqrt(k), 1.0 - gamma / (2.0 * k)
+    for j in range(k):
+        factor = sample_elliptic(n, t, gamma, seed, stream * _STREAM_STRIDE + j + 1)
+        factor *= scale
+        factor.flat[:: n + 1] += shift
+        out = factor if j == 0 else out @ factor
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 30])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.2 - 0.1j])
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_sample_b_is_the_serial_product_byte_for_byte(n, gamma, k):
+    b = sample_b(n, 0.5, gamma, k=k, seed=12, stream=3)
+    expected = _serial_b(n, 0.5, gamma, k, seed=12, stream=3)
+    assert b.dtype == expected.dtype and b.shape == expected.shape
+    assert b.tobytes() == expected.tobytes()
+
+
+
+def test_sample_b_under_rapid_thread_switching():
+    # three threads on two cores, switching every microsecond: a factor
+    # slot reused before its product is done would change the bytes
+    import sys
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        b = sample_b(30, 0.5, 0.2 - 0.1j, k=12, seed=4, stream=2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert b.tobytes() == _serial_b(30, 0.5, 0.2 - 0.1j, 12, seed=4, stream=2).tobytes()
+
+# sha256 of the samplers' output bytes, computed with the allocating
+# samplers they replace (numpy 2.4, OpenBLAS, x86-64); the one-element
+# cases take numpy's other in-place loop
+_SAMPLER_DIGESTS = {
+    "ginibre": (lambda: sample_ginibre(30, 0.5, seed=7, stream=3),
+                "e4da87d8ac74fbf617a276ce556aa7c8f4221549119a439e66a25c1094888ed4"),
+    "ginibre-n1": (lambda: sample_ginibre(1, 0.5, seed=7, stream=3),
+                   "1a22d0c910f764fc23992f12705ae2c1e81dee61e85a63e42ea451f6661003a4"),
+    "elliptic-0": (lambda: sample_elliptic(30, 1.0, 0.0, seed=7, stream=5),
+                   "9acdb4db3381727f9b6d039ac434ca484dd71ee83433fb242884bc633f31b751"),
+    "elliptic-t": (lambda: sample_elliptic(30, 1.0, 1.0, seed=7, stream=5),
+                   "48b055a32118ebe1d7fa13dc0c562896db26970c4aef8ec2f2d726e79460821f"),
+    "elliptic-complex": (
+        lambda: sample_elliptic(30, 1.0, 0.2 - 0.1j, seed=7, stream=5),
+        "bb74d03410124aff506d921b9b72de4a37406a035a410f8e48fb8864920baadb"),
+    "elliptic-complex-n1": (
+        lambda: sample_elliptic(1, 1.0, 0.2 - 0.1j, seed=7, stream=5),
+        "fddd5a6251060d984d3c5ad9adc6df08e3967e6b1cf523925f997cd1d8dc652e"),
+    "b-complex-k7": (
+        lambda: sample_b(30, 0.5, 0.2 - 0.1j, k=7, seed=12, stream=3),
+        "21f036bc68dec946070d104adebd657f70ce7d54b35b8d80c6d3212b1a8a4219"),
+    "b-complex-n1": (
+        lambda: sample_b(1, 0.5, 0.2 - 0.1j, k=3, seed=12, stream=3),
+        "e8e652d4e4c80886799e07337c4ab58efb577620483d7237a3541a6411294fe0"),
+    "b-0-k3": (lambda: sample_b(30, 0.5, 0.0, k=3, seed=12, stream=3),
+               "86034fef51ce52199c5889cbc802a8ad7cd8e7bc0d6ca3f81aeec230e14c5133"),
+    "b-oracle-gamma": (
+        lambda: sample_b(100, 1.0, complex(0.0, -0.5), k=20, seed=7, stream=1),
+        "88cb86a380d07de9e317f2b93b0cabfce80e8b33dc99daec63016a03fa78eb48"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLER_DIGESTS))
+def test_sampler_bytes_are_pinned(name):
+    import hashlib
+    draw, digest = _SAMPLER_DIGESTS[name]
+    assert hashlib.sha256(draw().tobytes()).hexdigest() == digest
+
+
+def test_sample_b_helper_failure_raises_once_and_joins(monkeypatch):
+    import threading
+    import time
+    from brownscope.rmt import _STREAM_STRIDE
+    bad = 3 * _STREAM_STRIDE + 4  # factor 3 of stream 3
+    real_rng = rmt._rng
+
+    def rng(seed, stream=0):
+        if stream == bad:
+            time.sleep(0.05)
+            raise RuntimeError("stream refused")
+        if stream == bad + 1:  # still drawing when factor 3 fails
+            time.sleep(0.3)
+        return real_rng(seed, stream)
+
+    hooked = []
+    monkeypatch.setattr(rmt, "_rng", rng)
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="stream refused"):
+        sample_b(20, 0.5, 0.2 - 0.1j, k=7, seed=12, stream=3)
+    assert threading.active_count() == before
+    assert hooked == []  # the failure surfaced once, in the caller
+    assert sample_b(20, 0.5, 0.2 - 0.1j, k=3, seed=12, stream=3).shape == (20, 20)
+    assert threading.active_count() == before
+
+
+def test_sample_b_leaves_no_thread_behind():
+    import threading
+    before = threading.active_count()
+    sample_b(40, 1.0, complex(0.0, -0.5), k=9, seed=2)
+    assert threading.active_count() == before
+
+
+def test_support_report_blocks_equal_the_unblocked_rule(monkeypatch):
+    from brownscope.region import distance_to_boundary, point_in_region
+    rng = np.random.default_rng(17)
+    eig = 1.2 * (rng.standard_normal(333) + 1j * rng.standard_normal(333))
+    eig[::50] = 0.1j  # inside, and in every block
+    ang = np.linspace(0, 2 * np.pi, 97, endpoint=False)
+    boundary = Boundary([Chain((1.0 + 0.3 * np.cos(3 * ang)) * np.exp(1j * ang),
+                               True)], 0.0)
+    sizes = []
+
+    def recorded(b, z):
+        sizes.append(len(z))
+        return point_in_region(b, z)
+
+    monkeypatch.setattr(rmt, "point_in_region", recorded)
+    for dilation in (0.0, 0.1):
+        rep = support_report(eig, boundary=boundary, dilation=dilation)
+        inside = point_in_region(boundary, eig)
+        if dilation:
+            inside |= distance_to_boundary(boundary, eig) <= dilation
+        assert rep["inside"] == np.count_nonzero(inside)
+        assert rep["fraction"] == np.count_nonzero(inside) / len(eig)
+    assert max(sizes) == rmt._REPORT_ROWS and sum(sizes) == 2 * len(eig)
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.0, 1.5, -0.3 + 0.7j, 2j, complex(-0.0, 1e-300)])
+def test_shifted_singular_values_match_the_identity_form(lam):
+    a = sample_b(40, 1.0, 0.3j, k=4, seed=9)
+    expected = np.linalg.svd(a - complex(lam) * np.eye(40, dtype=complex),
+                             compute_uv=False)
+    assert shifted_singular_values(a, lam).tobytes() == expected.tobytes()

@@ -15,6 +15,7 @@ summed through the kernels' panel tree.  mult-unitary on a 256-node
 uniform circle density runs spectest midway between two nodes, on the
 support, and on a 2,048-node uniform circle density runs lifetime in
 json: 48^2 points x 2,048 nodes is the largest direct kernel sum here.
+mult-unitary's oracle also runs at n = 400, k = 60, the benchmark's size.
 add-elliptic at gamma = 0.9 runs spectest at 2.3 and 2.7: its map phi
 carries the domain's real-axis tip out to 2.51, so 2.3 is the image of a
 point inside the domain and 2.7 of one outside.  Two groups reach the
@@ -96,6 +97,9 @@ ELLIPTIC_09_POINTS = ("2.3", "2.7")
 ORIGIN_GRID = dict(MODELS["mult-unitary"], model="mult-unitary",
                    grid={"re_min": -2.5, "re_max": 2.5, "im_min": -2.5,
                          "im_max": 2.5, "nx": 5, "ny": 5})
+# mult-unitary's oracle at the benchmark's matrix size: n = 400, k = 60
+# factors, so the sampler's helper threads and reused buffers run at size
+ORACLE_400 = {"n": 400, "k": 60, "seed": 5}
 # (name, config file, argv) of the error runs, all on add-elliptic
 ERRORS = [
     ("gamma>t", "gamma.json", ["spectest", "--re", "3", "--im", "0"]),
@@ -120,6 +124,10 @@ def write_inputs(work: Path) -> None:
                    rgrid={"n_r": 64, "n_theta": 64},
                    oracle={"n": 60, "k": 6, "seed": 5})
         (work / f"{model}.json").write_text(json.dumps(cfg))
+    (work / "oracle-400.json").write_text(json.dumps(dict(
+        MODELS["mult-unitary"], model="mult-unitary", oracle=ORACLE_400,
+        grid={"re_min": -3.0, "re_max": 3.0, "im_min": -3.0, "im_max": 3.0,
+              "nx": 48, "ny": 48})))
     (work / "elliptic-0.9.json").write_text(json.dumps(ELLIPTIC_09))
     (work / "origin-grid.json").write_text(json.dumps(ORIGIN_GRID))
     (work / "gamma.json").write_text(json.dumps(
@@ -213,6 +221,8 @@ def main(argv=None) -> int:
         jobs.append((("mult-unitary/origin-grid", "lifetime", fmt),
                      ["lifetime", "--config", "origin-grid.json",
                       "--format", fmt]))
+    jobs.append((("mult-unitary/n400-k60", "oracle", "json"),
+                 ["oracle", "--config", "oracle-400.json"]))
     for fmt in ("json", "csv"):
         jobs.append((("rdiag", "radii-past-closing", fmt),
                      ["radii", "--t-max", "3", "--steps", "4", "--config",
