@@ -207,8 +207,10 @@ def load_config(args) -> dict:
         raise ConfigError(f"a grid holds at most {_MAX_NODES} nodes, and "
                           f"oracle.n is at most {math.isqrt(_MAX_NODES)}")
     if not (isinstance(o["seed"], int) and not isinstance(o["seed"], bool)
-            and (o["dilation"] is None or _number(o["dilation"]))):
-        raise ConfigError("oracle seed must be an integer, dilation a number")
+            and (o["dilation"] is None
+                 or (_number(o["dilation"]) and o["dilation"] >= 0))):
+        raise ConfigError(
+            "oracle seed must be an integer, dilation a number >= 0")
     if o["probes"] is not None and not (isinstance(o["probes"], list) and all(
             isinstance(row, list) and len(row) == 3 and all(map(_number, row))
             for row in o["probes"])):
@@ -355,10 +357,11 @@ def cmd_oracle(cfg, args, mu) -> dict:
         raise ConfigError("the oracle command needs an atomic measure")
     # resolve_measure has checked the support, so one diagonal sampler
     # serves every model
-    x = rmt.sample_atomic(n, mu.positions, mu.weights, seed, stream=0)
+    def atomic():
+        return rmt.sample_atomic(n, mu.positions, mu.weights, seed, stream=0)
 
     if model == "rdiag":
-        a = (rmt.sample_haar_unitary(n, seed, stream=1) @ x
+        a = (rmt.sample_haar_unitary(n, seed, stream=1) @ atomic()
              + rmt.sample_ginibre(n, t, seed, stream=2))
         moduli = np.abs(rmt.eigenvalues(a))
         ann = rdiagonal.hl_radii(mu)
@@ -372,13 +375,23 @@ def cmd_oracle(cfg, args, mu) -> dict:
         return report
 
     if model.startswith("add-"):
-        a = x + rmt.sample_elliptic(n, t, gamma, seed, stream=1)
+        a = atomic() + rmt.sample_elliptic(n, t, gamma, seed, stream=1)
     else:
-        a = x @ rmt.sample_b(n, t, gamma, k=k, seed=seed, stream=1)
+        # the atomic matrix is drawn once sample_b has freed its buffers,
+        # not held through them; the streams are keyed, so the bytes are
+        # the same
+        b = rmt.sample_b(n, t, gamma, k=k, seed=seed, stream=1)
+        a = atomic() @ b
         report["k"] = k
     eig = rmt.eigenvalues(a)
     report["sampler"] = rmt.SAMPLER_VERSION
     mapped = _mapped(cfg, mu, _extract_domain(cfg, mu))
+    if not mapped.polylines:
+        # no chain would count every eigenvalue outside
+        raise BrownscopeError(
+            "the domain's level set crosses no cell of the grid (the domain "
+            "covers the grid or falls between its nodes), so there is no "
+            "boundary to test the eigenvalues against")
     report["support"] = rmt.support_report(eig, boundary=mapped, dilation=dil)
 
     probes = o["probes"]

@@ -25,14 +25,15 @@ the elliptic G^* term.  Each entry gets the bits that forming
 scale * (A + 1j * B), a G and b conj(G)^T as new arrays gave it: the same
 roundings in the same order, with the scalar on the same side of each
 product.  In sample_b the Philox draws, which run on one core, overlap
-the products, which use every BLAS thread: two helper threads build the
-next two factors while the calling thread multiplies the current one
-into one of two product buffers that take turns.  A call holds at most
-seven n x n complex matrices (two products, three factor slots and one
-scratch per helper), joins every helper before it returns and raises a
-helper's exception itself.  Helpers call only private functions, so a
-tracer that wraps the public ones sees calls from the calling thread
-only.
+the products, which use every BLAS thread: one helper thread draws the
+next factor into one of two slots while the calling thread multiplies
+the current one into one of two product buffers that take turns, and
+two semaphores hand the slots back and forth.  A call holds at most five
+n x n complex matrices (two products, two factor slots and the helper's
+scratch; 12.8 MB at n = 400), joins the helper before it returns and
+raises the helper's exception itself.  The helper calls only private
+functions, so a tracer that wraps the public ones sees calls from the
+calling thread only.
 """
 
 from __future__ import annotations
@@ -127,9 +128,11 @@ def sample_elliptic(n: int, t: float, gamma: complex, seed: int,
 
 def sample_haar_unitary(n: int, seed: int, stream: int = 0) -> np.ndarray:
     """Haar-distributed unitary via QR of a Gaussian matrix with the phase
-    normalization that makes the factorization unique."""
-    rng = _rng(seed, stream)
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    normalization that makes the factorization unique.  The Gaussian is
+    the key's Ginibre draw at t = 2n, whose scale sqrt(t / 2n) is exactly
+    1: the bits of A + 1j * B, written in place."""
+    a = np.empty((n, n), dtype=complex)
+    _fill_ginibre(a, np.empty_like(a), 2.0 * n, seed, stream)
     q, r = np.linalg.qr(a)
     d = np.diagonal(r)
     return q * (d / np.abs(d))[None, :]
@@ -165,55 +168,58 @@ def sample_b(n: int, t: float, gamma: complex, k: int = _DEFAULT_K,
     with k factors.  Factor j draws its elliptic increment from the
     derived stream, so the draw set is independent of evaluation order.
 
-    While this thread multiplies factor j into the product, two helper
-    threads build factors j + 1 and j + 2 (see the module docstring)."""
+    While this thread multiplies factor j into the product, one helper
+    thread draws factor j + 1 (see the module docstring)."""
     if k < 1:
         raise ValueError("k must be at least 1")
     scale = 1j / np.sqrt(k)
     shift = 1.0 - gamma / (2.0 * k)
     coef = _elliptic_coefficients(t, gamma)
-    # the product buffers first: allocated after the slots, they raised
-    # the oracle's peak resident memory by 1.5 MB
     prods = [np.empty((n, n), dtype=complex) for _ in range(min(k, 2))]
-    slots = [np.empty((n, n), dtype=complex) for _ in range(min(k - 1, 3))]
-    scratch = [np.empty((n, n), dtype=complex) for _ in range(min(k, 2))]
-    # factor 0 is built where the product starts; factor j - 1's slot is
-    # free once it is multiplied in, and factor j + 2 takes it
-    factors = [prods[0]] + [slots[(j - 1) % 3] for j in range(1, k)]
-    helpers, errors = {}, {}
+    slots = [np.empty((n, n), dtype=complex) for _ in range(min(k - 1, 2))]
+    scratch = np.empty((n, n), dtype=complex)
+    # factor 0 is drawn where the product starts and factor j >= 1 in slot
+    # (j - 1) % 2, which factor j + 2 takes once factor j is multiplied in
+    factors = [prods[0]] + [slots[(j - 1) % 2] for j in range(1, k)]
+    # drawn counts factors ready to multiply, free slots ready to draw into
+    drawn, free = threading.Semaphore(0), threading.Semaphore(2)
+    stop, errors = threading.Event(), []
 
-    def build(j):
+    def draw():
         try:
-            factor = factors[j]
-            _fill_elliptic(factor, scratch[j % 2], coef, seed,
-                           stream * _STREAM_STRIDE + j + 1)
-            factor *= scale
-            factor.flat[:: n + 1] += shift
+            for j in range(k):
+                if j:
+                    free.acquire()
+                    if stop.is_set():
+                        return
+                factor = factors[j]
+                _fill_elliptic(factor, scratch, coef, seed,
+                               stream * _STREAM_STRIDE + j + 1)
+                factor *= scale
+                factor.flat[:: n + 1] += shift
+                drawn.release()
         except BaseException as exc:  # noqa: BLE001 - raised by the caller
-            errors[j] = exc
+            errors.append(exc)
+            drawn.release()
 
-    def start(j):
-        if j < k:
-            helper = threading.Thread(target=build, args=(j,))
-            helper.start()
-            helpers[j] = helper
-
+    helper = threading.Thread(target=draw)
+    helper.start()
     try:
-        start(0)
-        start(1)
         out = prods[0]
         for j in range(k):
-            helpers.pop(j).join()
+            drawn.acquire()
             if errors:
                 break
-            start(j + 2)
             if j:
                 out = np.matmul(out, factors[j], out=prods[j % 2])
+                free.release()
     finally:
-        for helper in helpers.values():
-            helper.join()
+        # a helper waiting for a slot wakes, sees stop and returns
+        stop.set()
+        free.release()
+        helper.join()
     if errors:
-        raise errors[min(errors)]
+        raise errors[0]
     return out
 
 

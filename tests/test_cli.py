@@ -586,6 +586,23 @@ def test_oracle_mult_positive_default_probes_are_outside_the_domain(tmp_path):
         assert abs(lam) >= 2.0 + 1.0 + 1.0
 
 
+def test_oracle_refuses_a_grid_the_domain_covers(tmp_path, capfd):
+    # at t = 4 the domain of the Bernoulli law covers [-1, 1]^2, so its
+    # level set crosses no cell of the grid and no eigenvalue could count
+    # as inside
+    c = cfg_file(tmp_path, "c.json", {
+        "model": "add-elliptic", "measure": BERN_REAL, "t": 4.0,
+        "grid": {"re_min": -1.0, "re_max": 1.0, "im_min": -1.0,
+                 "im_max": 1.0, "nx": 32, "ny": 32},
+        "oracle": {"n": 200, "seed": 1}})
+    assert cli.main(["oracle", "--config", c]) == 3
+    out, err = capfd.readouterr()
+    assert out == ""
+    [doc] = error_objects(err)
+    assert doc["error"]["kind"] == "numerical"
+    assert "crosses no cell" in doc["error"]["message"]
+
+
 def test_oracle_mult_loads_no_scipy_integrate(tmp_path):
     # the mult-* reference integrates the flow without scipy, whose
     # integrate package costs more than half a second to import
@@ -712,6 +729,7 @@ def test_domain_density_map_failure_is_numerical(tmp_path, capfd):
     ("oracle", {"oracle": {"n": 30, "k": 2, "probes": [[1, 2]]}}),
     ("oracle", {"oracle": {"n": 30, "k": 2, "seed": "a"}}),
     ("oracle", {"oracle": {"n": 30, "k": 2, "dilation": "a"}}),
+    ("oracle", {"oracle": {"n": 30, "k": 2, "dilation": -1}}),
     # the oracle samples atomic laws only, rdiag included
     ("oracle", {"model": "rdiag", "oracle": {"n": 30},
                 "measure": {"kind": "density", "support": "nonneg",

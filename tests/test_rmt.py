@@ -247,7 +247,7 @@ def test_sample_b_is_the_serial_product_byte_for_byte(n, gamma, k):
 
 
 def test_sample_b_under_rapid_thread_switching():
-    # three threads on two cores, switching every microsecond: a factor
+    # two threads on two cores, switching every microsecond: a factor
     # slot reused before its product is done would change the bytes
     import sys
     interval = sys.getswitchinterval()
@@ -308,7 +308,7 @@ def test_sample_b_helper_failure_raises_once_and_joins(monkeypatch):
         if stream == bad:
             time.sleep(0.05)
             raise RuntimeError("stream refused")
-        if stream == bad + 1:  # still drawing when factor 3 fails
+        if stream == bad + 1:  # a helper that drew on past factor 3
             time.sleep(0.3)
         return real_rng(seed, stream)
 
@@ -324,11 +324,78 @@ def test_sample_b_helper_failure_raises_once_and_joins(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_sample_b_product_failure_wakes_the_helper(monkeypatch):
+    # the helper waits for a slot that the failed product never frees;
+    # sample_b must wake it, join it and raise the product's error
+    import threading
+
+    def matmul(*args, **kwargs):
+        raise RuntimeError("product refused")
+
+    monkeypatch.setattr(np, "matmul", matmul)
+    before = threading.active_count()
+    raised = []
+
+    def call():
+        try:
+            sample_b(20, 0.5, 0.2 - 0.1j, k=7, seed=12, stream=3)
+        except RuntimeError as exc:
+            raised.append(str(exc))
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(30)
+    assert not caller.is_alive()
+    assert raised == ["product refused"]
+    assert threading.active_count() == before
+
+
 def test_sample_b_leaves_no_thread_behind():
     import threading
     before = threading.active_count()
     sample_b(40, 1.0, complex(0.0, -0.5), k=9, seed=2)
     assert threading.active_count() == before
+
+
+def _peak_buffers(run, n):
+    """Peak memory that Python and numpy allocate in run(), after one
+    warm-up call, in n x n complex matrices."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        run()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (16 * n * n)
+
+
+def test_sample_b_holds_five_matrices():
+    # two products, two factor slots and the helper's scratch (5.22 here;
+    # 7.22 with two helpers and three slots)
+    assert _peak_buffers(lambda: sample_b(200, 1.0, -0.5j, k=9), 200) <= 5.5
+
+
+def test_mult_oracle_peaks_at_the_sampler(tmp_path):
+    # the atomic matrix is drawn after sample_b returns, so the oracle
+    # peaks in the sampler (5.30 here; 8.30 with x drawn first and two
+    # helpers)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "model": "mult-unitary", "t": 1.0, "gamma": [0.0, -0.5],
+        "measure": {"kind": "atomic", "support": "circle",
+                    "atoms": [[1.0, 0.0, 0.25], [-1.0, 0.0, 0.25],
+                              [0.0, 1.0, 0.25], [0.0, -1.0, 0.25]]},
+        "grid": {"nx": 32, "ny": 32}, "oracle": {"n": 200, "k": 9, "seed": 7}}))
+    argv = ["oracle", "--config", str(cfg), "--out", str(tmp_path / "o.json")]
+
+    def run():
+        assert cli.main(argv) == 0
+
+    assert _peak_buffers(run, 200) <= 5.5
 
 
 def test_support_report_blocks_equal_the_unblocked_rule(monkeypatch):

@@ -23,8 +23,9 @@ non-finite spellings: mult-unitary lifetime on a 5^2 grid whose middle
 node is 0, where the lifetime is infinite, in json, csv and pgm, and
 rdiag `radii --t-max 3 --steps 4`, whose sweep passes the time the hole
 closes, in json and csv.  A few
-error runs close the list: |gamma| > t, usage errors and an unwritable
---out.  Each run prints one tab-separated line:
+error runs close the list: |gamma| > t, usage errors, an unwritable
+--out, an oracle on a grid the domain covers and a negative
+oracle.dilation.  Each run prints one tab-separated line:
 
     model  command  format  exit-code  sha256(stdout)  last stderr line
 
@@ -108,7 +109,15 @@ ERRORS = [
     ("t-abc", "add-elliptic.json", ["lifetime", "--t", "abc"]),
     ("out-unwritable", "add-elliptic.json",
      ["lifetime", "--out", "missing/x.json"]),
+    ("oracle-grid-covered", "covered.json", ["oracle"]),
+    ("oracle-negative-dilation", "negative-dilation.json", ["oracle"]),
 ]
+# the add-elliptic domain at t = 4 covers the grid [-1, 1]^2: its level set
+# crosses no cell, and the oracle refuses the run
+COVERED = dict(MODELS["add-elliptic"], model="add-elliptic", t=4.0,
+               grid={"re_min": -1.0, "re_max": 1.0, "im_min": -1.0,
+                     "im_max": 1.0, "nx": 32, "ny": 32},
+               oracle={"n": 200, "seed": 1})
 
 
 def write_inputs(work: Path) -> None:
@@ -130,6 +139,10 @@ def write_inputs(work: Path) -> None:
               "nx": 48, "ny": 48})))
     (work / "elliptic-0.9.json").write_text(json.dumps(ELLIPTIC_09))
     (work / "origin-grid.json").write_text(json.dumps(ORIGIN_GRID))
+    (work / "covered.json").write_text(json.dumps(COVERED))
+    (work / "negative-dilation.json").write_text(json.dumps(dict(
+        MODELS["add-elliptic"], model="add-elliptic",
+        oracle={"n": 60, "seed": 5, "dilation": -1.0})))
     (work / "gamma.json").write_text(json.dumps(
         dict(MODELS["add-elliptic"], model="add-elliptic", gamma=[1.5, 0.0])))
     xs = [-2.0 + 4.0 * i / (DENSITY_ROWS - 1) for i in range(DENSITY_ROWS)]
