@@ -729,7 +729,6 @@ def test_domain_density_map_failure_is_numerical(tmp_path, capfd):
     ("oracle", {"oracle": {"n": 30, "k": 2, "probes": [[1, 2]]}}),
     ("oracle", {"oracle": {"n": 30, "k": 2, "seed": "a"}}),
     ("oracle", {"oracle": {"n": 30, "k": 2, "dilation": "a"}}),
-    ("oracle", {"oracle": {"n": 30, "k": 2, "dilation": -1}}),
     # the oracle samples atomic laws only, rdiag included
     ("oracle", {"model": "rdiag", "oracle": {"n": 30},
                 "measure": {"kind": "density", "support": "nonneg",
@@ -748,6 +747,8 @@ def test_domain_density_map_failure_is_numerical(tmp_path, capfd):
     ("oracle", {"oracle": {"n": 30, "k": 10 ** 20}}),
     ("radii --steps 100000000000000000000",
      {"model": "rdiag", "measure": TWO_ATOMS}),
+    # a negative dilation, last so the cases above keep their ids
+    ("oracle", {"oracle": {"n": 30, "k": 2, "dilation": -1}}),
 ])
 def test_bad_config_values_are_config_errors(tmp_path, capfd, command,
                                              override):
