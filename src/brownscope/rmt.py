@@ -2,8 +2,9 @@
 
 Randomness is counter-based: every matrix draw owns a Philox generator
 keyed by (seed, stream), so draws are reproducible independently of the
-order in which they happen.  Helper streams derived from a base stream
-use disjoint high bits, keeping parallel factor draws collision-free.
+order in which they happen.  Factor j of sample_b's stream s is keyed
+s * 2^20 + j + 1, which differs from every base stream the CLI draws from
+(0 to 2) as long as s = 1 and k <= 2^16.
 
 Normalizations.  The time-t rotation-invariant (Ginibre) family has entry
 variance t/n, so its empirical spectrum fills the disk of radius sqrt(t).
@@ -24,21 +25,12 @@ real, then the imaginary parts of the output, and the scratch then holds
 the elliptic G^* term.  Each entry gets the bits that forming
 scale * (A + 1j * B), a G and b conj(G)^T as new arrays gave it: the same
 roundings in the same order, with the scalar on the same side of each
-product.  In sample_b the Philox draws, which run on one core, overlap
-the products, which use every BLAS thread: one helper thread draws the
-next factor into one of two slots while the calling thread multiplies
-the current one into one of two product buffers that take turns, and
-two semaphores hand the slots back and forth.  A call holds at most five
-n x n complex matrices (two products, two factor slots and the helper's
-scratch; 12.8 MB at n = 400), joins the helper before it returns and
-raises the helper's exception itself.  The helper calls only private
-functions, so a tracer that wraps the public ones sees calls from the
-calling thread only.
+product.  sample_b draws each factor into a buffer that the product no
+longer needs, so a call holds three n x n complex matrices: two products
+that take turns and one factor (9.6 MB at n = 400).
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -168,58 +160,24 @@ def sample_b(n: int, t: float, gamma: complex, k: int = _DEFAULT_K,
     with k factors.  Factor j draws its elliptic increment from the
     derived stream, so the draw set is independent of evaluation order.
 
-    While this thread multiplies factor j into the product, one helper
-    thread draws factor j + 1 (see the module docstring)."""
+    Factor 0 is drawn where the product starts and every later one into
+    one factor buffer.  Each draw's scratch is spare, the product buffer
+    that is free until it receives out @ factor."""
     if k < 1:
         raise ValueError("k must be at least 1")
     scale = 1j / np.sqrt(k)
     shift = 1.0 - gamma / (2.0 * k)
     coef = _elliptic_coefficients(t, gamma)
-    prods = [np.empty((n, n), dtype=complex) for _ in range(min(k, 2))]
-    slots = [np.empty((n, n), dtype=complex) for _ in range(min(k - 1, 2))]
-    scratch = np.empty((n, n), dtype=complex)
-    # factor 0 is drawn where the product starts and factor j >= 1 in slot
-    # (j - 1) % 2, which factor j + 2 takes once factor j is multiplied in
-    factors = [prods[0]] + [slots[(j - 1) % 2] for j in range(1, k)]
-    # drawn counts factors ready to multiply, free slots ready to draw into
-    drawn, free = threading.Semaphore(0), threading.Semaphore(2)
-    stop, errors = threading.Event(), []
-
-    def draw():
-        try:
-            for j in range(k):
-                if j:
-                    free.acquire()
-                    if stop.is_set():
-                        return
-                factor = factors[j]
-                _fill_elliptic(factor, scratch, coef, seed,
-                               stream * _STREAM_STRIDE + j + 1)
-                factor *= scale
-                factor.flat[:: n + 1] += shift
-                drawn.release()
-        except BaseException as exc:  # noqa: BLE001 - raised by the caller
-            errors.append(exc)
-            drawn.release()
-
-    helper = threading.Thread(target=draw)
-    helper.start()
-    try:
-        out = prods[0]
-        for j in range(k):
-            drawn.acquire()
-            if errors:
-                break
-            if j:
-                out = np.matmul(out, factors[j], out=prods[j % 2])
-                free.release()
-    finally:
-        # a helper waiting for a slot wakes, sees stop and returns
-        stop.set()
-        free.release()
-        helper.join()
-    if errors:
-        raise errors[0]
+    out = np.empty((n, n), dtype=complex)
+    spare = np.empty_like(out)
+    factor = np.empty_like(out) if k > 1 else None
+    for j in range(k):
+        dest = factor if j else out
+        _fill_elliptic(dest, spare, coef, seed, stream * _STREAM_STRIDE + j + 1)
+        dest *= scale
+        dest.flat[:: n + 1] += shift
+        if j:
+            out, spare = np.matmul(out, factor, out=spare), out
     return out
 
 

@@ -221,7 +221,7 @@ def test_sample_b_is_the_product_of_its_factors(k):
     assert np.max(np.abs(b - expected)) <= 1e-14
 
 
-# --- the threaded, in-place sampler ----------------------------------------------
+# --- the in-place product sampler ------------------------------------------------
 
 def _serial_b(n, t, gamma, k, seed, stream):
     """sample_b as one thread computes it from sample_elliptic factors."""
@@ -244,19 +244,6 @@ def test_sample_b_is_the_serial_product_byte_for_byte(n, gamma, k):
     assert b.dtype == expected.dtype and b.shape == expected.shape
     assert b.tobytes() == expected.tobytes()
 
-
-
-def test_sample_b_under_rapid_thread_switching():
-    # two threads on two cores, switching every microsecond: a factor
-    # slot reused before its product is done would change the bytes
-    import sys
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        b = sample_b(30, 0.5, 0.2 - 0.1j, k=12, seed=4, stream=2)
-    finally:
-        sys.setswitchinterval(interval)
-    assert b.tobytes() == _serial_b(30, 0.5, 0.2 - 0.1j, 12, seed=4, stream=2).tobytes()
 
 # sha256 of the samplers' output bytes, computed with the allocating
 # samplers they replace (numpy 2.4, OpenBLAS, x86-64); the one-element
@@ -297,66 +284,6 @@ def test_sampler_bytes_are_pinned(name):
     assert hashlib.sha256(draw().tobytes()).hexdigest() == digest
 
 
-def test_sample_b_helper_failure_raises_once_and_joins(monkeypatch):
-    import threading
-    import time
-    from brownscope.rmt import _STREAM_STRIDE
-    bad = 3 * _STREAM_STRIDE + 4  # factor 3 of stream 3
-    real_rng = rmt._rng
-
-    def rng(seed, stream=0):
-        if stream == bad:
-            time.sleep(0.05)
-            raise RuntimeError("stream refused")
-        if stream == bad + 1:  # a helper that drew on past factor 3
-            time.sleep(0.3)
-        return real_rng(seed, stream)
-
-    hooked = []
-    monkeypatch.setattr(rmt, "_rng", rng)
-    monkeypatch.setattr(threading, "excepthook", hooked.append)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="stream refused"):
-        sample_b(20, 0.5, 0.2 - 0.1j, k=7, seed=12, stream=3)
-    assert threading.active_count() == before
-    assert hooked == []  # the failure surfaced once, in the caller
-    assert sample_b(20, 0.5, 0.2 - 0.1j, k=3, seed=12, stream=3).shape == (20, 20)
-    assert threading.active_count() == before
-
-
-def test_sample_b_product_failure_wakes_the_helper(monkeypatch):
-    # the helper waits for a slot that the failed product never frees;
-    # sample_b must wake it, join it and raise the product's error
-    import threading
-
-    def matmul(*args, **kwargs):
-        raise RuntimeError("product refused")
-
-    monkeypatch.setattr(np, "matmul", matmul)
-    before = threading.active_count()
-    raised = []
-
-    def call():
-        try:
-            sample_b(20, 0.5, 0.2 - 0.1j, k=7, seed=12, stream=3)
-        except RuntimeError as exc:
-            raised.append(str(exc))
-
-    caller = threading.Thread(target=call, daemon=True)
-    caller.start()
-    caller.join(30)
-    assert not caller.is_alive()
-    assert raised == ["product refused"]
-    assert threading.active_count() == before
-
-
-def test_sample_b_leaves_no_thread_behind():
-    import threading
-    before = threading.active_count()
-    sample_b(40, 1.0, complex(0.0, -0.5), k=9, seed=2)
-    assert threading.active_count() == before
-
-
 def _peak_buffers(run, n):
     """Peak memory that Python and numpy allocate in run(), after one
     warm-up call, in n x n complex matrices."""
@@ -373,16 +300,16 @@ def _peak_buffers(run, n):
     return (peak - base) / (16 * n * n)
 
 
-def test_sample_b_holds_five_matrices():
-    # two products, two factor slots and the helper's scratch (5.22 here;
-    # 7.22 with two helpers and three slots)
-    assert _peak_buffers(lambda: sample_b(200, 1.0, -0.5j, k=9), 200) <= 5.5
+def test_sample_b_holds_three_matrices():
+    # two products and one factor, each draw's scratch being the product
+    # buffer that is free (3.20 here; 5.22 with a draw-ahead helper thread)
+    assert _peak_buffers(lambda: sample_b(200, 1.0, -0.5j, k=9), 200) <= 3.5
 
 
-def test_mult_oracle_peaks_at_the_sampler(tmp_path):
+def test_mult_oracle_peaks_at_the_atomic_draw(tmp_path):
     # the atomic matrix is drawn after sample_b returns, so the oracle
-    # peaks in the sampler (5.30 here; 8.30 with x drawn first and two
-    # helpers)
+    # peaks in sample_atomic, inside the Haar draw's QR, beside b (5.30
+    # here; 8.30 with the atomic matrix drawn first and two helper threads)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
         "model": "mult-unitary", "t": 1.0, "gamma": [0.0, -0.5],

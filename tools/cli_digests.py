@@ -99,7 +99,7 @@ ORIGIN_GRID = dict(MODELS["mult-unitary"], model="mult-unitary",
                    grid={"re_min": -2.5, "re_max": 2.5, "im_min": -2.5,
                          "im_max": 2.5, "nx": 5, "ny": 5})
 # mult-unitary's oracle at the benchmark's matrix size: n = 400, k = 60
-# factors, so the sampler's helper threads and reused buffers run at size
+# factors, so the sampler's reused buffers run at size
 ORACLE_400 = {"n": 400, "k": 60, "seed": 5}
 # (name, config file, argv) of the error runs, all on add-elliptic
 ERRORS = [
