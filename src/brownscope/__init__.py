@@ -10,8 +10,8 @@ from .measures import (SpectralMeasure, cauchy_derivative, cauchy_transform,
                        neg4_trace, reg_cauchy_transform, reg_resolvent,
                        reg_resolvent_deps, symmetrize)
 from .region import (Boundary, Chain, Grid, distance_to_boundary, emit,
-                     evaluate_grid, extract_levelset, level_crossing_on_ray,
-                     map_boundary, parse_pgm, point_in_region)
+                     evaluate_grid, extract_levelset, map_boundary, parse_pgm,
+                     point_in_region)
 from .additive import (MEMBERSHIP_TOL, HamiltonState, Membership, Verdict,
                        T_additive, analytic_extension_trace, extension_margin,
                        flow_additive, laplacian_identity_check,
@@ -44,7 +44,7 @@ __all__ = [
     "eigenvalues", "emit", "empirical_S", "empirical_dSde", "evaluate_grid",
     "extension_margin", "extract_levelset", "f_gamma_formula",
     "flow_additive", "flow_dSde", "hamilton_flow_mult", "herglotz", "hl_radii",
-    "laplacian_identity_check", "level_crossing_on_ray", "log_potential",
+    "laplacian_identity_check", "log_potential",
     "map_boundary", "multiplicities", "neg2_moments", "neg2_trace",
     "neg4_trace", "p0_p2_positive", "p_tilde_unitary", "parse_pgm",
     "perturbed_symmetrized_law", "phi_derivative", "phi_formula",

@@ -397,7 +397,9 @@ def cmd_oracle(cfg, args, mu) -> dict:
     probes = o["probes"]
     if probes is None:
         # on three rays from the support radius + sqrt(t) + 1, r doubles
-        # until the lifetime is 1.25 t, within which flow_dSde is good to 2e-8
+        # until the lifetime is 1.25 t: clear of the domain's edge, where
+        # dS/deps grows steeply and the sampled matrix strays furthest
+        # from its limit
         probes = []
         for ray in (1.0, 1j, -1.0):
             r = mu.support_radius() + np.sqrt(t) + 1.0

@@ -54,7 +54,8 @@ def _check_gamma(t: float, gamma: complex) -> None:
 
 
 class ContinuationFailed(BrownscopeError):
-    """Path-following or a flow's ODE solver stalled before its target."""
+    """Path-following or shooting stalled before its target, or a flow's
+    state left the float range."""
 
 
 class MapEvaluationError(BrownscopeError):
@@ -75,8 +76,8 @@ class BlowUp(BrownscopeError):
     Attributes
     ----------
     t_detected : float
-        Estimated blow-up time (event time plus an asymptotic tail
-        correction from the frozen-coefficient Riccati equation).
+        The blow-up time, read off the flow's closed form (0 where the
+        dual variable is already infinite at the start).
     """
 
     def __init__(self, t_detected, message=None):

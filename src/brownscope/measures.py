@@ -605,18 +605,20 @@ def neg2_trace(mu: SpectralMeasure, lam):
     return reg_resolvent(mu, lam, 0.0)
 
 
-def neg2_moments(mu: SpectralMeasure, lam):
-    """Integrals of |xi - lam|^-2 and |xi|^2 |xi - lam|^-2 d mu(xi) from one
-    pass over the nodes, as a pair of extended reals.  At lam = 0 a node at
-    0 adds nothing to the second: its limit there is 1 - mu({0})."""
+def neg2_moments(mu: SpectralMeasure, lam, eps=0.0):
+    """Integrals of 1/(|xi - lam|^2 + eps) and |xi|^2/(|xi - lam|^2 + eps)
+    d mu(xi) from one pass over the nodes, as a pair of extended reals.
+    At lam = 0 and eps = 0 a node at 0 adds nothing to the second: its
+    limit there is 1 - mu({0})."""
     arr = np.asarray(lam, dtype=complex)
+    eps = float(eps)
     w = mu.prob_weights
     w2 = np.stack([w, w * _sq_dist(mu.positions, 0.0)], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 * inf at 0
-        both = _summed(mu, arr, lambda zb, xb, r2: _inv(r2, 0.0), w2)
+        both = _summed(mu, arr, lambda zb, xb, r2: _inv(r2, eps), w2)
     p2 = both[..., 1]
     at_zero = mu.positions == 0
-    if at_zero.any():
+    if eps == 0 and at_zero.any():
         p2 = np.where(arr == 0, 1.0 - np.sum(w[at_zero]), p2)
     return both[..., 0][()], p2[()]
 

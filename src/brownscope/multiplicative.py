@@ -34,6 +34,22 @@ The sign convention is pinned by two facts: the same convention reproduces
 the additive closed forms, and at eps0 = 0 the p_eps equation closes into
 the Riccati equation dp/dt = p (2 Re J(lam) + |lam|^2 p) whose blow-up time
 is exactly the unitary lifetime formula above, for every circle law.
+
+The system is solved in closed form (_characteristic).  With
+Phi = eps p_eps and A = |lam|^2 p_eps, Phi' = -Phi A = -Re(lam p_lam)' and
+Im(lam p_lam) is constant, so b = 1 - 2(Phi + Re(lam p_lam)) and the
+Hamiltonian H = -Phi (b + A + Phi) are constants of motion, and Phi solves
+the Riccati equation Phi' = Phi^2 + b Phi + H.  With k^2 = b^2/4 - H,
+w = b/2 + Phi0 and m = w + A0,
+
+    g = cosh kt - w sinh(kt)/k,     f = cosh kt - m sinh(kt)/k,
+    lam = lam0 e^{-bt/2} / g,   Phi = Phi0 f / g,   p_eps = p_eps0 e^{bt} g / f,
+
+with cos and sin for imaginary k and 1 and t for k = 0; eps = Phi / p_eps,
+and lam p_lam = Phi0 + Re(lam0 p_lam0) - Phi + i Im(lam0 p_lam0), or
+p_lam = p_lam0 e^{bt/2} g at lam0 = 0.  p_eps blows up at the first zero
+of f.  At eps0 = 0 that time is log(1 + b/A0)/b: T_mult_unitary on circle
+laws and T_mult_positive on half-line laws.
 """
 
 from __future__ import annotations
@@ -52,12 +68,9 @@ from .measures import (SpectralMeasure, cauchy_derivative, cauchy_transform,
                        reg_cauchy_transform, reg_resolvent)
 
 _SERIES_SWITCH = 1e-8
-_BLOW_UP_TOL = 1e-8  # the flow has blown up once p_eps passes its reciprocal
-_FLOW_RTOL, _FLOW_ATOL = 1e-10, 1e-12
-# flow_dSde: fixed RK4 steps per characteristic; Newton steps at most, the
-# tolerance on the log residuals, step halvings at most per Newton step,
-# and the forward-difference step of the Jacobian
-_RK4_STEPS = 200
+# flow_dSde's shooting: Newton steps at most, the tolerance on the log
+# residuals, step halvings at most per Newton step, and the
+# forward-difference step of the Jacobian
 _SHOOT_MAX_ITER = 20
 _SHOOT_TOL = 1e-12
 _SHOOT_HALVINGS = 10
@@ -179,103 +192,93 @@ def curvature_check_circle(mu_u: SpectralMeasure, theta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mult_rhs(_t, y):
-    x, yi, eps, plr, pli, pe = y
-    r2 = x * x + yi * yi
-    re_lp = x * plr - yi * pli  # Re(lam * p_lam)
-    inner = 1.0 + (r2 - eps) * pe - 2.0 * re_lp
-    dx = eps * pe * x
-    dy = eps * pe * yi
-    deps = -eps * (inner + (r2 - eps) * pe)
-    # dplam/dt = eps pe (pe conj(lam) - plam)
-    dplr = eps * pe * (pe * x - plr)
-    dpli = eps * pe * (-pe * yi - pli)
-    dpe = pe * (inner - eps * pe)
-    return [dx, dy, deps, dplr, dpli, dpe]
-
-
-def _initial_state(mu: SpectralMeasure, lam0: complex, eps0: float) -> list:
-    """The flow's start (x, y, eps, Re p_lam, Im p_lam, p_eps) at
-    (lam0, eps0): p_eps the regularized inverse-square integral, p_lam
-    its complex spatial gradient.  BlowUp at time 0 where p_eps is
-    infinite (eps0 = 0 on an atom)."""
-    pe0 = float(reg_resolvent(mu, lam0, eps0))
+def _initial_state(mu: SpectralMeasure, lam0: complex, eps0: float):
+    """(y, p2): the flow's start y at (lam0, eps0), with p_eps the
+    regularized inverse-square integral and p_lam its complex spatial
+    gradient, and p2 the same integral weighted by |xi|^2.  BlowUp at time
+    0 where p_eps is infinite (eps0 = 0 on an atom).  An eps0 < 0 is taken
+    as given: the caller keeps sqrt(-eps0) below the distance to the
+    support."""
+    pe0, p2 = map(float, neg2_moments(mu, lam0, eps0))
     if np.isinf(pe0):
         raise BlowUp(0.0, "initial momentum already divergent")
     pl0 = complex(reg_cauchy_transform(mu, lam0, eps0))
-    return [lam0.real, lam0.imag, eps0, pl0.real, pl0.imag, pe0]
+    return HamiltonStateMult(lam0, eps0, pl0, pe0, 0.0), p2
+
+
+def _characteristic(start, t: float):
+    """(state, t_blow): the characteristic from start = (y, p2) at time t,
+    by the closed form of the module docstring, and the time p_eps blows
+    up (+inf if never); the state is None when t_blow <= t.
+    ContinuationFailed when the state at t leaves the float range."""
+    y, p2 = start
+    lam0, pe0 = y.lam, y.p_epsilon
+    phi0, a0 = y.epsilon * pe0, abs(lam0) ** 2 * pe0
+    lp0 = lam0 * y.p_lambda
+    b = 1.0 - 2.0 * (phi0 + lp0.real)
+    w = 0.5 * b + phi0
+    m = w + a0  # m + b/2 = p2, which b + Phi0 + A0 would reach by cancelling
+    k2 = w * w + phi0 * a0  # b^2/4 - H
+    if k2 > 0:
+        k = math.sqrt(k2)
+        # k - w and k - m, without cancellation where w or m is positive
+        kw = phi0 * a0 / (k + w) if w > 0 else k - w
+        km = -a0 * p2 / (k + m) if m > 0 else k - m
+        t_blow = math.log1p(-2.0 * k / km) / (2.0 * k) if km < 0 else math.inf
+    else:
+        kappa = math.sqrt(-k2)
+        t_blow = (math.atan2(kappa, m) / kappa if kappa
+                  else 1.0 / m if m > 0 else math.inf)
+    if t >= t_blow:
+        return None, t_blow
+    try:
+        if k2 > 0:  # c = cosh kt, s = sinh(kt)/k, g and f, all times e^{-kt}
+            e, scale = math.exp(-2.0 * k * t), k * t
+            c, s = 0.5 * (1.0 + e), -0.5 * math.expm1(-2.0 * k * t) / k
+            # for 0 < q < 2k, c - q s = (k - q + (k + q) e) / 2k cancels less
+            g, f = (0.5 * (kq + (k + q) * e) / k if 0 < q < 2.0 * k
+                    else c - q * s for q, kq in ((w, kw), (m, km)))
+        else:
+            c, s, scale = (math.cos(kappa * t), math.sin(kappa * t) / kappa,
+                           0.0) if kappa else (1.0, t, 0.0)
+            g, f = c - w * s, c - m * s
+        u = math.exp(0.5 * b * t + scale) * g  # lam0 / lam
+        ratio = f / g  # Phi / Phi0
+        pe = pe0 * math.exp(b * t) / ratio
+        phi = phi0 * ratio
+        lam = lam0 / u
+        pl = (complex(phi0 + lp0.real - phi, lp0.imag) / lam if lam0
+              else y.p_lambda * u)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ContinuationFailed(
+            f"the characteristic left the float range before time t: {exc}"
+        ) from exc
+    if not all(map(math.isfinite, (abs(lam), abs(pl), pe, phi / pe))):
+        raise ContinuationFailed(
+            "the characteristic left the float range before time t")
+    return HamiltonStateMult(lam, phi / pe, pl, pe, t), t_blow
 
 
 def hamilton_flow_mult(mu_u: SpectralMeasure, lam0, eps0: float,
                        t: float) -> HamiltonStateMult:
-    """Integrate the characteristic system from (lam0, eps0) for time t.
+    """The characteristic from (lam0, eps0) at time t, in closed form.
 
     Initial momenta are read off the regularized log potential itself:
     p_eps(0) is the regularized inverse-square integral and p_lam(0) its
-    complex spatial gradient.  Adaptive RK with step rejection (RK45).
+    complex spatial gradient.
 
-    Raises BlowUp when p_eps crosses 1/_BLOW_UP_TOL before time t; the
-    exception carries the estimated blow-up time (event time plus the
-    tail of the frozen-coefficient Riccati equation, so the estimate is
-    far more precise than the threshold itself).  Raises ContinuationFailed
-    when the solver stops for any other reason.
+    Raises BlowUp when p_eps blows up by time t; the exception carries
+    the exact blow-up time.  Raises ContinuationFailed when the state at
+    t leaves the float range.
     """
-    from scipy.integrate import solve_ivp  # costly import, off the CLI paths
     eps0 = float(eps0)
     if eps0 < 0:
         raise ValueError("eps0 must be nonnegative")
-    y0 = _initial_state(mu_u, complex(lam0), eps0)
-    p_max = 1.0 / _BLOW_UP_TOL
-
-    def blow_event(_tt, y):
-        return y[5] - p_max
-
-    blow_event.terminal = True
-    blow_event.direction = 1.0
-
-    sol = solve_ivp(_mult_rhs, (0.0, float(t)), y0, method="RK45",
-                    rtol=_FLOW_RTOL, atol=_FLOW_ATOL, events=blow_event)
-    if not sol.success and sol.status != 1:
-        raise ContinuationFailed(f"flow integration failed: {sol.message}")
-    if sol.status == 1:  # event hit
-        te = float(sol.t_events[0][0])
-        ye = sol.y_events[0][0]
-        x, yi, eps, plr, pli, pe = ye
-        r2 = x * x + yi * yi
-        c = 1.0 - 2.0 * (x * plr - yi * pli)
-        B = r2 - 2.0 * eps
-        if B > 0:
-            if abs(c) > 1e-300:
-                tail = np.log1p(c / (B * pe)) / c
-            else:
-                tail = 1.0 / (B * pe)
-        else:
-            tail = 0.0
-        raise BlowUp(te + tail)
-    yf = sol.y[:, -1]
-    return HamiltonStateMult(complex(yf[0], yf[1]), float(yf[2]),
-                             complex(yf[3], yf[4]), float(yf[5]), float(t))
-
-
-def _rk4_flow(y, t: float) -> list:
-    """_mult_rhs integrated over [0, t] by _RK4_STEPS classical RK4 steps
-    on plain floats.  ContinuationFailed once p_eps passes
-    1/_BLOW_UP_TOL or the state stops being finite."""
-    h = t / _RK4_STEPS
-    half, sixth = 0.5 * h, h / 6.0
-    p_max = 1.0 / _BLOW_UP_TOL
-    for _ in range(_RK4_STEPS):
-        if not abs(y[5]) < p_max:  # also catches nan
-            raise ContinuationFailed("the characteristic blew up before time t")
-        k1 = _mult_rhs(0.0, y)
-        k2 = _mult_rhs(0.0, [a + half * b for a, b in zip(y, k1)])
-        k3 = _mult_rhs(0.0, [a + half * b for a, b in zip(y, k2)])
-        k4 = _mult_rhs(0.0, [a + h * b for a, b in zip(y, k3)])
-        y = [a + sixth * (b + 2.0 * (c + d) + e)
-             for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
-    if not (abs(y[5]) < p_max and all(map(math.isfinite, y))):
-        raise ContinuationFailed("the characteristic blew up before time t")
-    return y
+    state, t_blow = _characteristic(_initial_state(mu_u, complex(lam0), eps0),
+                                    float(t))
+    if state is None:
+        raise BlowUp(t_blow)
+    return state
 
 
 def _landing(mu: SpectralMeasure, lam, t: float, eps: float):
@@ -287,14 +290,21 @@ def _landing(mu: SpectralMeasure, lam, t: float, eps: float):
     with a forward-difference Jacobian, seeded at (|lam|, eps), drives the
     log residuals of |lam(t)| and eps(t) to zero.  At lam = 0 only eps0 is
     solved for; at eps = 0 the characteristic from (lam, 0) keeps both, so
-    one integration serves.  NegativeEpsilon for eps < 0, BlowUp for
+    one evaluation serves.  NegativeEpsilon for eps < 0, BlowUp for
     eps = 0 on an atom, ContinuationFailed when the seed's flow blows up
     or Newton does not converge within _SHOOT_MAX_ITER steps."""
     lam, eps, t = complex(lam), float(eps), float(t)
     if eps < 0:
         raise NegativeEpsilon(f"eps = {eps:.3g}: the flow reference needs eps >= 0")
+
+    def flow(lam0, eps0):
+        y = _characteristic(_initial_state(mu, lam0, eps0), t)[0]
+        if y is None:
+            raise ContinuationFailed("the characteristic blew up before time t")
+        return y
+
     if eps == 0:
-        return lam, 0.0, _rk4_flow(_initial_state(mu, lam, 0.0), t)
+        return lam, 0.0, flow(lam, 0.0)
     radius = abs(lam)
     phase = lam / radius if radius else 1.0
     # plain floats throughout: u is (log r0, log eps0), or log eps0 alone
@@ -305,9 +315,8 @@ def _landing(mu: SpectralMeasure, lam, t: float, eps: float):
 
     def residual(u):
         try:
-            y = _rk4_flow(_initial_state(mu, *start(u)), t)
-            got = ([math.log(math.hypot(y[0], y[1]))] if radius
-                   else []) + [math.log(y[2])]
+            y = flow(*start(u))
+            got = ([math.log(abs(y.lam))] if radius else []) + [math.log(y.epsilon)]
         except (OverflowError, ValueError) as exc:  # exp overflow, log(<= 0)
             raise ContinuationFailed(
                 f"the shooting left the float range: {exc}") from exc
@@ -354,17 +363,12 @@ def _landing(mu: SpectralMeasure, lam, t: float, eps: float):
 def flow_dSde(mu: SpectralMeasure, lam, t: float, eps) -> float:
     """dS/deps at (t, lam, eps) of the plain (gamma = 0) model x b_t with x
     of law mu: p_eps at time t along the characteristic that lands on
-    (lam, eps), found by shooting (_landing) and integrated by fixed-step
-    RK4.  No scipy.  NegativeEpsilon for eps < 0; BlowUp for eps = 0 on
+    (lam, eps), found by shooting (_landing) through the closed-form
+    flow.  No scipy.  NegativeEpsilon for eps < 0; BlowUp for eps = 0 on
     an atom; ContinuationFailed when the characteristic blows up or the
     shooting does not converge, as it does from lam inside the time-t
-    domain at small eps.
-
-    The fixed steps lose accuracy as lam nears the domain's edge, where
-    p_eps grows fast late in the flow: against solve_ivp the result is
-    within 2e-8 relative where T(lam) >= 1.25 t on the tested laws, and
-    within 3e-6 at T(lam) = 1.07 t (quartic law, t = 2, eps = 1e-3)."""
-    return float(_landing(mu, lam, t, eps)[2][5])
+    domain at small eps."""
+    return _landing(mu, lam, t, eps)[2].p_epsilon
 
 
 def blow_up_time(mu_u: SpectralMeasure, lam0, eps0: float,

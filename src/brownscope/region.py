@@ -27,7 +27,6 @@ from .errors import MapEvaluationError
 
 _BIG = 1e30  # finite stand-in for +-inf during interpolation
 _MAX_EXPANSION, _MAX_DEPTH = 5.0, 12  # map_boundary's refinement rule
-_RAY_TOL = 1e-10  # bracket width at which level_crossing_on_ray stops
 
 
 @dataclass(frozen=True)
@@ -386,38 +385,6 @@ def distance_to_boundary(boundary: Boundary, z) -> np.ndarray | float:
         d = np.abs(pts[:, None] - proj).min(axis=1)
         best = np.minimum(best, d)
     return float(best[0]) if scalar else best.reshape(zs.shape)
-
-
-def level_crossing_on_ray(f, center, angle, r_lo, r_hi, level) -> float:
-    """Bisect f(center + r e^{i angle}) - level for the crossing radius.
-    Requires a sign change between r_lo and r_hi."""
-    direction = np.exp(1j * float(angle))
-    c = complex(center)
-
-    def g(r):
-        val = f(c + r * direction)
-        if np.isinf(val):
-            return 1.0 if val > 0 else -1.0
-        return float(val) - level
-
-    g_lo, g_hi = g(r_lo), g(r_hi)
-    if g_lo == 0.0:
-        return float(r_lo)
-    if g_hi == 0.0:
-        return float(r_hi)
-    if (g_lo > 0) == (g_hi > 0):
-        raise ValueError("no sign change on the ray")
-    lo, hi = float(r_lo), float(r_hi)
-    while hi - lo > _RAY_TOL:
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if (gm > 0) == (g_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

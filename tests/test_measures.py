@@ -448,6 +448,21 @@ def test_kernels_match_direct_complex_sums(name, monkeypatch):
         assert _rel_err(p2, ref2) <= 1e-13
 
 
+@pytest.mark.parametrize("name", list(KERNEL_MEASURES))
+def test_regularized_neg2_moments_match_direct_sums(name):
+    mu = KERNEL_MEASURES[name]
+    z = _kernel_points(mu, False)
+    xi2 = np.abs(mu.positions) ** 2
+    p0, p2 = measures.neg2_moments(mu, z, 0.3)
+    ref0 = _direct(mu, z, lambda d: 1.0 / (np.abs(d) ** 2 + 0.3))
+    assert _rel_err(p0, ref0) <= 1e-13
+    ref2 = _direct(mu, z, lambda d: xi2 / (np.abs(d) ** 2 + 0.3))
+    assert _rel_err(p2, ref2) <= 1e-13
+    # at 0 a node at 0 adds 0 / eps to p2: the eps = 0 limit is not used
+    want = np.sum(mu.prob_weights * xi2 / (xi2 + 0.3))
+    assert measures.neg2_moments(mu, 0.0, 0.3)[1] == pytest.approx(want, rel=1e-13)
+
+
 @pytest.mark.parametrize("name", [n for n in KERNEL_MEASURES
                                   if n.startswith("atomic")])
 def test_kernels_exact_infinities_at_atoms(name, monkeypatch):

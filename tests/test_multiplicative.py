@@ -7,18 +7,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from brownscope import (BlowUp, ContinuationFailed, EvaluationOnSupport,
-                        Membership, NegativeEpsilon, OriginExcluded,
-                        SpectralMeasure, T_mult_positive, T_mult_unitary,
-                        Verdict, WrongSupportKind, blow_up_time,
-                        curvature_check_circle, evaluate_grid,
+from brownscope import (BlowUp, BrownscopeError, ContinuationFailed,
+                        EvaluationOnSupport, Membership, NegativeEpsilon,
+                        OriginExcluded, SpectralMeasure, T_mult_positive,
+                        T_mult_unitary, Verdict, WrongSupportKind,
+                        blow_up_time, curvature_check_circle, evaluate_grid,
                         extract_levelset, f_gamma_formula, flow_dSde,
                         hamilton_flow_mult, herglotz, p0_p2_positive,
                         p_tilde_unitary, point_in_region, preimage,
                         psi_derivative, psi_formula, reg_resolvent,
                         sigma_boundary_positive, spectral_test)
 from brownscope.additive import _band_membership
-from brownscope.multiplicative import (_atom_mass_at_zero, _landing,
+from brownscope.multiplicative import (_atom_mass_at_zero, _characteristic,
+                                       _initial_state, _landing,
                                        _zero_outside_closed_domain)
 
 
@@ -178,21 +179,130 @@ def test_flow_survives_before_lifetime():
     assert st.epsilon >= 0
 
 
-def test_flow_solver_failure_is_a_package_error(monkeypatch):
-    import types
+def _mult_rhs(_t, y):
+    """The characteristic system of the multiplicative module's docstring,
+    in the real coordinates (x, y, eps, Re p_lam, Im p_lam, p_eps)."""
+    x, yi, eps, plr, pli, pe = y
+    r2 = x * x + yi * yi
+    re_lp = x * plr - yi * pli  # Re(lam * p_lam)
+    inner = 1.0 + (r2 - eps) * pe - 2.0 * re_lp
+    return [eps * pe * x, eps * pe * yi, -eps * (inner + (r2 - eps) * pe),
+            eps * pe * (pe * x - plr), eps * pe * (-pe * yi - pli),
+            pe * (inner - eps * pe)]
 
-    import scipy.integrate
 
-    from brownscope import BrownscopeError, ContinuationFailed
+def _ode_state(start, t):
+    """The system integrated from the state start over [0, t] by RK45, as
+    (lam, eps, p_lam, p_eps)."""
+    from scipy.integrate import solve_ivp
+    y0 = [start.lam.real, start.lam.imag, start.epsilon, start.p_lambda.real,
+          start.p_lambda.imag, start.p_epsilon]
+    sol = solve_ivp(_mult_rhs, (0.0, t), y0, method="RK45", rtol=1e-10,
+                    atol=1e-12)
+    assert sol.success
+    x, yi, eps, plr, pli, pe = sol.y[:, -1]
+    return complex(x, yi), eps, complex(plr, pli), pe
 
-    def failing(*args, **kwargs):
-        return types.SimpleNamespace(success=False, status=-1,
-                                     message="step size fell below spacing")
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", failing)
-    with pytest.raises(ContinuationFailed, match="step size") as exc:
-        hamilton_flow_mult(delta1_circle(), 2.0, 0.1, 1.0)
-    assert isinstance(exc.value, BrownscopeError)
+def _invariants(state):
+    """H = -Phi (b + A + Phi), Phi + Re(lam p_lam) and Im(lam p_lam), with
+    Phi = eps p_eps, A = |lam|^2 p_eps and b = 1 - 2(Phi + Re(lam p_lam))."""
+    phi = state.epsilon * state.p_epsilon
+    a = abs(state.lam) ** 2 * state.p_epsilon
+    lp = state.lam * state.p_lambda
+    b = 1.0 - 2.0 * (phi + lp.real)
+    return -phi * (b + a + phi), phi + lp.real, lp.imag
+
+
+@st.composite
+def atomic_laws(draw):
+    """Up to four atoms on the unit circle or on [0, 3] of the half-line."""
+    atoms = draw(st.lists(st.tuples(st.floats(0.0, 3.0), st.floats(0.1, 1.0)),
+                          min_size=1, max_size=4))
+    xs, ws = (np.array(v) for v in zip(*atoms))
+    if draw(st.booleans()):
+        return SpectralMeasure.atomic(np.exp(2j * np.pi * xs / 3.0), ws,
+                                      support="circle")
+    return SpectralMeasure.atomic(xs, ws, support="nonneg")
+
+
+def _exact_lifetime(mu, lam):
+    """log(a/p2)/(a - p2), a = |lam|^2 p0, to 40 digits: the lifetime of
+    T_mult_positive and, with p2 = p0 on the circle, of T_mult_unitary."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        z = mp.mpc(complex(lam))
+        p0 = p2 = mp.mpf(0)
+        for x, w in zip(mu.positions, mu.prob_weights):
+            q = mp.mpf(float(w)) / abs(z - mp.mpc(complex(x))) ** 2
+            p0 += q
+            p2 += q * abs(mp.mpc(complex(x))) ** 2
+        a = abs(z) ** 2 * p0
+        if p2 == 0:  # a point mass at 0
+            return np.inf
+        return float(mp.log(a / p2) / (a - p2) if a != p2 else 1 / p2)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(mu=atomic_laws(), log_r=st.floats(-12.0, 1.5),
+       theta=st.floats(0.0, 2.0 * np.pi))
+def test_blow_up_time_at_eps0_zero_is_the_lifetime(mu, log_r, theta):
+    # the paper's anchor: from eps0 = 0 the flow blows up at T(lam)
+    lam = 10.0 ** log_r * np.exp(1j * theta)
+    assume(mu.support_distance(lam) > mu.guard_band)
+    T = _exact_lifetime(mu, lam)
+    assume(0.0 < T < 50.0)
+    assert blow_up_time(mu, lam, 0.0) == pytest.approx(T, rel=1e-12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(mu=atomic_laws(), log_r=st.floats(-10.0, 0.6),
+       theta=st.floats(0.0, 2.0 * np.pi), log_eps=st.floats(-10.0, 1.0),
+       frac=st.floats(0.0, 1.0, exclude_max=True))
+def test_flow_keeps_its_constants_of_motion(mu, log_r, theta, log_eps, frac):
+    lam0, eps0 = 10.0 ** log_r * np.exp(1j * theta), 10.0 ** log_eps
+    t = frac * blow_up_time(mu, lam0, eps0)  # +inf past t_max = 50
+    assume(np.isfinite(t))
+    start = _initial_state(mu, complex(lam0), eps0)[0]
+    end = hamilton_flow_mult(mu, lam0, eps0, t)
+    for a, b in zip(_invariants(start), _invariants(end)):
+        assert abs(b - a) <= 1e-12 * max(1.0, abs(a))
+    # Phi = eps p_eps falls from Phi0 towards 0, and lam moves out along
+    # its ray at the rate Phi: 1 <= lam / lam0 <= e^{Phi0 t}
+    phi0 = start.epsilon * start.p_epsilon
+    assert 0.0 <= end.epsilon * end.p_epsilon <= phi0 * (1.0 + 1e-12)
+    growth = end.lam / lam0
+    assert abs(growth.imag) <= 1e-12 * abs(growth)
+    assert 1.0 - 1e-12 <= growth.real <= np.exp(phi0 * t) * (1.0 + 1e-12)
+
+
+def test_flow_from_a_negative_eps0_agrees_with_solve_ivp():
+    # k^2 = b^2/4 - H < 0 only from eps0 < 0: the trigonometric branch
+    mu = fourth_roots()
+    start = _initial_state(mu, 1.2 + 1.2j, -0.888)
+    t_blow = _characteristic(start, 0.0)[1]
+    assert 0.6 < t_blow < 0.7
+    state = _characteristic(start, 0.5)[0]
+    lam, eps, pl, pe = _ode_state(start[0], 0.5)
+    assert state.lam == pytest.approx(lam, rel=1e-8)
+    assert state.epsilon == pytest.approx(eps, rel=1e-8)
+    assert state.p_lambda == pytest.approx(pl, rel=1e-8)
+    assert state.p_epsilon == pytest.approx(pe, rel=1e-8)
+    assert _characteristic(start, t_blow)[0] is None
+
+
+@pytest.mark.parametrize("call", [
+    lambda mu: hamilton_flow_mult(mu, 3.0, 0.1, 1e4),
+    lambda mu: flow_dSde(mu, 3.0, 1e6, 0.0),
+    lambda mu: hamilton_flow_mult(mu, 1.0 + 1e-9, 0.0, 1.0),
+    lambda mu: hamilton_flow_mult(mu, 0.0, 1e-3, 800.0)],
+    ids=["past-blow-up", "reference-past-blow-up", "next-to-an-atom",
+         "p-eps-overflows"])
+def test_flow_raises_only_package_errors(call):
+    # far past the blow-up time, next to an atom, or where p_eps = p_eps0
+    # e^{bt} leaves the float range (lam0 = 0, b near 1)
+    with pytest.raises(BrownscopeError):
+        call(fourth_roots())
 
 
 # --- the flow reference dS/deps ------------------------------------------------
@@ -214,15 +324,17 @@ def _riccati(mu, lam, t):
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("eps", [1e-3, 0.3])
 def test_flow_reference_agrees_with_solve_ivp(law, lam, t, eps):
-    # the RK4 shooting lands on (lam, eps); solve_ivp from the same start
-    # lands there too, with the same p_eps
+    # the shooting lands on (lam, eps); an ODE solve of the system from
+    # the same start lands there too, with the same p_eps
     mu = law()
-    lam0, eps0, _ = _landing(mu, lam, t, eps)
-    ref = flow_dSde(mu, lam, t, eps)
-    state = hamilton_flow_mult(mu, lam0, eps0, t)
-    assert abs(state.lam - lam) <= 1e-6 * max(abs(lam), 1.0)
-    assert state.epsilon == pytest.approx(eps, rel=1e-6)
-    assert state.p_epsilon == pytest.approx(ref, rel=1e-6)
+    lam0, eps0, state = _landing(mu, lam, t, eps)
+    assert state.p_epsilon == flow_dSde(mu, lam, t, eps)
+    got_lam, got_eps, got_pl, got_pe = _ode_state(
+        _initial_state(mu, lam0, eps0)[0], t)
+    assert abs(got_lam - lam) <= 1e-8 * max(abs(lam), 1.0)
+    assert got_eps == pytest.approx(eps, rel=1e-8)
+    assert abs(got_pl - state.p_lambda) <= 1e-8 * max(abs(got_pl), 1.0)
+    assert got_pe == pytest.approx(state.p_epsilon, rel=1e-8)
 
 
 @pytest.mark.parametrize("law, lam", [
@@ -235,7 +347,7 @@ def test_flow_reference_tends_to_the_riccati_form(law, lam):
             for eps in (1e-2, 1e-4, 1e-6, 1e-8)]
     assert gaps == sorted(gaps, reverse=True)
     assert gaps[-1] <= 1e-6 * want
-    assert flow_dSde(mu, lam, t, 0.0) == pytest.approx(want, rel=1e-8)
+    assert flow_dSde(mu, lam, t, 0.0) == pytest.approx(want, rel=1e-13)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

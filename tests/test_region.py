@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from brownscope import (Boundary, Chain, EvaluationOnSupport, Grid,
                         MapEvaluationError, distance_to_boundary, emit,
-                        evaluate_grid, extract_levelset, level_crossing_on_ray,
-                        map_boundary, parse_pgm, point_in_region)
+                        evaluate_grid, extract_levelset, map_boundary,
+                        parse_pgm, point_in_region)
 from brownscope.region import document, read_boundary
 
 
@@ -355,17 +355,6 @@ def test_distance_to_boundary():
     b = unit_circle_boundary(2048)
     assert distance_to_boundary(b, 0.0) == pytest.approx(1.0, abs=1e-5)
     assert distance_to_boundary(b, 3.0) == pytest.approx(2.0, abs=1e-5)
-
-
-def test_level_crossing_on_ray():
-    r = level_crossing_on_ray(sq_modulus, 0.0, 0.7, 0.1, 3.0, 1.0)
-    assert r == pytest.approx(1.0, abs=1e-9)
-    # infinite values on the inner end are tolerated
-    def f(z):
-        with np.errstate(divide="ignore"):
-            return -1.0 / np.abs(z) ** 2
-    r2 = level_crossing_on_ray(f, 0.0, 0.0, 0.0, 3.0, -1.0)
-    assert r2 == pytest.approx(1.0, abs=1e-9)
 
 
 # --- emission ---------------------------------------------------------------

@@ -25,7 +25,12 @@ rdiag `radii --t-max 3 --steps 4`, whose sweep passes the time the hole
 closes, in json and csv.  A few
 error runs close the list: |gamma| > t, usage errors, an unwritable
 --out, an oracle on a grid the domain covers and a negative
-oracle.dilation.  Each run prints one tab-separated line:
+oracle.dilation.  Last, mult-unitary and mult-positive run the oracle
+with explicit probes, which reach the flow reference's other paths: one
+at eps = 0, where no shooting is needed, one where the lifetime is
+about 1.07 t, and one inside the time-t domain, where the reference
+fails and the row carries reference_error.  Each run prints one
+tab-separated line:
 
     model  command  format  exit-code  sha256(stdout)  last stderr line
 
@@ -112,6 +117,12 @@ ERRORS = [
     ("oracle-grid-covered", "covered.json", ["oracle"]),
     ("oracle-negative-dilation", "negative-dilation.json", ["oracle"]),
 ]
+# oracle.probes rows [re, im, eps] for the flow reference of each mult-*
+# model: eps = 0, T(lam) = 1.07 t, and inside the time-t domain
+FLOW_PROBES = {"mult-unitary": [[3.0, 0.0, 0.0], [1.876, 0.0, 1e-3],
+                                [1.2, 0.0, 1e-3]],
+               "mult-positive": [[4.0, 0.0, 0.0], [3.603, 0.0, 1e-3],
+                                 [1.5, 0.0, 1e-3]]}
 # the add-elliptic domain at t = 4 covers the grid [-1, 1]^2: its level set
 # crosses no cell, and the oracle refuses the run
 COVERED = dict(MODELS["add-elliptic"], model="add-elliptic", t=4.0,
@@ -133,6 +144,9 @@ def write_inputs(work: Path) -> None:
                    rgrid={"n_r": 64, "n_theta": 64},
                    oracle={"n": 60, "k": 6, "seed": 5})
         (work / f"{model}.json").write_text(json.dumps(cfg))
+        if model in FLOW_PROBES:
+            (work / f"{model}-probes.json").write_text(json.dumps(dict(
+                cfg, oracle=dict(cfg["oracle"], probes=FLOW_PROBES[model]))))
     (work / "oracle-400.json").write_text(json.dumps(dict(
         MODELS["mult-unitary"], model="mult-unitary", oracle=ORACLE_400,
         grid={"re_min": -3.0, "re_max": 3.0, "im_min": -3.0, "im_max": 3.0,
@@ -242,6 +256,9 @@ def main(argv=None) -> int:
                       "rdiag.json", "--format", fmt]))
     for name, cfg, extra in ERRORS:
         jobs.append((("add-elliptic", name, "-"), [*extra, "--config", cfg]))
+    for model in FLOW_PROBES:
+        jobs.append(((f"{model}/flow-probes", "oracle", "json"),
+                     ["oracle", "--config", f"{model}-probes.json"]))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_inputs(work)
