@@ -17,13 +17,17 @@ from __future__ import annotations
 import argparse
 import collections
 import functools
-import hashlib
 import json
 import math
 import os
 import sys
 
 import numpy as np
+
+try:  # CPython's own SHA-256; hashlib would load OpenSSL's libcrypto
+    from _sha2 import sha256 as _sha256
+except ImportError:  # Python 3.10 and 3.11
+    from _sha256 import sha256 as _sha256
 
 from . import additive, multiplicative, rdiagonal, rmt
 from . import region as region_mod
@@ -227,7 +231,7 @@ def config_hash(cfg: dict) -> str:
     blob = json.dumps({k: v for k, v in cfg.items()
                        if k not in ("out", "format")},
                       sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    return _sha256(blob.encode()).hexdigest()[:12]
 
 
 def resolve_measure(cfg: dict) -> SpectralMeasure:
@@ -374,17 +378,8 @@ def cmd_oracle(cfg, args, mu) -> dict:
             report["predicted_inner"] = 0.0
         return report
 
-    if model.startswith("add-"):
-        a = atomic() + rmt.sample_elliptic(n, t, gamma, seed, stream=1)
-    else:
-        # the atomic matrix is drawn once sample_b has freed its buffers,
-        # not held through them; the streams are keyed, so the bytes are
-        # the same
-        b = rmt.sample_b(n, t, gamma, k=k, seed=seed, stream=1)
-        a = atomic() @ b
-        report["k"] = k
-    eig = rmt.eigenvalues(a)
-    report["sampler"] = rmt.SAMPLER_VERSION
+    # the boundary comes first, so a run refused for want of one draws
+    # nothing, and only the boundary, not its grid, outlives the step
     mapped = _mapped(cfg, mu, _extract_domain(cfg, mu))
     if not mapped.polylines:
         # no chain would count every eigenvalue outside
@@ -392,6 +387,18 @@ def cmd_oracle(cfg, args, mu) -> dict:
             "the domain's level set crosses no cell of the grid (the domain "
             "covers the grid or falls between its nodes), so there is no "
             "boundary to test the eigenvalues against")
+    if model.startswith("add-"):
+        a = atomic() + rmt.sample_elliptic(n, t, gamma, seed, stream=1)
+    else:
+        # the atomic matrix is drawn first, so the Haar draw's QR, the
+        # oracle's peak, runs before b exists, and sample_b's three
+        # buffers are then held beside one matrix.  The streams are
+        # keyed, so the bytes are those of the other order
+        a = atomic()
+        a = a @ rmt.sample_b(n, t, gamma, k=k, seed=seed, stream=1)
+        report["k"] = k
+    eig = rmt.eigenvalues(a)
+    report["sampler"] = rmt.SAMPLER_VERSION
     report["support"] = rmt.support_report(eig, boundary=mapped, dilation=dil)
 
     probes = o["probes"]

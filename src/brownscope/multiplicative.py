@@ -398,7 +398,8 @@ def p0_p2_positive(mu_x: SpectralMeasure, lam):
 def T_mult_positive(mu_x: SpectralMeasure, lam):
     """Positive-case lifetime at lam != 0: log(a/b)/(a - b) with
     a = |lam|^2 p0 and b = p2, series branch where a and b nearly agree
-    (on the circle |lam|^2 p0 = p2 the value is 1/p2).  T = 0 where the
+    (on the circle |lam|^2 p0 = p2 the value is 1/p2) and log(a/b) taken
+    directly, not through log1p, below a = b/4.  T = 0 where the
     integrals diverge.  Vectorized; a scalar lam = 0 is refused.  Where
     |lam|^2 is 0 (an array's lam = 0, or an underflow) T is the radial
     limit _T_at_zero; far out, _T_far_out."""
@@ -416,8 +417,9 @@ def T_mult_positive(mu_x: SpectralMeasure, lam):
     degenerate = (p2 == 0.0) & ~diverged
     b = np.where(diverged | degenerate, 1.0, p2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = (a - b) / b
-        T = _log_ratio_factor(u) / b
+        # below a = b/4, log1p((a - b) / b) keeps a/b only to eps b/a
+        T = np.where(a < 0.25 * b, np.log(a / b) / (a - b),
+                     _log_ratio_factor((a - b) / b) / b)
     T = np.where(degenerate, np.inf, T)
     T = np.where(diverged, 0.0, T)
     if origin.any():

@@ -603,6 +603,30 @@ def test_oracle_refuses_a_grid_the_domain_covers(tmp_path, capfd):
     assert "crosses no cell" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("model, cfg", [
+    ("add-elliptic", {"measure": BERN_REAL, "t": 4.0,
+                      "grid": {"re_min": -1.0, "re_max": 1.0, "im_min": -1.0,
+                               "im_max": 1.0, "nx": 32, "ny": 32}}),
+    # T < 0.35 on the square around the atom at 1
+    ("mult-unitary", {"measure": FOURTH_ROOTS, "t": 1.0, "gamma": [0.0, -0.5],
+                      "grid": {"re_min": 0.8, "re_max": 1.2, "im_min": -0.2,
+                               "im_max": 0.2, "nx": 32, "ny": 32}}),
+])
+def test_oracle_refuses_a_covered_grid_before_sampling(tmp_path, capfd,
+                                                        monkeypatch, model,
+                                                        cfg):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the oracle sampled before refusing")
+
+    for name in ("sample_b", "sample_atomic", "sample_elliptic"):
+        monkeypatch.setattr(rmt, name, no_draw)
+    c = cfg_file(tmp_path, "c.json", dict(
+        cfg, model=model, oracle={"n": 200, "k": 9, "seed": 1}))
+    assert cli.main(["oracle", "--config", c]) == 3
+    [doc] = error_objects(capfd.readouterr().err)
+    assert "crosses no cell" in doc["error"]["message"]
+
+
 def test_oracle_mult_loads_no_scipy_integrate(tmp_path):
     # the mult-* reference integrates the flow without scipy, whose
     # integrate package costs more than half a second to import
@@ -1103,3 +1127,43 @@ def test_cli_import_leaves_costly_scipy_modules_unloaded():
                          text=True, timeout=120, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert run.stdout.strip() == "[]"
+
+
+def test_domain_run_leaves_openssl_unloaded(tmp_path):
+    # hashlib would load OpenSSL's libcrypto (_hashlib) for config_hash
+    import os
+    import subprocess
+    import sys
+
+    c = cfg_file(tmp_path, "c.json", {
+        "model": "add-elliptic", "measure": BERN_REAL, "t": 1.0,
+        "gamma": [0.3, 0.1], "grid": {"nx": 32, "ny": 32}})
+    out = tmp_path / "d.json"
+    code = ("import sys; from brownscope import cli; "
+            f"code = cli.main(['domain', '--config', {c!r}, '--out', {str(out)!r}]); "
+            "print(code, sorted(m for m in ('_hashlib', 'hashlib') "
+            "if m in sys.modules))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.stdout.strip() == "0 []"
+    assert json.loads(out.read_text())["sigma"]["polylines"]
+
+
+@pytest.mark.parametrize("cfg", [
+    {},
+    {"model": "add-elliptic", "measure": BERN_REAL, "t": 1.0,
+     "gamma": [0.3, 0.1], "format": "csv", "out": "x.csv"},
+    {"model": "mult-unitary", "measure": FOURTH_ROOTS, "t": 1.0,
+     "oracle": {"n": 400, "k": 60, "seed": 7, "probes": None}},
+    {"model": "rdiag", "measure": "m\u00e9asure.json", "t": 0.5,
+     "grid": {"re_min": -1e300, "re_max": 1.5}},
+])
+def test_config_hash_is_sha256(cfg):
+    import hashlib
+    blob = json.dumps({k: v for k, v in cfg.items()
+                       if k not in ("out", "format")},
+                      sort_keys=True, separators=(",", ":"))
+    assert (cli.config_hash(cfg)
+            == hashlib.sha256(blob.encode()).hexdigest()[:12])

@@ -244,6 +244,23 @@ def _exact_lifetime(mu, lam):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
+@given(atoms=st.lists(st.tuples(st.just(0.0) | st.floats(1e-3, 3.0),
+                                st.floats(0.1, 1.0)), min_size=1, max_size=4),
+       log_r=st.floats(-6.0, 0.5), theta=st.floats(0.0, 2.0 * np.pi))
+def test_positive_lifetime_keeps_its_digits_near_zero(atoms, log_r, theta):
+    # near 0, off an atom there, a = |lam|^2 p0 is far below p2, where
+    # log1p(a/p2 - 1) would keep only the digits above eps p2/a
+    mu = SpectralMeasure.atomic(*map(np.array, zip(*atoms)), support="nonneg")
+    lam = 10.0 ** log_r * np.exp(1j * theta)
+    assume(mu.support_distance(lam) > mu.guard_band)
+    T = _exact_lifetime(mu, lam)
+    assume(np.isfinite(T))
+    assert T_mult_positive(mu, lam) == pytest.approx(T, rel=1e-12)
+    assert T_mult_positive(mu, np.array([lam]))[0] == pytest.approx(
+        T, rel=1e-12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(mu=atomic_laws(), log_r=st.floats(-12.0, 1.5),
        theta=st.floats(0.0, 2.0 * np.pi))
 def test_blow_up_time_at_eps0_zero_is_the_lifetime(mu, log_r, theta):

@@ -29,8 +29,10 @@ oracle.dilation.  Last, mult-unitary and mult-positive run the oracle
 with explicit probes, which reach the flow reference's other paths: one
 at eps = 0, where no shooting is needed, one where the lifetime is
 about 1.07 t, and one inside the time-t domain, where the reference
-fails and the row carries reference_error.  Each run prints one
-tab-separated line:
+fails and the row carries reference_error.  The last run is mult-positive
+lifetime in json on a 48^2 grid over [-1e-4, 1e-4]^2, where |lam|^2 p0 is
+far below p2 and the lifetime takes log(a/p2) directly.  Each run prints
+one tab-separated line:
 
     model  command  format  exit-code  sha256(stdout)  last stderr line
 
@@ -123,6 +125,11 @@ FLOW_PROBES = {"mult-unitary": [[3.0, 0.0, 0.0], [1.876, 0.0, 1e-3],
                                 [1.2, 0.0, 1e-3]],
                "mult-positive": [[4.0, 0.0, 0.0], [3.603, 0.0, 1e-3],
                                  [1.5, 0.0, 1e-3]]}
+# mult-positive on a grid around 0, where |lam| < 1e-4: the lifetime's
+# branch for |lam|^2 p0 < p2 / 4
+NEAR_ZERO_GRID = dict(MODELS["mult-positive"], model="mult-positive",
+                      grid={"re_min": -1e-4, "re_max": 1e-4, "im_min": -1e-4,
+                            "im_max": 1e-4, "nx": 48, "ny": 48})
 # the add-elliptic domain at t = 4 covers the grid [-1, 1]^2: its level set
 # crosses no cell, and the oracle refuses the run
 COVERED = dict(MODELS["add-elliptic"], model="add-elliptic", t=4.0,
@@ -154,6 +161,7 @@ def write_inputs(work: Path) -> None:
     (work / "elliptic-0.9.json").write_text(json.dumps(ELLIPTIC_09))
     (work / "origin-grid.json").write_text(json.dumps(ORIGIN_GRID))
     (work / "covered.json").write_text(json.dumps(COVERED))
+    (work / "near-zero.json").write_text(json.dumps(NEAR_ZERO_GRID))
     (work / "negative-dilation.json").write_text(json.dumps(dict(
         MODELS["add-elliptic"], model="add-elliptic",
         oracle={"n": 60, "seed": 5, "dilation": -1.0})))
@@ -259,6 +267,8 @@ def main(argv=None) -> int:
     for model in FLOW_PROBES:
         jobs.append(((f"{model}/flow-probes", "oracle", "json"),
                      ["oracle", "--config", f"{model}-probes.json"]))
+    jobs.append((("mult-positive/near-zero-grid", "lifetime", "json"),
+                 ["lifetime", "--config", "near-zero.json", "--format", "json"]))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_inputs(work)
