@@ -19,9 +19,8 @@ from .additive import (MEMBERSHIP_TOL, HamiltonState, Membership, Verdict,
 from .multiplicative import (HamiltonStateMult, T_mult_positive,
                              T_mult_unitary, blow_up_time,
                              curvature_check_circle, f_gamma_formula,
-                             flow_dSde, hamilton_flow_mult, p0_p2_positive,
-                             p_tilde_unitary, psi_derivative, psi_formula,
-                             sigma_boundary_positive)
+                             flow_dSde, hamilton_flow_mult, psi_derivative,
+                             psi_formula, sigma_boundary_positive)
 from .rdiagonal import (AnnulusSpec, biane_Ht, circ_inner_radius, hl_radii,
                         perturbed_symmetrized_law, stieltjes_invert, vt)
 from .rmt import (eigenvalues, empirical_S, empirical_dSde,
@@ -46,8 +45,8 @@ __all__ = [
     "flow_additive", "flow_dSde", "hamilton_flow_mult", "herglotz", "hl_radii",
     "laplacian_identity_check", "log_potential",
     "map_boundary", "multiplicities", "neg2_moments", "neg2_trace",
-    "neg4_trace", "p0_p2_positive", "p_tilde_unitary", "parse_pgm",
-    "perturbed_symmetrized_law", "phi_derivative", "phi_formula",
+    "neg4_trace", "parse_pgm", "perturbed_symmetrized_law",
+    "phi_derivative", "phi_formula",
     "point_in_region", "preimage", "psi_derivative", "psi_formula",
     "reg_cauchy_transform", "reg_resolvent",
     "reg_resolvent_deps", "sample_atomic", "sample_b", "sample_elliptic",

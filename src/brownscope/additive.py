@@ -178,6 +178,13 @@ def _eps_of_eps0(mu_x, lam, t, eps0):
     return eps0 * shrink * shrink, p, shrink
 
 
+def _eps_slope(mu_x, lam, t, eps0, shrink):
+    """d eps / d eps0 of eps0 -> eps0 (1 - t p(eps0))^2, with shrink = 1 - t p;
+    the map stays invertible while it is positive."""
+    return (shrink * shrink
+            - 2.0 * eps0 * t * shrink * reg_resolvent_deps(mu_x, lam, eps0))
+
+
 def analytic_extension_trace(mu_x: SpectralMeasure, lam, t: float,
                              eps_samples):
     """Values of the analytically extended d S / d eps at time t.
@@ -217,8 +224,7 @@ def analytic_extension_trace(mu_x: SpectralMeasure, lam, t: float,
             if abs(resid) <= 1e-15 * (abs(eps) + 1e-30) + 1e-300:
                 ok = True
                 break
-            dp = reg_resolvent_deps(mu_x, lam, eps0)
-            deriv = shrink * shrink - 2.0 * eps0 * t * shrink * dp
+            deriv = _eps_slope(mu_x, lam, t, eps0, shrink)
             if deriv <= 0:
                 raise InversionFailed("regularization map lost invertibility")
             step = resid / deriv
@@ -248,10 +254,7 @@ def extension_margin(mu_x: SpectralMeasure, lam, t: float) -> float:
             _, _, shrink = _eps_of_eps0(mu_x, lam, t, e0)
         except NegativeEpsilon:
             return False
-        if shrink <= 0:
-            return False
-        dp = reg_resolvent_deps(mu_x, lam, e0)
-        return shrink * shrink - 2.0 * e0 * t * shrink * dp > 0
+        return shrink > 0 and _eps_slope(mu_x, lam, t, e0, shrink) > 0
 
     if not admissible(0.0):
         return 0.0

@@ -1,21 +1,17 @@
 """Multiplicative-perturbation lifetime machinery.
 
-Two reference situations share this module.  A unitary reference with law
-mu_u on the unit circle, multiplied by a free multiplicative Gaussian
-family at time t, has lifetime
+Two reference situations share this module: a unitary reference with law
+mu on the unit circle and a positive reference with law mu on the
+nonnegative half-line, each multiplied by a free multiplicative Gaussian
+family at time t.  Both have the lifetime
 
-    T(lam) = (1/ptilde) * log(|lam|^2) / (|lam|^2 - 1),
-    ptilde  = integral of |lam - xi|^-2 dmu_u,
+    T(lam) = log(a / p2) / (a - p2),   a = |lam|^2 p0,
+    p0 = integral |xi - lam|^-2 dmu,   p2 = integral |xi|^2 |xi - lam|^-2 dmu,
 
-with the limiting factor 1 on |lam| = 1, T(0) = +inf, and T = 0 where
-ptilde diverges.  A positive reference with law mu_x on the nonnegative
-half-line has
-
-    T(lam) = log(|lam|^2 p0 / p2) / (|lam|^2 p0 - p2),
-    p0 = integral |xi - lam|^-2 dmu_x,   p2 = integral xi^2 |xi - lam|^-2 dmu_x,
-
-with the limit 1/p2 where the numerator and denominator vanish together.
-Both formulas switch to a series branch near the degenerate locus.
+with the limit 1/p2 where a = p2, T = 0 where p0 diverges and, at lam = 0,
+the radial limit (+inf unless an atom sits at 0).  On the circle |xi| = 1,
+so p2 = p0 and T = log(|lam|^2) / ((|lam|^2 - 1) p0).  _T_mult evaluates
+both; T_mult_unitary and T_mult_positive check the law's support.
 
 The regularized log potential S(t, lam, eps) obeys
 
@@ -33,7 +29,7 @@ written in the complex momentum p_lam = (p_x - i p_y)/2:
 The sign convention is pinned by two facts: the same convention reproduces
 the additive closed forms, and at eps0 = 0 the p_eps equation closes into
 the Riccati equation dp/dt = p (2 Re J(lam) + |lam|^2 p) whose blow-up time
-is exactly the unitary lifetime formula above, for every circle law.
+is exactly the lifetime formula above, for every circle law.
 
 The system is solved in closed form (_characteristic).  With
 Phi = eps p_eps and A = |lam|^2 p_eps, Phi' = -Phi A = -Re(lam p_lam)' and
@@ -48,8 +44,7 @@ w = b/2 + Phi0 and m = w + A0,
 with cos and sin for imaginary k and 1 and t for k = 0; eps = Phi / p_eps,
 and lam p_lam = Phi0 + Re(lam0 p_lam0) - Phi + i Im(lam0 p_lam0), or
 p_lam = p_lam0 e^{bt/2} g at lam0 = 0.  p_eps blows up at the first zero
-of f.  At eps0 = 0 that time is log(1 + b/A0)/b: T_mult_unitary on circle
-laws and T_mult_positive on half-line laws.
+of f.  At eps0 = 0 that time is log(1 + b/A0)/b, the lifetime T(lam0).
 """
 
 from __future__ import annotations
@@ -65,7 +60,7 @@ from .errors import (BlowUp, ContinuationFailed, EvaluationOnSupport,
                      NegativeEpsilon, OriginExcluded, WrongSupportKind)
 from .measures import (SpectralMeasure, cauchy_derivative, cauchy_transform,
                        herglotz, neg2_moments, neg2_trace, neg4_trace,
-                       reg_cauchy_transform, reg_resolvent)
+                       reg_cauchy_transform)
 
 _SERIES_SWITCH = 1e-8
 # flow_dSde's shooting: Newton steps at most, the tolerance on the log
@@ -93,30 +88,31 @@ def _log_ratio_factor(u):
     small = np.abs(u) < _SERIES_SWITCH
     safe = np.where(small, 1.0, u)
     with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.log1p(safe) / safe
-    series = 1.0 - u / 2.0 + u * u / 3.0
-    return np.where(small, series, direct)
+        out = np.log1p(safe, out=np.empty_like(safe))  # an array when 0-d
+        out /= safe
+    u = u[small]
+    out[small] = 1.0 - u / 2.0 + u * u / 3.0
+    return out
 
 
 # ---------------------------------------------------------------------------
-# unitary reference
+# lifetime
 # ---------------------------------------------------------------------------
 
+# off both the unit circle and the half-line, so p0 and p2 are finite there
+_STAND_IN = -2.0
+# below this |lam|, |lam|^2 leaves the normal range; with a node at 0, p0
+# overflows a little further in
+_TINY_MOD = 1.4916681462400413e-154
 
-def p_tilde_unitary(mu_u: SpectralMeasure, lam):
-    """Inverse-square integral against a circle law; +inf at atoms."""
-    if mu_u.support != "circle":
-        raise WrongSupportKind("p_tilde_unitary needs a circle-supported law")
-    return reg_resolvent(mu_u, lam, 0.0)
 
-
-def _far_out(mu: SpectralMeasure, arr, stand_in):
+def _far_out(mu: SpectralMeasure, arr):
     """(mask, points): the points so far out that |xi / lam| < 1e-150 on
-    the support and |lam|^2 may overflow, and arr with stand_in in their
-    place.  There both lifetimes are log(|lam|^2 / integral |xi|^2 d mu)
-    to double precision, which _T_far_out returns."""
+    the support and |lam|^2 may overflow, and arr with _STAND_IN in their
+    place.  There the lifetime is log(|lam|^2 / integral |xi|^2 d mu) to
+    double precision, which _T_far_out returns."""
     far = np.abs(arr) > 1e150 * (1.0 + mu.support_radius())
-    return far, (np.where(far, stand_in, arr) if far.any() else arr)
+    return far, (np.where(far, _STAND_IN, arr) if far.any() else arr)
 
 
 def _T_far_out(mu: SpectralMeasure, arr):
@@ -125,26 +121,85 @@ def _T_far_out(mu: SpectralMeasure, arr):
         return 2.0 * np.log(np.abs(arr)) - np.log(m2)
 
 
-def T_mult_unitary(mu_u: SpectralMeasure, lam):
-    """Unitary-case lifetime.  Vectorized; returns +inf at lam = 0 and 0
-    where the inverse-square integral diverges; far out, _T_far_out.
-    Below |lam|^2 = 1/4 the factor is 2 log|lam| / (|lam|^2 - 1), which
-    neither cancels nor underflows."""
+def _T_mult(mu: SpectralMeasure, lam):
+    """log(a/p2) / (a - p2) with a = |lam|^2 p0, for a law on the circle
+    (where p2 = p0) or on the half-line; see the module docstring.
+    Vectorized.  Where a/p2 nearly equals 1 the log-ratio factor takes its
+    series branch; below a/p2 = 1/4, log(a/p2) is 2 log|lam| + log(p0/p2),
+    which neither cancels nor underflows.  T = 0 where p0 diverges (at an
+    atom) and +inf where p2 = 0 (a point mass at 0).  At lam = 0, and with
+    a node at 0 wherever |lam| < _TINY_MOD (p0 overflows there), T is the
+    radial limit _T_at_zero; far out, _T_far_out."""
     arr = np.asarray(lam, dtype=complex)
-    scalar = arr.ndim == 0
-    far, pts = _far_out(mu_u, arr, 0.0)  # 0 is off the circle
-    p = np.asarray(p_tilde_unitary(mu_u, pts), dtype=float)
+    far, pts = _far_out(mu, arr)
+    zero = np.abs(pts) < _TINY_MOD if (mu.positions == 0).any() else pts == 0
+    if zero.any():
+        pts = np.where(zero, _STAND_IN, pts)
+    if mu.support == "circle":  # |xi| = 1: p2 = p0, so a / p2 = |lam|^2
+        p0 = p2 = np.asarray(neg2_trace(mu, pts), dtype=float)
+    else:
+        p0, p2 = map(np.asarray, neg2_moments(mu, pts))
     mod = np.abs(pts)
-    r2 = mod * mod
-    factor = _log_ratio_factor(r2 - 1.0)
-    near = r2 < 0.25
+    ratio = mod * mod
     with np.errstate(divide="ignore", invalid="ignore"):
-        factor[near] = 2.0 * np.log(mod[near]) / (r2[near] - 1.0)
-        T = np.where(np.isinf(p), 0.0, factor / np.where(np.isinf(p), 1.0, p))
-    T = np.where(pts == 0, np.inf, T)
+        if p2 is not p0:
+            ratio *= p0 / p2
+        T = _log_ratio_factor(ratio - 1.0)
+        near = ratio < 0.25
+        log_ratio = 2.0 * np.log(mod[near])
+        if p2 is not p0:
+            log_ratio += np.log(p0[near] / p2[near])
+        T[near] = log_ratio / (ratio[near] - 1.0)
+        T /= p2
+    T[p2 == 0.0] = np.inf
+    T[np.isinf(p0) | np.isinf(p2)] = 0.0
+    if zero.any():
+        T[zero] = _T_at_zero(mu)
     if far.any():
-        T = np.where(far, _T_far_out(mu_u, arr), T)
-    return float(T[()]) if scalar else T
+        T = np.where(far, _T_far_out(mu, arr), T)
+    return float(T[()]) if arr.ndim == 0 else T
+
+
+def T_mult_unitary(mu_u: SpectralMeasure, lam):
+    """Unitary-case lifetime log(|lam|^2) / ((|lam|^2 - 1) p0): _T_mult on
+    a circle law.  Vectorized; +inf at lam = 0 and 0 at an atom."""
+    if mu_u.support != "circle":
+        raise WrongSupportKind("T_mult_unitary needs a circle-supported law")
+    return _T_mult(mu_u, lam)
+
+
+def T_mult_positive(mu_x: SpectralMeasure, lam):
+    """Positive-case lifetime log(a/p2) / (a - p2), a = |lam|^2 p0: _T_mult
+    on a half-line law.  Vectorized; a scalar lam = 0 is refused, and an
+    array's lam = 0 takes the radial limit _T_at_zero.  On the circle
+    |lam|^2 p0 = p2 the value is 1/p2; at an atom it is 0."""
+    if mu_x.support != "nonneg":
+        raise WrongSupportKind("T_mult_positive needs a nonneg-supported law")
+    if np.ndim(lam) == 0 and complex(lam) == 0:
+        raise OriginExcluded("the positive-case lifetime excludes lam = 0")
+    return _T_mult(mu_x, lam)
+
+
+def _T_at_zero(mu_x: SpectralMeasure) -> float:
+    """Limit of the lifetime as lam -> 0: near 0, |lam|^2 p0 tends to
+    the mass w0 of an atom at 0 and p2 to the mass b = 1 - w0 off 0, so
+    the limit is finite when w0 and b are positive and +inf otherwise."""
+    w0 = _atom_mass_at_zero(mu_x)
+    b = float(np.sum(mu_x.weights[mu_x.positions != 0]))
+    if w0 > 0 and b > 0:  # b = 0: the law is a point mass at 0
+        return float(_log_ratio_factor(np.asarray((w0 - b) / b)) / b)
+    return np.inf
+
+
+def _atom_mass_at_zero(mu: SpectralMeasure) -> float:
+    if mu.kind != "atomic":
+        return 0.0
+    return float(np.sum(mu.weights[mu.positions == 0]))
+
+
+# ---------------------------------------------------------------------------
+# push-forward maps and the circle's curvature
+# ---------------------------------------------------------------------------
 
 
 def psi_formula(mu_u: SpectralMeasure, gamma: complex, lam):
@@ -385,65 +440,6 @@ def blow_up_time(mu_u: SpectralMeasure, lam0, eps0: float,
 # ---------------------------------------------------------------------------
 # positive reference
 # ---------------------------------------------------------------------------
-
-
-def p0_p2_positive(mu_x: SpectralMeasure, lam):
-    """The pair (p0, p2): inverse-square integral and xi^2-weighted
-    inverse-square integral of a nonnegative-line law.  Extended reals."""
-    if mu_x.support != "nonneg":
-        raise WrongSupportKind("p0_p2_positive needs a nonneg-supported law")
-    return neg2_moments(mu_x, lam)
-
-
-def T_mult_positive(mu_x: SpectralMeasure, lam):
-    """Positive-case lifetime at lam != 0: log(a/b)/(a - b) with
-    a = |lam|^2 p0 and b = p2, series branch where a and b nearly agree
-    (on the circle |lam|^2 p0 = p2 the value is 1/p2) and log(a/b) taken
-    directly, not through log1p, below a = b/4.  T = 0 where the
-    integrals diverge.  Vectorized; a scalar lam = 0 is refused.  Where
-    |lam|^2 is 0 (an array's lam = 0, or an underflow) T is the radial
-    limit _T_at_zero; far out, _T_far_out."""
-    arr = np.asarray(lam, dtype=complex)
-    if arr.ndim == 0 and complex(arr) == 0:
-        raise OriginExcluded("the positive-case lifetime excludes lam = 0")
-    # 1j stands in far out and at 0: off the half-line, so p0 and p2 are finite
-    far, pts = _far_out(mu_x, arr, 1j)
-    origin = np.abs(pts) ** 2 == 0
-    pts = np.where(origin, 1j, pts)
-    p0, p2 = p0_p2_positive(mu_x, pts)
-    a = (np.abs(pts) ** 2) * p0
-    diverged = np.isinf(p0) | np.isinf(p2)
-    # p2 = 0 only for a pure point mass at 0; the lifetime is then infinite
-    degenerate = (p2 == 0.0) & ~diverged
-    b = np.where(diverged | degenerate, 1.0, p2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # below a = b/4, log1p((a - b) / b) keeps a/b only to eps b/a
-        T = np.where(a < 0.25 * b, np.log(a / b) / (a - b),
-                     _log_ratio_factor((a - b) / b) / b)
-    T = np.where(degenerate, np.inf, T)
-    T = np.where(diverged, 0.0, T)
-    if origin.any():
-        T = np.where(origin, _T_at_zero(mu_x), T)
-    if far.any():
-        T = np.where(far, _T_far_out(mu_x, arr), T)
-    return float(T[()]) if arr.ndim == 0 else T
-
-
-def _T_at_zero(mu_x: SpectralMeasure) -> float:
-    """Limit of T_mult_positive as lam -> 0: near 0, |lam|^2 p0 tends to
-    the mass w0 of an atom at 0 and p2 to 1 - w0, so the limit is finite
-    when 0 < w0 < 1 and +inf otherwise."""
-    w0 = _atom_mass_at_zero(mu_x)
-    b = 1.0 - w0
-    if w0 > 0 and b > 0:  # b = 0: the law is a point mass at 0
-        return float(_log_ratio_factor(np.asarray((w0 - b) / b)) / b)
-    return np.inf
-
-
-def _atom_mass_at_zero(mu: SpectralMeasure) -> float:
-    if mu.kind != "atomic":
-        return 0.0
-    return float(np.sum(mu.weights[mu.at_zero]))
 
 
 def _zero_outside_closed_domain(mu_x: SpectralMeasure, t: float) -> bool:

@@ -815,6 +815,32 @@ def test_huge_grid_bounds_print_nothing_on_stderr(tmp_path, command):
     assert run.stderr == ""
 
 
+def test_lifetime_near_a_zero_atom_prints_nothing_on_stderr(tmp_path):
+    # below |lam| ~ 1e-154, |lam|^2 leaves the normal range and the atom at
+    # 0 puts p0 past the float range; the lifetime there is its radial
+    # limit 1 / (1 - w0) = 2, not the 0 of an atom
+    import os
+    import subprocess
+    import sys
+
+    c = cfg_file(tmp_path, "c.json", {
+        "model": "mult-positive", "t": 0.5,
+        "measure": {"kind": "atomic", "support": "nonneg",
+                    "atoms": [[0.0, 0.0, 0.5], [1.0, 0.0, 0.5]]},
+        "grid": {"re_min": -1e-154, "re_max": 1e-154, "im_min": -1e-154,
+                 "im_max": 1e-154, "nx": 4, "ny": 4}})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-m", "brownscope.cli", "lifetime",
+                          "--config", c, "--format", "json"],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0
+    assert run.stderr == ""
+    vals = np.asarray(json.loads(run.stdout)["values"], dtype=float)
+    assert np.all(vals[1:3, 1:3] == 2.0)
+    assert vals == pytest.approx(np.full((4, 4), 2.0), rel=1e-12)
+
+
 def test_gamma_bound_message(tmp_path, capfd):
     c = cfg_file(tmp_path, "c.json", {
         "model": "add-elliptic", "measure": BERN_REAL, "t": 1.0,

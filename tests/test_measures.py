@@ -16,8 +16,8 @@ from scipy import integrate
 
 from brownscope import (EvaluationOnSupport, NegativeEpsilon, SpectralMeasure,
                         T_additive, T_mult_positive, WrongSupportKind,
-                        cauchy_transform, herglotz, log_potential, neg2_trace,
-                        neg4_trace, p0_p2_positive, reg_resolvent,
+                        cauchy_transform, herglotz, log_potential,
+                        neg2_moments, neg2_trace, neg4_trace, reg_resolvent,
                         reg_resolvent_deps, symmetrize)
 from brownscope import evaluate_grid, measures
 
@@ -440,7 +440,7 @@ def test_kernels_match_direct_complex_sums(name, monkeypatch):
             assert _rel_err(val, r) <= 1e-13, label
     if mu.support == "nonneg":
         z = _kernel_points(mu, False)
-        p0, p2 = p0_p2_positive(mu, z)
+        p0, p2 = neg2_moments(mu, z)
         assert _rel_err(p0, _direct(mu, z, lambda d: np.abs(d) ** -2.0)) <= 1e-13
         xi2 = np.abs(mu.positions) ** 2
         ref2 = np.array([np.sum(mu.prob_weights * xi2 / np.abs(p - mu.positions) ** 2)
@@ -477,12 +477,12 @@ def test_kernels_exact_infinities_at_atoms(name, monkeypatch):
         assert np.all(log_potential(mu, lam) == -np.inf)
         assert np.all(np.isfinite(reg_resolvent(mu, lam, 0.3)))
     if mu.support == "nonneg":
-        p0, p2 = p0_p2_positive(mu, atoms)
+        p0, p2 = neg2_moments(mu, atoms)
         assert np.all(p0 == np.inf)
         assert np.all(p2[atoms != 0] == np.inf)
         # at 0 the atom there drops out of p2: its limit is 1 - mu({0})
         assert np.all(p2[atoms == 0] == 1.0 - mu.prob_weights[atoms == 0].sum())
-        assert p0_p2_positive(mu, 0.0)[1] == 1.0 - mu.prob_weights[0]
+        assert neg2_moments(mu, 0.0)[1] == 1.0 - mu.prob_weights[0]
 
 
 _coord = st.floats(-3.0, 3.0, allow_nan=False)
@@ -836,6 +836,6 @@ def test_tree_sums_are_exactly_infinite_at_atoms():
     # on the half-line, with an atom at 0: p2 there is 1 - mu({0})
     pos = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 3.0, 499))])
     mu = SpectralMeasure.atomic(pos, np.full(500, 0.002), "nonneg")
-    p0, p2 = p0_p2_positive(mu, pos)
+    p0, p2 = neg2_moments(mu, pos)
     assert np.all(p0 == np.inf)
     assert p2[0] == 1.0 - mu.prob_weights[0] and np.all(p2[1:] == np.inf)

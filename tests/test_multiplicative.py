@@ -13,8 +13,8 @@ from brownscope import (BlowUp, BrownscopeError, ContinuationFailed,
                         T_mult_unitary, Verdict, WrongSupportKind,
                         blow_up_time, curvature_check_circle, evaluate_grid,
                         extract_levelset, f_gamma_formula, flow_dSde,
-                        hamilton_flow_mult, herglotz, p0_p2_positive,
-                        p_tilde_unitary, point_in_region, preimage,
+                        hamilton_flow_mult, herglotz, neg2_moments,
+                        neg2_trace, point_in_region, preimage,
                         psi_derivative, psi_formula, reg_resolvent,
                         sigma_boundary_positive, spectral_test)
 from brownscope.additive import _band_membership
@@ -40,11 +40,13 @@ def two_atoms():
 
 def test_p_tilde_values():
     mu = delta1_circle()
-    assert p_tilde_unitary(mu, -1.0) == pytest.approx(0.25)
-    assert p_tilde_unitary(mu, 0.0) == pytest.approx(1.0)
-    assert p_tilde_unitary(fourth_roots(), 0.0) == pytest.approx(1.0)
+    assert neg2_trace(mu, -1.0) == pytest.approx(0.25)
+    assert neg2_trace(mu, 0.0) == pytest.approx(1.0)
+    assert neg2_trace(fourth_roots(), 0.0) == pytest.approx(1.0)
     with pytest.raises(WrongSupportKind):
-        p_tilde_unitary(SpectralMeasure.atomic([0.0], [1.0], "real"), 2.0)
+        T_mult_unitary(SpectralMeasure.atomic([0.0], [1.0], "real"), 2.0)
+    with pytest.raises(WrongSupportKind):
+        T_mult_unitary(two_atoms(), 2.0)
 
 
 def test_T_unitary_values():
@@ -61,7 +63,7 @@ def test_T_unitary_near_zero_is_relative():
     # T keeps its relative accuracy all the way down, and T(0) is inf
     mu = fourth_roots()
     for r in (1e-3, 1e-7, 1e-9, 1e-100, 1e-200):
-        want = -2.0 * np.log(r) / ((1.0 - r * r) * p_tilde_unitary(mu, r))
+        want = -2.0 * np.log(r) / ((1.0 - r * r) * neg2_trace(mu, r))
         got = T_mult_unitary(mu, r)
         assert abs(got - want) <= 1e-13 * want, r
         assert T_mult_unitary(mu, np.array([r * 1j]))[0] == pytest.approx(
@@ -234,13 +236,18 @@ def _exact_lifetime(mu, lam):
         z = mp.mpc(complex(lam))
         p0 = p2 = mp.mpf(0)
         for x, w in zip(mu.positions, mu.prob_weights):
+            if z == mp.mpc(complex(x)):  # at an atom
+                return 0.0
             q = mp.mpf(float(w)) / abs(z - mp.mpc(complex(x))) ** 2
             p0 += q
             p2 += q * abs(mp.mpc(complex(x))) ** 2
         a = abs(z) ** 2 * p0
         if p2 == 0:  # a point mass at 0
             return np.inf
-        return float(mp.log(a / p2) / (a - p2) if a != p2 else 1 / p2)
+        # log1p keeps the digits of a/p2 - 1 where a and p2 nearly agree
+        u = (a - p2) / p2
+        return float((mp.log(a / p2) if abs(u) > 0.5 else mp.log1p(u))
+                     / (u * p2) if u else 1 / p2)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -258,6 +265,35 @@ def test_positive_lifetime_keeps_its_digits_near_zero(atoms, log_r, theta):
     assert T_mult_positive(mu, lam) == pytest.approx(T, rel=1e-12)
     assert T_mult_positive(mu, np.array([lam]))[0] == pytest.approx(
         T, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mu=atomic_laws(), w0=st.none() | st.floats(0.1, 1.0),
+       log_r=st.floats(-300.0, 2.0), theta=st.floats(0.0, 2.0 * np.pi),
+       as_array=st.booleans())
+def test_lifetime_is_the_one_formula_from_1e_minus_300_to_100(
+        mu, w0, log_r, theta, as_array):
+    # circle and half-line laws, |lam| down to 1e-300, where |lam|^2
+    # underflows and, with an atom at 0 (of weight w0 added), p0 overflows
+    if w0 is not None and mu.support == "nonneg":
+        mu = SpectralMeasure.atomic(np.append(mu.positions.real, 0.0),
+                                    np.append(mu.weights, w0), "nonneg")
+    # nonzero atoms near the float range's edge are out of reach: one whose
+    # square underflows drops out of p2 (an open defect), and the radial
+    # limit stands in for T below |lam| ~ 1e-154 only as |lam| / xi -> 0
+    xi = np.abs(mu.positions)
+    assume(np.all((xi == 0) | (xi >= 1e-100)))
+    lam = 10.0 ** log_r * np.exp(1j * theta)
+    T = _exact_lifetime(mu, lam)
+    lifetime = T_mult_unitary if mu.support == "circle" else T_mult_positive
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = (lifetime(mu, np.array([lam]))[0] if as_array
+               else lifetime(mu, lam))
+    if T == 0 or np.isinf(T):
+        assert got == T
+    else:
+        assert got == pytest.approx(T, rel=1e-12)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -420,17 +456,20 @@ def test_curvature_matches_finite_differences():
 
 def test_p0_p2_values():
     mu1 = SpectralMeasure.atomic([1.0], [1.0], support="nonneg")
-    p0, p2 = p0_p2_positive(mu1, 2.0)
+    p0, p2 = neg2_moments(mu1, 2.0)
     assert (p0, p2) == (pytest.approx(1.0), pytest.approx(1.0))
     mu = SpectralMeasure.atomic([1.0, 2.0], [0.5, 0.5], support="nonneg")
-    p0, p2 = p0_p2_positive(mu, 4.0)
+    p0, p2 = neg2_moments(mu, 4.0)
     assert p0 == pytest.approx(13.0 / 72, abs=1e-14)
     assert p2 == pytest.approx(5.0 / 9, abs=1e-14)
+    for law in (fourth_roots(), SpectralMeasure.atomic([1.0], [1.0], "real")):
+        with pytest.raises(WrongSupportKind):
+            T_mult_positive(law, 2.0)
 
 
 def test_p0_p2_equal_when_mass_on_unit_modulus():
     mu1 = SpectralMeasure.atomic([1.0], [1.0], support="nonneg")
-    p0, p2 = p0_p2_positive(mu1, 0.3 + 0.4j)
+    p0, p2 = neg2_moments(mu1, 0.3 + 0.4j)
     assert p0 == pytest.approx(p2)
 
 
@@ -472,8 +511,13 @@ def test_T_positive_array_at_the_origin_is_the_radial_limit(atoms, weights,
         vals = T_mult_positive(mu, pts)
         ray = [T_mult_positive(mu, r * np.exp(0.3j)) for r in (1e-3, 1e-7)]
     assert vals[1] == pytest.approx(at_zero, rel=1e-14)
-    # |lam|^2 underflows to 0 at 1e-200: the same limit
-    assert vals[3] == vals[1]
+    if _atom_mass_at_zero(mu):
+        # |lam|^2 underflows to 0 at 1e-200: the same limit
+        assert vals[3] == vals[1]
+    else:
+        # no atom at 0: the lifetime at 1e-200 is finite, about 921.5
+        want = _exact_lifetime(mu, 1e-200j)
+        assert vals[3] == pytest.approx(want, rel=1e-12)
     if np.isfinite(at_zero):
         assert ray[1] == pytest.approx(at_zero, rel=1e-5)
     else:

@@ -29,10 +29,14 @@ oracle.dilation.  Last, mult-unitary and mult-positive run the oracle
 with explicit probes, which reach the flow reference's other paths: one
 at eps = 0, where no shooting is needed, one where the lifetime is
 about 1.07 t, and one inside the time-t domain, where the reference
-fails and the row carries reference_error.  The last run is mult-positive
+fails and the row carries reference_error.  Then mult-positive runs
 lifetime in json on a 48^2 grid over [-1e-4, 1e-4]^2, where |lam|^2 p0 is
-far below p2 and the lifetime takes log(a/p2) directly.  Each run prints
-one tab-separated line:
+far below p2 and the lifetime takes log(a/p2) through 2 log|lam|.  The
+last two runs are mult-positive lifetime in json on 16^2 grids where
+|lam|^2 leaves the normal range: over [-1e-154, 1e-154]^2 on a law with an
+atom at 0, where p0 would overflow and the lifetime is its radial limit,
+and over [-1e-165, 1e-165]^2 on the two-atom law, where it is finite.
+Each run prints one tab-separated line:
 
     model  command  format  exit-code  sha256(stdout)  last stderr line
 
@@ -130,6 +134,20 @@ FLOW_PROBES = {"mult-unitary": [[3.0, 0.0, 0.0], [1.876, 0.0, 1e-3],
 NEAR_ZERO_GRID = dict(MODELS["mult-positive"], model="mult-positive",
                       grid={"re_min": -1e-4, "re_max": 1e-4, "im_min": -1e-4,
                             "im_max": 1e-4, "nx": 48, "ny": 48})
+# mult-positive on grids inside |lam| < 1.5e-154, where |lam|^2 is not a
+# normal float: on a law with an atom at 0, and on the two-atom law
+ZERO_ATOM = {"kind": "atomic", "support": "nonneg",
+             "atoms": [[0.0, 0.0, 0.5], [1.0, 0.0, 0.5]]}
+TINY_GRIDS = {
+    "zero-atom-tiny-grid": dict(
+        MODELS["mult-positive"], model="mult-positive", measure=ZERO_ATOM,
+        grid={"re_min": -1e-154, "re_max": 1e-154, "im_min": -1e-154,
+              "im_max": 1e-154, "nx": 16, "ny": 16}),
+    "two-atoms-tiny-grid": dict(
+        MODELS["mult-positive"], model="mult-positive",
+        grid={"re_min": -1e-165, "re_max": 1e-165, "im_min": -1e-165,
+              "im_max": 1e-165, "nx": 16, "ny": 16}),
+}
 # the add-elliptic domain at t = 4 covers the grid [-1, 1]^2: its level set
 # crosses no cell, and the oracle refuses the run
 COVERED = dict(MODELS["add-elliptic"], model="add-elliptic", t=4.0,
@@ -162,6 +180,8 @@ def write_inputs(work: Path) -> None:
     (work / "origin-grid.json").write_text(json.dumps(ORIGIN_GRID))
     (work / "covered.json").write_text(json.dumps(COVERED))
     (work / "near-zero.json").write_text(json.dumps(NEAR_ZERO_GRID))
+    for name, cfg in TINY_GRIDS.items():
+        (work / f"{name}.json").write_text(json.dumps(cfg))
     (work / "negative-dilation.json").write_text(json.dumps(dict(
         MODELS["add-elliptic"], model="add-elliptic",
         oracle={"n": 60, "seed": 5, "dilation": -1.0})))
@@ -269,6 +289,10 @@ def main(argv=None) -> int:
                      ["oracle", "--config", f"{model}-probes.json"]))
     jobs.append((("mult-positive/near-zero-grid", "lifetime", "json"),
                  ["lifetime", "--config", "near-zero.json", "--format", "json"]))
+    for name in TINY_GRIDS:
+        jobs.append(((f"mult-positive/{name}", "lifetime", "json"),
+                     ["lifetime", "--config", f"{name}.json", "--format",
+                      "json"]))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_inputs(work)
