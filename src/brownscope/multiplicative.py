@@ -122,14 +122,14 @@ def _T_far_out(mu: SpectralMeasure, arr):
 
 
 def _T_mult(mu: SpectralMeasure, lam):
-    """log(a/p2) / (a - p2) with a = |lam|^2 p0, for a law on the circle
-    (where p2 = p0) or on the half-line; see the module docstring.
-    Vectorized.  Where a/p2 nearly equals 1 the log-ratio factor takes its
-    series branch; below a/p2 = 1/4, log(a/p2) is 2 log|lam| + log(p0/p2),
-    which neither cancels nor underflows.  T = 0 where p0 diverges (at an
-    atom) and +inf where p2 = 0 (a point mass at 0).  At lam = 0, and with
-    a node at 0 wherever |lam| < _TINY_MOD (p0 overflows there), T is the
-    radial limit _T_at_zero; far out, _T_far_out."""
+    """log(a/p2) / (a - p2), a = |lam|^2 p0, on the circle (p2 = p0) or the
+    half-line; vectorized.  a is formed first: near an atom at 0, p0/p2
+    overflows.  Near a/p2 = 1 the log-ratio factor takes its series branch;
+    below a/p2 = 1/4, log(a/p2) is 2 log|lam| + log(p0/p2), which neither
+    cancels nor underflows.  T = 0 where p0 diverges (at an atom) and +inf
+    where p2 = 0 (a point mass at 0).  At lam = 0, and with a node at 0
+    wherever |lam| < _TINY_MOD (p0 overflows there), T is the radial limit
+    _T_at_zero; far out, _T_far_out."""
     arr = np.asarray(lam, dtype=complex)
     far, pts = _far_out(mu, arr)
     zero = np.abs(pts) < _TINY_MOD if (mu.positions == 0).any() else pts == 0
@@ -143,7 +143,8 @@ def _T_mult(mu: SpectralMeasure, lam):
     ratio = mod * mod
     with np.errstate(divide="ignore", invalid="ignore"):
         if p2 is not p0:
-            ratio *= p0 / p2
+            ratio *= p0
+            ratio /= p2
         T = _log_ratio_factor(ratio - 1.0)
         near = ratio < 0.25
         log_ratio = 2.0 * np.log(mod[near])
@@ -446,7 +447,7 @@ def _zero_outside_closed_domain(mu_x: SpectralMeasure, t: float) -> bool:
     """Probe whether 0 stays outside the closed time-t domain: lifetime
     values on shrinking rings around 0 must all be classified outside, and
     so must the radial limit of the lifetime at 0."""
-    nonzero = np.abs(mu_x.positions[~mu_x.at_zero])
+    nonzero = np.abs(mu_x.positions[mu_x.positions != 0])
     r0 = 0.05 * float(np.min(nonzero)) if nonzero.size else 1e-3
 
     def lifetimes():

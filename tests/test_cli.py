@@ -251,6 +251,19 @@ def test_spectest_zero_atom(tmp_path):
     assert doc["zero_atom"] is True
 
 
+def test_spectest_counts_only_an_atom_exactly_at_zero(tmp_path):
+    # an atom at 1e-16 is off 0, as in neg2_moments and the radial limit
+    c = cfg_file(tmp_path, "c.json", {
+        "model": "mult-positive", "t": 1.0,
+        "measure": {"kind": "atomic", "support": "nonneg",
+                    "atoms": [[1e-16, 0.0, 0.5], [2.0, 0.0, 0.5]]}})
+    doc = json.loads(run_to_file(
+        tmp_path, "z.json",
+        ["spectest", "--config", c, "--re", "0", "--im", "0"]))
+    assert doc["verdict"] == "zero-atom-case"
+    assert doc["zero_atom"] is False
+
+
 def test_spectest_refuses_points_on_a_circle_density(tmp_path):
     # midway between two of 256 nodes the lifetime is well above t, but
     # the point lies on the density's support: no model may certify it

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from brownscope import (BlowUp, BrownscopeError, ContinuationFailed,
@@ -19,7 +19,7 @@ from brownscope import (BlowUp, BrownscopeError, ContinuationFailed,
                         sigma_boundary_positive, spectral_test)
 from brownscope.additive import _band_membership
 from brownscope.multiplicative import (_atom_mass_at_zero, _characteristic,
-                                       _initial_state, _landing,
+                                       _initial_state, _landing, _T_at_zero,
                                        _zero_outside_closed_domain)
 
 
@@ -268,9 +268,14 @@ def test_positive_lifetime_keeps_its_digits_near_zero(atoms, log_r, theta):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(mu=atomic_laws(), w0=st.none() | st.floats(0.1, 1.0),
+@given(mu=atomic_laws(), w0=st.none() | st.floats(0.1, 100.0),
        log_r=st.floats(-300.0, 2.0), theta=st.floats(0.0, 2.0 * np.pi),
        as_array=st.booleans())
+# 0.9 delta_0 + 0.1 delta_1 at 2e-154: p0 / p2 alone overflows, a / p2 not
+@example(mu=SpectralMeasure.atomic([1.0], [1.0], "nonneg"), w0=9.0,
+         log_r=np.log10(2e-154), theta=0.0, as_array=False)
+@example(mu=SpectralMeasure.atomic([1.0], [1.0], "nonneg"), w0=9.0,
+         log_r=np.log10(2e-154), theta=0.0, as_array=True)
 def test_lifetime_is_the_one_formula_from_1e_minus_300_to_100(
         mu, w0, log_r, theta, as_array):
     # circle and half-line laws, |lam| down to 1e-300, where |lam|^2
@@ -659,6 +664,12 @@ def test_spectral_test_zero_atom_cases():
     without = SpectralMeasure.atomic([1.0, 2.0], [0.5, 0.5], support="nonneg")
     assert _zero_outside_closed_domain(without, 0.5)
     assert _atom_mass_at_zero(without) == 0
+
+    # an atom at 1e-16 is off 0: the radial limit there is +inf
+    near = SpectralMeasure.atomic([1e-16, 2.0], [0.5, 0.5], support="nonneg")
+    assert _zero_outside_closed_domain(near, 1.0)
+    assert _atom_mass_at_zero(near) == 0
+    assert _T_at_zero(near) == np.inf
 
 
 # --- boundaries ---------------------------------------------------------------------
