@@ -178,6 +178,12 @@ class SpectralMeasure:
         x = np.sort(self.positions.real)
         return float(np.max(np.diff(x))) if len(x) > 1 else np.inf
 
+    @functools.cached_property
+    def moment_weights(self) -> np.ndarray:
+        """(m, 2) node weights w and w |xi|^2 of neg2_moments; built once."""
+        w = self.prob_weights
+        return np.stack([w, w * _sq_dist(self.positions, 0.0)], axis=1)
+
     @property
     def guard_band(self) -> float:
         """Distance below which point evaluation is refused for transforms
@@ -187,11 +193,6 @@ class SpectralMeasure:
             scale = 1.0 + float(np.max(np.abs(self.positions)))
             return 1e-12 * scale
         return 10.0 * self.node_spacing
-
-    @property
-    def at_zero(self) -> np.ndarray:
-        """Mask of the nodes that sit at the origin."""
-        return np.abs(self.positions) <= 1e-15
 
     def support_radius(self) -> float:
         return float(np.max(np.abs(self.positions)))
@@ -412,7 +413,8 @@ class _PanelTree:
 
     def weights(self, w, key):
         """(proxy weights, node weights in tree order) of the node weights w,
-        an (m,) vector or an (m, c) matrix, kept under key for later calls."""
+        an (m,) vector or an (m, c) matrix, kept under key: the name of the
+        measure's attribute that holds w."""
         got = self._weights.get(key)
         if got is None:
             ws = w[self.order]
@@ -422,8 +424,6 @@ class _PanelTree:
                 wp[p] = _lagrange(self.proxies[p], self.beta,
                                   self.nodes[lo:hi]) @ ws[lo:hi]
             got = self._weights[key] = (wp, ws)
-            while len(self._weights) > 4:
-                del self._weights[next(iter(self._weights))]
         return got
 
     def interactions(self, zc, starts, reach):
@@ -491,23 +491,24 @@ def _tree(mu: SpectralMeasure) -> _PanelTree:
     return tree
 
 
-def _summed(mu: SpectralMeasure, lam, node_fn, weights=None, reach=0.0,
-            nearest=None):
+def _summed(mu: SpectralMeasure, lam, node_fn, weights="prob_weights",
+            reach=0.0, nearest=None):
     """Sum_j w_j * node_fn(lam, xi_j, |lam - xi_j|^2) over blocks of points:
     node_fn gets one block's points as a column, a row of nodes (or of
     proxies standing for far panels) and their r2 array, which it may
-    overwrite.  weights defaults to the probability weights; an (m, c)
-    matrix gives c sums per point on a trailing axis; scalars in give
-    scalars out.  reach bounds how far from lam or conj(lam) the kernel's
-    singularities lie, and a list given as nearest collects the least
-    |lam - xi|^2 of each block.  Calls of fewer than _LIST_MIN_PAIRS pairs,
-    and one-leaf trees, sum every node directly."""
+    overwrite.  weights names the measure's node weights: prob_weights, or
+    moment_weights, whose two columns give two sums per point on a
+    trailing axis; scalars in give scalars out.  reach bounds how far from
+    lam or conj(lam) the kernel's singularities lie, and a list given as
+    nearest collects the least |lam - xi|^2 of each block.  Calls of fewer
+    than _LIST_MIN_PAIRS pairs, and one-leaf trees, sum every node
+    directly."""
     arr = np.asarray(lam, dtype=complex)
     flat = arr.reshape(-1)
     tree = _tree(mu)
-    w = mu.prob_weights if weights is None else weights
+    w = getattr(mu, weights)
     if tree.depth and len(flat) * len(w) >= _LIST_MIN_PAIRS:
-        wp, ws = tree.weights(w, None if weights is None else w.tobytes())
+        wp, ws = tree.weights(w, weights)
         out = tree.sums(flat, node_fn, wp, ws, reach, nearest)
     else:
         def block_fn(zb, xb, r2):
@@ -609,17 +610,16 @@ def neg2_moments(mu: SpectralMeasure, lam, eps=0.0):
     """Integrals of 1/(|xi - lam|^2 + eps) and |xi|^2/(|xi - lam|^2 + eps)
     d mu(xi) from one pass over the nodes, as a pair of extended reals.
     At lam = 0 and eps = 0 a node at 0 adds nothing to the second: its
-    limit there is 1 - mu({0})."""
+    limit there is the mass off 0."""
     arr = np.asarray(lam, dtype=complex)
     eps = float(eps)
-    w = mu.prob_weights
-    w2 = np.stack([w, w * _sq_dist(mu.positions, 0.0)], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 * inf at 0
-        both = _summed(mu, arr, lambda zb, xb, r2: _inv(r2, eps), w2)
+        both = _summed(mu, arr, lambda zb, xb, r2: _inv(r2, eps),
+                       "moment_weights")
     p2 = both[..., 1]
-    at_zero = mu.positions == 0
-    if eps == 0 and at_zero.any():
-        p2 = np.where(arr == 0, 1.0 - np.sum(w[at_zero]), p2)
+    off_zero = mu.positions != 0
+    if eps == 0 and not off_zero.all():
+        p2 = np.where(arr == 0, np.sum(mu.prob_weights[off_zero]), p2)
     return both[..., 0][()], p2[()]
 
 
@@ -641,10 +641,11 @@ def symmetrize(mu: SpectralMeasure) -> SpectralMeasure:
         raise WrongSupportKind("symmetrize expects a nonneg-supported measure")
     x = mu.positions.real
     if mu.kind == "atomic":
-        at_zero = mu.at_zero
-        pos = np.concatenate([-x[~at_zero][::-1], x[at_zero], x[~at_zero]])
+        # an atom exactly at 0 stays whole; any other is halved and mirrored
+        off = x != 0
+        pos = np.concatenate([-x[off][::-1], x[~off], x[off]])
         w = mu.weights
-        wts = np.concatenate([0.5 * w[~at_zero][::-1], w[at_zero], 0.5 * w[~at_zero]])
+        wts = np.concatenate([0.5 * w[off][::-1], w[~off], 0.5 * w[off]])
         return SpectralMeasure("real", pos.astype(complex), wts, None)
     pos = np.concatenate([-x[::-1], x])
     vals = 0.5 * np.concatenate([mu.weights[::-1], mu.weights])

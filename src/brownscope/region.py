@@ -5,7 +5,12 @@ centers.  Level sets are traced with marching squares: linear interpolation
 along grid edges, saddle cells disambiguated by the cell-center sample
 (mean of the four corners), infinities clamped to a large finite stand-in
 so "+inf is above any level" holds throughout.  The extractor is
-sign-agnostic; callers decide which side of the level is "inside".
+sign-agnostic; callers decide which side of the level is "inside".  It
+works on arrays: every mixed cell's case (its corner code, or a saddle's
+resolution) looks its segments up in one table of edge slots, the slots
+become integer edge ids (horizontal edges row-major, then vertical ones),
+and every crossing edge is interpolated at once.  Only joining the
+segments into chains walks in Python.
 
 Output formats: csv (one row per node or polyline point), json (a
 self-describing document under the schema tag "brownscope-region/1"), and
@@ -124,43 +129,36 @@ def evaluate_grid(f, bounds, nx: int, ny: int, *,
 # marching squares
 # ---------------------------------------------------------------------------
 
-# Segment table keyed by the 4-bit corner code (bit k set when corner k is
-# above the level).  Corners: 0 = (i, j), 1 = (i+1, j), 2 = (i+1, j+1),
-# 3 = (i, j+1).  Edges: 'b' bottom (c0-c1), 'r' right (c1-c2),
-# 't' top (c3-c2), 'l' left (c0-c3).  Codes 5 and 10 are saddles.
-_CASES = {
-    1: [("b", "l")],
-    2: [("b", "r")],
-    4: [("r", "t")],
-    8: [("t", "l")],
-    3: [("l", "r")],
-    6: [("b", "t")],
-    12: [("r", "l")],
-    9: [("b", "t")],
-    7: [("l", "t")],
-    11: [("r", "t")],  # complement of 4
-    13: [("b", "r")],  # complement of 2
-    14: [("b", "l")],  # complement of 1
-}
-# saddle resolutions: center above connects the diagonal of above corners
-_SADDLE = {
-    (5, True): [("l", "t"), ("b", "r")],
-    (5, False): [("b", "l"), ("r", "t")],
-    (10, True): [("b", "l"), ("r", "t")],
-    (10, False): [("b", "r"), ("t", "l")],
-}
-
-
-def _edge_key(i, j, edge, period):
-    # global identity of a grid edge; horizontal edges join node (i, j) to
-    # (i+1, j), vertical edges join (i, j) to (i, j+1); row `period` is row 0
-    if edge == "b":
-        return ("h", i, j)
-    if edge == "t":
-        return ("h", i, 0 if j + 1 == period else j + 1)
-    if edge == "l":
-        return ("v", i, j)
-    return ("v", i + 1, j)
+# The segment table: row k lists the edge slots that the segments of a cell
+# of case k join, one segment or two, padded with -1.  Cases 0-15 are the
+# 4-bit corner codes (bit k set when corner k is above the level; corners
+# 0 = (i, j), 1 = (i+1, j), 2 = (i+1, j+1), 3 = (i, j+1)), where the saddles
+# 5 and 10 have the cell-center mean below the level; cases 16 and 17 are 5
+# and 10 with it above, which connects the diagonal of above corners.
+# Slots: 0 bottom (c0-c1), 1 right (c1-c2), 2 top (c3-c2), 3 left (c0-c3).
+_SEGMENTS = np.array([
+    [[-1, -1], [-1, -1]],
+    [[0, 3], [-1, -1]],
+    [[0, 1], [-1, -1]],
+    [[3, 1], [-1, -1]],
+    [[1, 2], [-1, -1]],
+    [[0, 3], [1, 2]],  # 5, center below
+    [[0, 2], [-1, -1]],
+    [[3, 2], [-1, -1]],
+    [[2, 3], [-1, -1]],
+    [[0, 2], [-1, -1]],
+    [[0, 1], [2, 3]],  # 10, center below
+    [[1, 2], [-1, -1]],
+    [[1, 3], [-1, -1]],
+    [[0, 1], [-1, -1]],
+    [[0, 3], [-1, -1]],
+    [[-1, -1], [-1, -1]],
+    [[3, 2], [0, 1]],  # 5, center above
+    [[0, 3], [1, 2]],  # 10, center above
+])
+# per slot: whether its edge is vertical, and the edge's first node minus
+# the cell's corner 0
+_SLOT_EDGES = np.array([[0, 0, 0], [1, 1, 0], [0, 0, 1], [1, 0, 0]])
 
 
 def extract_levelset(grid: Grid, level: float, *, wrap_im: bool = False) -> Boundary:
@@ -177,66 +175,53 @@ def extract_levelset(grid: Grid, level: float, *, wrap_im: bool = False) -> Boun
     """
     v = np.nan_to_num(grid.values, nan=np.nan, posinf=_BIG, neginf=-_BIG)
     v = np.clip(v, -_BIG, _BIG)
-    xs, ys, period = grid.node_re(), grid.node_im(), None
+    xs, ys, ny = grid.node_re(), grid.node_im(), grid.ny
     if wrap_im:
         v = np.concatenate([v, v[:, :1]], axis=1)
-        ys, period = np.append(ys, ys[-1] + grid.dim), grid.ny
-    above = v > level
+        ys = np.append(ys, ys[-1] + grid.dim)
+    above = (v > level).astype(np.int8)
+    codes = (above[:-1, :-1] + 2 * above[1:, :-1] + 4 * above[1:, 1:]
+             + 8 * above[:-1, 1:])
+    i, j = np.nonzero((codes > 0) & (codes < 15))
+    case = codes[i, j]
+    center = 0.25 * (v[i, j] + v[i + 1, j] + v[i + 1, j + 1] + v[i, j + 1])
+    case = np.where(((case == 5) | (case == 10)) & (center > level),
+                    16 + (case == 10), case)
 
-    a0 = above[:-1, :-1]
-    a1 = above[1:, :-1]
-    a2 = above[1:, 1:]
-    a3 = above[:-1, 1:]
-    codes = (a0.astype(np.int8) + 2 * a1.astype(np.int8)
-             + 4 * a2.astype(np.int8) + 8 * a3.astype(np.int8))
-    mixed = (codes > 0) & (codes < 15)
+    # the segments, cell by cell, as the slots of their two ends
+    slots = _SEGMENTS[case].reshape(-1, 2)
+    kept = slots[:, 0] >= 0
+    cell = np.repeat(np.arange(len(case)), 2)[kept]
+    vertical, di, dj = np.moveaxis(_SLOT_EDGES[slots[kept]], -1, 0)
+    # edge ids: the horizontal edges (i, j)-(i+1, j) row-major, then the
+    # vertical ones (i, j)-(i, j+1), so ids sort as (kind, i, j) does; node
+    # row ny of a wrapped grid is row 0
+    n_h, n_v = (grid.nx - 1) * ny, v.shape[1] - 1
+    ei, ej = i[cell, None] + di, (j[cell, None] + dj) % ny
+    edges, ends = np.unique(np.where(vertical, n_h + ei * n_v + ej, ei * ny + ej),
+                            return_inverse=True)
 
-    point_at = {}
-
-    def edge_point(key):
-        pt = point_at.get(key)
-        if pt is not None:
-            return pt
-        kind, i, j = key
-        if kind == "h":
-            va, vb = v[i, j], v[i + 1, j]
-            za = xs[i] + 1j * ys[j]
-            zb = xs[i + 1] + 1j * ys[j]
-        else:
-            va, vb = v[i, j], v[i, j + 1]
-            za = xs[i] + 1j * ys[j]
-            zb = xs[i] + 1j * ys[j + 1]
-        s = (level - va) / (vb - va)
-        s = min(max(s, 0.0), 1.0)
-        pt = za + s * (zb - za)
-        point_at[key] = pt
-        return pt
-
-    segments = []
-    for i, j in np.argwhere(mixed):
-        code = int(codes[i, j])
-        if code in (5, 10):
-            center = 0.25 * (v[i, j] + v[i + 1, j] + v[i + 1, j + 1] + v[i, j + 1])
-            pairs = _SADDLE[(code, bool(center > level))]
-        else:
-            pairs = _CASES[code]
-        for ea, eb in pairs:
-            ka = _edge_key(int(i), int(j), ea, period)
-            kb = _edge_key(int(i), int(j), eb, period)
-            edge_point(ka)
-            edge_point(kb)
-            segments.append((ka, kb))
-
-    return _assemble_chains(segments, point_at, level)
+    # the crossing on every edge at once
+    vertical = edges >= n_h
+    ia, ja = np.divmod(np.where(vertical, edges - n_h, edges),
+                       np.where(vertical, n_v, ny))
+    ib, jb = ia + ~vertical, ja + vertical
+    va, vb = v[ia, ja], v[ib, jb]
+    za, zb = xs[ia] + 1j * ys[ja], xs[ib] + 1j * ys[jb]
+    s = np.clip((level - va) / (vb - va), 0.0, 1.0)
+    return _assemble_chains(ends.reshape(-1, 2).tolist(), za + s * (zb - za),
+                            level)
 
 
-def _assemble_chains(segments, point_at, level) -> Boundary:
-    adj = {}
+def _assemble_chains(segments, points, level) -> Boundary:
+    """Join segments, given as pairs of indices into points that order as
+    their edges do, into chains."""
+    adj = [[] for _ in points]
     for s_idx, (ka, kb) in enumerate(segments):
-        adj.setdefault(ka, []).append((s_idx, kb))
-        adj.setdefault(kb, []).append((s_idx, ka))
+        adj[ka].append((s_idx, kb))
+        adj[kb].append((s_idx, ka))
 
-    used = np.zeros(len(segments), dtype=bool)
+    used = [False] * len(segments)
     chains = []
 
     def walk(start_key):
@@ -257,11 +242,9 @@ def _assemble_chains(segments, point_at, level) -> Boundary:
     # open chains first (odd-degree endpoints, e.g. where the level set
     # leaves the grid), then closed loops; sorted starts keep the output
     # deterministic
-    odd_keys = sorted(k for k, lst in adj.items() if len(lst) % 2 == 1)
-    for k in odd_keys:
-        if any(not used[s] for s, _ in adj[k]):
-            path = walk(k)
-            chains.append((path, False))
+    for k, lst in enumerate(adj):
+        if len(lst) % 2 == 1 and any(not used[s] for s, _ in lst):
+            chains.append((walk(k), False))
     for ka, kb in sorted(segments):
         for k in (ka, kb):
             if any(not used[s] for s, _ in adj[k]):
@@ -271,7 +254,7 @@ def _assemble_chains(segments, point_at, level) -> Boundary:
 
     out = []
     for path, closed in chains:
-        pts = np.asarray([point_at[k] for k in path], dtype=complex)
+        pts = points[path]
         if closed:
             pts = pts[:-1]
         # drop consecutive duplicates (interpolation can land on a node)

@@ -219,6 +219,19 @@ def test_symmetrize_keeps_zero_atom_whole():
     assert s.weights.sum() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("atoms, weights", [
+    ([1e-16, 2.0], [0.5, 0.5]),
+    ([0.0, 1e-300, 3.0], [0.2, 0.3, 0.5]),
+    ([2.0, 0.0, 5e-16, 1.0], [0.1, 0.2, 0.3, 0.4]),
+])
+def test_symmetrized_atomic_laws_are_mirror_symmetric(atoms, weights):
+    s = symmetrize(SpectralMeasure.atomic(atoms, weights, "nonneg"))
+    order = np.argsort(s.positions.real, kind="stable")
+    x, w = s.positions.real[order], s.weights[order]
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert s.weights.sum() == pytest.approx(1.0)
+
+
 def test_symmetrize_density():
     # 3 xi^2 on [0,1] -> (3/2) xi^2 on [-1,1]; check mass and a transform
     mu = SpectralMeasure.from_density(lambda x: 3 * x ** 2, 0.0, 1.0,
@@ -480,9 +493,15 @@ def test_kernels_exact_infinities_at_atoms(name, monkeypatch):
         p0, p2 = neg2_moments(mu, atoms)
         assert np.all(p0 == np.inf)
         assert np.all(p2[atoms != 0] == np.inf)
-        # at 0 the atom there drops out of p2: its limit is 1 - mu({0})
-        assert np.all(p2[atoms == 0] == 1.0 - mu.prob_weights[atoms == 0].sum())
-        assert neg2_moments(mu, 0.0)[1] == 1.0 - mu.prob_weights[0]
+        # at 0 the atom there drops out of p2: its limit is the mass off 0
+        off = mu.prob_weights[atoms != 0].sum()
+        assert np.all(p2[atoms == 0] == off)
+        assert neg2_moments(mu, 0.0)[1] == off
+        # a point mass at 0 written as two atoms there has no mass off 0
+        for w in (1.406, 1.8235):
+            point = SpectralMeasure.atomic([0.0, 0.0], [1.0, w], "nonneg")
+            assert neg2_moments(point, 0.0)[1] == 0.0
+            assert np.all(neg2_moments(point, np.zeros(2))[1] == 0.0)
 
 
 _coord = st.floats(-3.0, 3.0, allow_nan=False)
@@ -833,9 +852,9 @@ def test_tree_sums_are_exactly_infinite_at_atoms():
             assert np.all(reg_resolvent_deps(mu, lam, 0.0) == -np.inf)
             assert np.all(log_potential(mu, lam) == -np.inf)
             assert np.all(np.isfinite(reg_resolvent(mu, lam, 0.3)))
-    # on the half-line, with an atom at 0: p2 there is 1 - mu({0})
+    # on the half-line, with an atom at 0: p2 there is the mass off 0
     pos = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 3.0, 499))])
     mu = SpectralMeasure.atomic(pos, np.full(500, 0.002), "nonneg")
     p0, p2 = neg2_moments(mu, pos)
     assert np.all(p0 == np.inf)
-    assert p2[0] == 1.0 - mu.prob_weights[0] and np.all(p2[1:] == np.inf)
+    assert p2[0] == np.sum(mu.prob_weights[1:]) and np.all(p2[1:] == np.inf)

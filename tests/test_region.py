@@ -225,6 +225,57 @@ def test_no_wrap_keeps_the_rectangular_trace(field, level, digest):
     assert not any(c.closed for c in extract_levelset(g, level).polylines)
 
 
+# integer corners with a nan, a +inf and a -inf; at level 0.5 the grid, traced
+# with and without the periodic row, holds all 14 mixed corner codes and both
+# saddle resolutions of codes 5 and 10
+_NAN, _INF = np.nan, np.inf
+_CODES_GRID = Grid(0.0, 7.0, 0.0, 6.0, 7, 6, np.array([
+    [0, 1, 2, 3, -2, -2],
+    [2, 3, _NAN, -1, 3, 0],
+    [-1, 2, -1, 0, 1, 1],
+    [-2, -2, 3, 2, 3, 1],
+    [2, -1, 0, 2, _INF, -1],
+    [-2, -_INF, 3, -2, 0, 0],
+    [3, -1, 1, -1, -2, 2]]))
+
+
+def _cell_cases(v, level):
+    """The corner code of every mixed cell, with the saddles 5 and 10 paired
+    with whether their centre mean is above the level."""
+    v = np.clip(np.nan_to_num(v, nan=np.nan), -1e30, 1e30)
+    a = v > level
+    codes = a[:-1, :-1] + 2 * a[1:, :-1] + 4 * a[1:, 1:] + 8 * a[:-1, 1:]
+    centre = (v[:-1, :-1] + v[1:, :-1] + v[1:, 1:] + v[:-1, 1:]) / 4 > level
+    return {(int(c), bool(m)) if c in (5, 10) else int(c)
+            for c, m in zip(codes.ravel(), centre.ravel()) if 0 < c < 15}
+
+
+def test_codes_grid_reaches_every_cell_case():
+    v = _CODES_GRID.values
+    cases = (_cell_cases(v, 0.5)
+             | _cell_cases(np.concatenate([v, v[:, :1]], axis=1), 0.5))
+    assert cases == {1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 14,
+                     (5, False), (5, True), (10, False), (10, True)}
+
+
+@pytest.mark.parametrize("level, wrap, digest", [
+    (0.5, False,
+     "df876a6d30e845ff66dba3e5a026dad974ef0651a8cad39750f0967148369e10"),
+    (0.5, True,
+     "76c50fa7148a3d3a7acb2792c766a5e640b38be5371c2f5383942ff7e5f33b47"),
+    (1.0, False,
+     "cf733f13649d54c7d34b14e7bab740029804296c9d6b341d0436a0ef089776fe"),
+    (1.0, True,
+     "28a3eb422c75a7fbf8dc8309be509e016f8ce1a3febf92b73e29424df61800ee"),
+])
+def test_levelset_bytes_over_every_cell_case(level, wrap, digest):
+    # corners equal to the level 1.0 put points on nodes; the digests are the
+    # per-cell tracer's output, so the segment order and every point's bits
+    # are pinned
+    out = emit(extract_levelset(_CODES_GRID, level, wrap_im=wrap), "json")
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 # --- map_boundary -----------------------------------------------------------
 
 def unit_circle_boundary(n=256):

@@ -36,6 +36,10 @@ last two runs are mult-positive lifetime in json on 16^2 grids where
 |lam|^2 leaves the normal range: over [-1e-154, 1e-154]^2 on a law with an
 atom at 0, where p0 would overflow and the lifetime is its radial limit,
 and over [-1e-165, 1e-165]^2 on the two-atom law, where it is finite.
+The very last run is add-circ `domain` in json on half a unit atom at
+(1+i)/sqrt(2) and half at its negative, on the 48^2 grid: the cell in the
+middle of the grid is a marching-squares saddle (corner code 10), so the
+extractor's saddle resolution shows in the bytes.
 Each run prints one tab-separated line:
 
     model  command  format  exit-code  sha256(stdout)  last stderr line
@@ -148,6 +152,14 @@ TINY_GRIDS = {
         grid={"re_min": -1e-165, "re_max": 1e-165, "im_min": -1e-165,
               "im_max": 1e-165, "nx": 16, "ny": 16}),
 }
+# add-circ on two atoms off the axes, at +-(1+i)/sqrt(2): on the 48^2 grid
+# the middle cell (23, 23) is a saddle of corner code 10
+DIAGONAL = dict(MODELS["add-circ"], model="add-circ", measure={
+    "kind": "atomic", "support": "complex",
+    "atoms": [[math.sqrt(0.5), math.sqrt(0.5), 0.5],
+              [-math.sqrt(0.5), -math.sqrt(0.5), 0.5]]},
+    grid={"re_min": -3.0, "re_max": 3.0, "im_min": -3.0, "im_max": 3.0,
+          "nx": 48, "ny": 48})
 # the add-elliptic domain at t = 4 covers the grid [-1, 1]^2: its level set
 # crosses no cell, and the oracle refuses the run
 COVERED = dict(MODELS["add-elliptic"], model="add-elliptic", t=4.0,
@@ -180,6 +192,7 @@ def write_inputs(work: Path) -> None:
     (work / "origin-grid.json").write_text(json.dumps(ORIGIN_GRID))
     (work / "covered.json").write_text(json.dumps(COVERED))
     (work / "near-zero.json").write_text(json.dumps(NEAR_ZERO_GRID))
+    (work / "diagonal.json").write_text(json.dumps(DIAGONAL))
     for name, cfg in TINY_GRIDS.items():
         (work / f"{name}.json").write_text(json.dumps(cfg))
     (work / "negative-dilation.json").write_text(json.dumps(dict(
@@ -293,6 +306,8 @@ def main(argv=None) -> int:
         jobs.append(((f"mult-positive/{name}", "lifetime", "json"),
                      ["lifetime", "--config", f"{name}.json", "--format",
                       "json"]))
+    jobs.append((("add-circ/diagonal-atoms", "domain", "json"),
+                 ["domain", "--config", "diagonal.json", "--format", "json"]))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_inputs(work)
