@@ -165,14 +165,21 @@ def extract_levelset(grid: Grid, level: float, *, wrap_im: bool = False) -> Boun
     """Trace the level set {f = level} and assemble it into polylines.
 
     A corner counts as above when value > level, with +-inf clamped to
-    +-1e30 first (so +inf is always above, -inf always below).  Values on
-    shared edges are interpolated once per edge, which makes chains join
-    exactly.  Closed chains are flagged.
+    +-1e30 first (so +inf is always above, -inf always below).  A shared
+    edge gives the same point to both of its segments, which makes chains
+    join exactly.  Closed chains are flagged.
 
     wrap_im=True makes the imaginary axis periodic: the cells between the
     last node row and the first are traced too, so chains crossing that seam
     close like any other, with seam points up to half a cell above im_max.
     """
+    # the chains are built once the crossings' arrays are freed
+    return _assemble_chains(*_crossings(grid, level, wrap_im), level)
+
+
+def _crossings(grid: Grid, level: float, wrap_im: bool):
+    """The segments of extract_levelset as pairs of edge ids, and the
+    crossing point of each of their edges by id."""
     v = np.nan_to_num(grid.values, nan=np.nan, posinf=_BIG, neginf=-_BIG)
     v = np.clip(v, -_BIG, _BIG)
     xs, ys, ny = grid.node_re(), grid.node_im(), grid.ny
@@ -193,33 +200,31 @@ def extract_levelset(grid: Grid, level: float, *, wrap_im: bool = False) -> Boun
     kept = slots[:, 0] >= 0
     cell = np.repeat(np.arange(len(case)), 2)[kept]
     vertical, di, dj = np.moveaxis(_SLOT_EDGES[slots[kept]], -1, 0)
-    # edge ids: the horizontal edges (i, j)-(i+1, j) row-major, then the
-    # vertical ones (i, j)-(i, j+1), so ids sort as (kind, i, j) does; node
-    # row ny of a wrapped grid is row 0
-    n_h, n_v = (grid.nx - 1) * ny, v.shape[1] - 1
+    # each end's edge runs from node (ei, ej) to (fi, fj); node row ny of a
+    # wrapped grid is row 0
     ei, ej = i[cell, None] + di, (j[cell, None] + dj) % ny
-    edges, ends = np.unique(np.where(vertical, n_h + ei * n_v + ej, ei * ny + ej),
-                            return_inverse=True)
+    fi, fj = ei + 1 - vertical, ej + vertical
 
-    # the crossing on every edge at once
-    vertical = edges >= n_h
-    ia, ja = np.divmod(np.where(vertical, edges - n_h, edges),
-                       np.where(vertical, n_v, ny))
-    ib, jb = ia + ~vertical, ja + vertical
-    va, vb = v[ia, ja], v[ib, jb]
-    za, zb = xs[ia] + 1j * ys[ja], xs[ib] + 1j * ys[jb]
+    # the crossings, all at once: a shared edge gets the same bits from
+    # both of its segments
+    va, vb = v[ei, ej], v[fi, fj]
+    za, zb = xs[ei] + 1j * ys[ej], xs[fi] + 1j * ys[fj]
     s = np.clip((level - va) / (vb - va), 0.0, 1.0)
-    return _assemble_chains(ends.reshape(-1, 2).tolist(), za + s * (zb - za),
-                            level)
+    points = za + s * (zb - za)
+    # edge ids: the horizontal edges row-major, then the vertical ones, so
+    # ids sort as (kind, i, j) does
+    n_h = (grid.nx - 1) * ny
+    edges = np.where(vertical, n_h + ei * (v.shape[1] - 1) + ej, ei * ny + ej)
+    return edges.tolist(), dict(zip(edges.ravel().tolist(), points.ravel()))
 
 
-def _assemble_chains(segments, points, level) -> Boundary:
-    """Join segments, given as pairs of indices into points that order as
-    their edges do, into chains."""
-    adj = [[] for _ in points]
+def _assemble_chains(segments, point_at, level) -> Boundary:
+    """Join segments, given as pairs of edge ids, into chains of the points
+    point_at gives each edge."""
+    adj = {}
     for s_idx, (ka, kb) in enumerate(segments):
-        adj[ka].append((s_idx, kb))
-        adj[kb].append((s_idx, ka))
+        adj.setdefault(ka, []).append((s_idx, kb))
+        adj.setdefault(kb, []).append((s_idx, ka))
 
     used = [False] * len(segments)
     chains = []
@@ -242,9 +247,11 @@ def _assemble_chains(segments, points, level) -> Boundary:
     # open chains first (odd-degree endpoints, e.g. where the level set
     # leaves the grid), then closed loops; sorted starts keep the output
     # deterministic
-    for k, lst in enumerate(adj):
-        if len(lst) % 2 == 1 and any(not used[s] for s, _ in lst):
-            chains.append((walk(k), False))
+    odd_keys = sorted(k for k, lst in adj.items() if len(lst) % 2 == 1)
+    for k in odd_keys:
+        if any(not used[s] for s, _ in adj[k]):
+            path = walk(k)
+            chains.append((path, False))
     for ka, kb in sorted(segments):
         for k in (ka, kb):
             if any(not used[s] for s, _ in adj[k]):
@@ -254,7 +261,7 @@ def _assemble_chains(segments, points, level) -> Boundary:
 
     out = []
     for path, closed in chains:
-        pts = points[path]
+        pts = np.asarray([point_at[k] for k in path], dtype=complex)
         if closed:
             pts = pts[:-1]
         # drop consecutive duplicates (interpolation can land on a node)
