@@ -156,9 +156,9 @@ _SEGMENTS = np.array([
     [[3, 2], [0, 1]],  # 5, center above
     [[0, 3], [1, 2]],  # 10, center above
 ])
-# per slot: whether its edge is vertical, and the edge's first node minus
-# the cell's corner 0
-_SLOT_EDGES = np.array([[0, 0, 0], [1, 1, 0], [0, 0, 1], [1, 0, 0]])
+# by slot: whether its edge is vertical, and the edge's first node minus the
+# cell's corner 0 (rows: vertical, di, dj)
+_SLOT_EDGES = np.array([[0, 1, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]])
 
 
 def extract_levelset(grid: Grid, level: float, *, wrap_im: bool = False) -> Boundary:
@@ -173,15 +173,7 @@ def extract_levelset(grid: Grid, level: float, *, wrap_im: bool = False) -> Boun
     last node row and the first are traced too, so chains crossing that seam
     close like any other, with seam points up to half a cell above im_max.
     """
-    # the chains are built once the crossings' arrays are freed
-    return _assemble_chains(*_crossings(grid, level, wrap_im), level)
-
-
-def _crossings(grid: Grid, level: float, wrap_im: bool):
-    """The segments of extract_levelset as pairs of edge ids, and the
-    crossing point of each of their edges by id."""
-    v = np.nan_to_num(grid.values, nan=np.nan, posinf=_BIG, neginf=-_BIG)
-    v = np.clip(v, -_BIG, _BIG)
+    v = np.clip(grid.values, -_BIG, _BIG)  # nan stays nan
     xs, ys, ny = grid.node_re(), grid.node_im(), grid.ny
     if wrap_im:
         v = np.concatenate([v, v[:, :1]], axis=1)
@@ -197,9 +189,9 @@ def _crossings(grid: Grid, level: float, wrap_im: bool):
 
     # the segments, cell by cell, as the slots of their two ends
     slots = _SEGMENTS[case].reshape(-1, 2)
-    kept = slots[:, 0] >= 0
-    cell = np.repeat(np.arange(len(case)), 2)[kept]
-    vertical, di, dj = np.moveaxis(_SLOT_EDGES[slots[kept]], -1, 0)
+    kept = np.flatnonzero(slots[:, 0] >= 0)
+    cell = kept // 2
+    vertical, di, dj = _SLOT_EDGES[:, slots[kept]]
     # each end's edge runs from node (ei, ej) to (fi, fj); node row ny of a
     # wrapped grid is row 0
     ei, ej = i[cell, None] + di, (j[cell, None] + dj) % ny
@@ -215,7 +207,9 @@ def _crossings(grid: Grid, level: float, wrap_im: bool):
     # ids sort as (kind, i, j) does
     n_h = (grid.nx - 1) * ny
     edges = np.where(vertical, n_h + ei * (v.shape[1] - 1) + ej, ei * ny + ej)
-    return edges.tolist(), dict(zip(edges.ravel().tolist(), points.ravel()))
+    return _assemble_chains(edges.tolist(),
+                            dict(zip(edges.ravel().tolist(), points.ravel())),
+                            level)
 
 
 def _assemble_chains(segments, point_at, level) -> Boundary:
