@@ -129,32 +129,30 @@ def evaluate_grid(f, bounds, nx: int, ny: int, *,
 # marching squares
 # ---------------------------------------------------------------------------
 
-# The segment table: row k lists the edge slots that the segments of a cell
-# of case k join, one segment or two, padded with -1.  Cases 0-15 are the
-# 4-bit corner codes (bit k set when corner k is above the level; corners
-# 0 = (i, j), 1 = (i+1, j), 2 = (i+1, j+1), 3 = (i, j+1)), where the saddles
-# 5 and 10 have the cell-center mean below the level; cases 16 and 17 are 5
-# and 10 with it above, which connects the diagonal of above corners.
+# The segment table: _SEGMENTS[code, center] lists the edge slots that a
+# cell's segments join, one segment or two, padded with -1.  code is the
+# 4-bit corner code (bit k set when corner k is above the level; corners
+# 0 = (i, j), 1 = (i+1, j), 2 = (i+1, j+1), 3 = (i, j+1)) and center is 1
+# when the cell-center mean is above the level.  Only the saddles 5 and 10
+# depend on it: a center above connects the diagonal of above corners.
 # Slots: 0 bottom (c0-c1), 1 right (c1-c2), 2 top (c3-c2), 3 left (c0-c3).
 _SEGMENTS = np.array([
-    [[-1, -1], [-1, -1]],
-    [[0, 3], [-1, -1]],
-    [[0, 1], [-1, -1]],
-    [[3, 1], [-1, -1]],
-    [[1, 2], [-1, -1]],
-    [[0, 3], [1, 2]],  # 5, center below
-    [[0, 2], [-1, -1]],
-    [[3, 2], [-1, -1]],
-    [[2, 3], [-1, -1]],
-    [[0, 2], [-1, -1]],
-    [[0, 1], [2, 3]],  # 10, center below
-    [[1, 2], [-1, -1]],
-    [[1, 3], [-1, -1]],
-    [[0, 1], [-1, -1]],
-    [[0, 3], [-1, -1]],
-    [[-1, -1], [-1, -1]],
-    [[3, 2], [0, 1]],  # 5, center above
-    [[0, 3], [1, 2]],  # 10, center above
+    [[[-1, -1], [-1, -1]], [[-1, -1], [-1, -1]]],
+    [[[0, 3], [-1, -1]], [[0, 3], [-1, -1]]],
+    [[[0, 1], [-1, -1]], [[0, 1], [-1, -1]]],
+    [[[3, 1], [-1, -1]], [[3, 1], [-1, -1]]],
+    [[[1, 2], [-1, -1]], [[1, 2], [-1, -1]]],
+    [[[0, 3], [1, 2]], [[3, 2], [0, 1]]],  # 5
+    [[[0, 2], [-1, -1]], [[0, 2], [-1, -1]]],
+    [[[3, 2], [-1, -1]], [[3, 2], [-1, -1]]],
+    [[[2, 3], [-1, -1]], [[2, 3], [-1, -1]]],
+    [[[0, 2], [-1, -1]], [[0, 2], [-1, -1]]],
+    [[[0, 1], [2, 3]], [[0, 3], [1, 2]]],  # 10
+    [[[1, 2], [-1, -1]], [[1, 2], [-1, -1]]],
+    [[[1, 3], [-1, -1]], [[1, 3], [-1, -1]]],
+    [[[0, 1], [-1, -1]], [[0, 1], [-1, -1]]],
+    [[[0, 3], [-1, -1]], [[0, 3], [-1, -1]]],
+    [[[-1, -1], [-1, -1]], [[-1, -1], [-1, -1]]],
 ])
 # by slot: whether its edge is vertical, and the edge's first node minus the
 # cell's corner 0 (rows: vertical, di, dj)
@@ -173,28 +171,35 @@ def extract_levelset(grid: Grid, level: float, *, wrap_im: bool = False) -> Boun
     last node row and the first are traced too, so chains crossing that seam
     close like any other, with seam points up to half a cell above im_max.
     """
+    # the chains are built once the crossings' arrays are freed
+    return _assemble_chains(*_crossings(grid, level, wrap_im), level)
+
+
+def _crossings(grid: Grid, level: float, wrap_im: bool):
+    """The segments of extract_levelset as pairs of edge ids, and the
+    crossing point of each of their edges by id."""
     v = np.clip(grid.values, -_BIG, _BIG)  # nan stays nan
     xs, ys, ny = grid.node_re(), grid.node_im(), grid.ny
     if wrap_im:
         v = np.concatenate([v, v[:, :1]], axis=1)
         ys = np.append(ys, ys[-1] + grid.dim)
-    above = (v > level).astype(np.int8)
-    codes = (above[:-1, :-1] + 2 * above[1:, :-1] + 4 * above[1:, 1:]
-             + 8 * above[:-1, 1:])
+    above = v > level
+    codes = (above[:-1, :-1].astype(np.int8)
+             + 2 * above[1:, :-1].astype(np.int8)
+             + 4 * above[1:, 1:].astype(np.int8)
+             + 8 * above[:-1, 1:].astype(np.int8))
     i, j = np.nonzero((codes > 0) & (codes < 15))
-    case = codes[i, j]
     center = 0.25 * (v[i, j] + v[i + 1, j] + v[i + 1, j + 1] + v[i, j + 1])
-    case = np.where(((case == 5) | (case == 10)) & (center > level),
-                    16 + (case == 10), case)
 
     # the segments, cell by cell, as the slots of their two ends
-    slots = _SEGMENTS[case].reshape(-1, 2)
-    kept = np.flatnonzero(slots[:, 0] >= 0)
-    cell = kept // 2
-    vertical, di, dj = _SLOT_EDGES[:, slots[kept]]
+    slots = _SEGMENTS[codes[i, j], (center > level).astype(np.int8)]
+    kept = slots[:, :, 0] >= 0
+    vertical, di, dj = _SLOT_EDGES[:, slots]
     # each end's edge runs from node (ei, ej) to (fi, fj); node row ny of a
     # wrapped grid is row 0
-    ei, ej = i[cell, None] + di, (j[cell, None] + dj) % ny
+    vertical = vertical[kept]
+    ei = (i[:, None, None] + di)[kept]
+    ej = ((j[:, None, None] + dj) % ny)[kept]
     fi, fj = ei + 1 - vertical, ej + vertical
 
     # the crossings, all at once: a shared edge gets the same bits from
@@ -207,9 +212,7 @@ def extract_levelset(grid: Grid, level: float, *, wrap_im: bool = False) -> Boun
     # ids sort as (kind, i, j) does
     n_h = (grid.nx - 1) * ny
     edges = np.where(vertical, n_h + ei * (v.shape[1] - 1) + ej, ei * ny + ej)
-    return _assemble_chains(edges.tolist(),
-                            dict(zip(edges.ravel().tolist(), points.ravel())),
-                            level)
+    return edges.tolist(), dict(zip(edges.ravel().tolist(), points.ravel()))
 
 
 def _assemble_chains(segments, point_at, level) -> Boundary:
