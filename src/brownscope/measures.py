@@ -180,7 +180,8 @@ class SpectralMeasure:
 
     @functools.cached_property
     def moment_weights(self) -> np.ndarray:
-        """(m, 2) node weights w and w |xi|^2 of neg2_moments; built once."""
+        """The (m, 2) node weights w and w |xi|^2 that neg2_moments sums
+        against, built on first use."""
         w = self.prob_weights
         return np.stack([w, w * _sq_dist(self.positions, 0.0)], axis=1)
 
