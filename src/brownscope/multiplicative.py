@@ -62,7 +62,6 @@ from .measures import (SpectralMeasure, cauchy_derivative, cauchy_transform,
                        herglotz, neg2_moments, neg2_trace, neg4_trace,
                        reg_cauchy_transform)
 
-_SERIES_SWITCH = 1e-8
 # flow_dSde's shooting: Newton steps at most, the tolerance on the log
 # residuals, step halvings at most per Newton step, and the
 # forward-difference step of the Jacobian
@@ -82,16 +81,15 @@ class HamiltonStateMult:
 
 
 def _log_ratio_factor(u):
-    """log(1 + u) / u with the series branch 1 - u/2 + u^2/3 below the
-    switch threshold; handles u = -1 (log 0) and infinite u."""
+    """log(1 + u) / u, with its limit 1 at u = 0; handles u = -1 (log 0)
+    and infinite u."""
     u = np.asarray(u, dtype=float)
-    small = np.abs(u) < _SERIES_SWITCH
-    safe = np.where(small, 1.0, u)
+    zero = u == 0
+    safe = np.where(zero, 1.0, u)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log1p(safe, out=np.empty_like(safe))  # an array when 0-d
         out /= safe
-    u = u[small]
-    out[small] = 1.0 - u / 2.0 + u * u / 3.0
+    out[zero] = 1.0
     return out
 
 
@@ -124,8 +122,8 @@ def _T_far_out(mu: SpectralMeasure, arr):
 def _T_mult(mu: SpectralMeasure, lam):
     """log(a/p2) / (a - p2), a = |lam|^2 p0, on the circle (p2 = p0) or the
     half-line; vectorized.  a is formed first: near an atom at 0, p0/p2
-    overflows.  Near a/p2 = 1 the log-ratio factor takes its series branch;
-    below a/p2 = 1/4, log(a/p2) is 2 log|lam| + log(p0/p2), which neither
+    overflows.  The log-ratio factor is log1p(u)/u, u = a/p2 - 1; below
+    a/p2 = 1/4, log(a/p2) is 2 log|lam| + log(p0/p2), which neither
     cancels nor underflows.  T = 0 where p0 diverges (at an atom) and +inf
     where p2 = 0 (a point mass at 0).  At lam = 0, and with a node at 0
     wherever |lam| < _TINY_MOD (p0 overflows there), T is the radial limit

@@ -12,6 +12,12 @@ become integer edge ids (horizontal edges row-major, then vertical ones),
 and every crossing edge is interpolated at once.  Only joining the
 segments into chains walks in Python.
 
+The boundary utilities work on arrays too.  map_boundary calls the map
+once on each chain's points and once on each level of midpoints it
+inserts; a call that raises is repeated point by point, so the error
+names its point.  point_in_region and distance_to_boundary test every
+chain's segments in one pass.
+
 Output formats: csv (one row per node or polyline point), json (a
 self-describing document under the schema tag "brownscope-region/1"), and
 16-bit binary PGM for grids (affine value map recorded in header comments,
@@ -281,52 +287,60 @@ def _assemble_chains(segments, point_at, level) -> Boundary:
 def map_boundary(boundary: Boundary, m) -> Boundary:
     """Apply a point map to every polyline, inserting source midpoints
     wherever an image segment is more than _MAX_EXPANSION times longer than
-    its source segment.  m is called once on each chain's points and once
-    on each midpoint.  If the chain's call raises, its points are mapped
-    one at a time, so a failure names the point it happened at, as a
-    midpoint's names the segment that inserted it."""
+    its source segment, level by level up to _MAX_DEPTH levels.  m is
+    called once on each chain's points and once on each level's
+    midpoints.  If a call raises, its points are mapped one at a time, so a
+    failure names the point it happened at, as a midpoint's names the end
+    of the source segment that inserted it."""
     mapped_chains = []
     for chain in boundary.polylines:
         src = np.asarray(chain.points, dtype=complex)
         if chain.closed:
             src = np.append(src, src[:1])
-
-        def safe(idx, z):
-            try:
-                return complex(m(z))
-            except Exception as exc:  # noqa: BLE001 - context then re-raise
-                raise MapEvaluationError(idx, z, exc) from exc
-
-        try:
-            images = np.asarray(m(src), dtype=complex).reshape(src.shape)
-        except Exception:  # noqa: BLE001 - mapped again point by point
-            images = None
-
-        def image(idx):
-            if images is None:
-                return safe(idx, src[idx])
-            return complex(images[idx])
-
-        out_pts = [image(0)]
-
-        def refine(z0, w0, z1, w1, idx, depth):
-            if depth < _MAX_DEPTH and abs(w1 - w0) > _MAX_EXPANSION * abs(z1 - z0) > 0:
-                zm = 0.5 * (z0 + z1)
-                wm = safe(idx, zm)
-                refine(z0, w0, zm, wm, idx, depth + 1)
-                refine(zm, wm, z1, w1, idx, depth + 1)
-            else:
-                out_pts.append(w1)
-
-        for idx in range(1, len(src)):
-            w1 = image(idx)
-            refine(src[idx - 1], out_pts[-1], src[idx], w1, idx, 0)
-
-        pts = np.asarray(out_pts, dtype=complex)
-        if chain.closed and len(pts) > 1:
-            pts = pts[:-1]
-        mapped_chains.append(Chain(pts, chain.closed))
+        # the points, their images, and the index of each one's source end
+        ends = np.arange(len(src))
+        images = _map_points(m, src, ends)
+        for _ in range(_MAX_DEPTH):
+            # a segment found short keeps its ends, so it stays short
+            dz, dw = np.abs(np.diff(src)), np.abs(np.diff(images))
+            at = np.flatnonzero((dw > _MAX_EXPANSION * dz) & (dz > 0)) + 1
+            if not at.size:
+                break
+            mid = 0.5 * (src[at - 1] + src[at])
+            src = np.insert(src, at, mid)
+            images = np.insert(images, at, _map_points(m, mid, ends[at]))
+            ends = np.insert(ends, at, ends[at])
+        if chain.closed and len(images) > 1:
+            images = images[:-1]
+        mapped_chains.append(Chain(images, chain.closed))
     return Boundary(mapped_chains, boundary.level)
+
+
+def _map_points(m, z, index):
+    """m on the points z in one call, or one at a time when that call
+    raises; a point's failure is a MapEvaluationError at its index."""
+    try:
+        return np.asarray(m(z), dtype=complex).reshape(z.shape)
+    except Exception:  # noqa: BLE001 - mapped again point by point
+        pass
+    out = np.empty_like(z)
+    for k, (idx, zk) in enumerate(zip(index.tolist(), z)):
+        try:
+            out[k] = complex(m(zk))
+        except Exception as exc:  # noqa: BLE001 - context then re-raise
+            raise MapEvaluationError(idx, zk, exc) from exc
+    return out
+
+
+def _segments(boundary: Boundary, close_all: bool):
+    """Start and end points of every chain's segments; a chain flagged
+    closed, or every chain with close_all, also joins its last point to
+    its first."""
+    chains = [(c.points, close_all or c.closed) for c in boundary.polylines]
+    starts = [p if closed else p[:-1] for p, closed in chains]
+    stops = [np.roll(p, -1) if closed else p[1:] for p, closed in chains]
+    return (np.concatenate([np.empty(0, complex), *starts]),
+            np.concatenate([np.empty(0, complex), *stops]))
 
 
 def point_in_region(boundary: Boundary, z) -> np.ndarray | bool:
@@ -334,44 +348,28 @@ def point_in_region(boundary: Boundary, z) -> np.ndarray | bool:
     Chains are treated as closed polygons, so this is only meaningful for
     boundaries whose chains all close up."""
     zs = np.asarray(z, dtype=complex)
-    scalar = zs.ndim == 0
-    pts = np.atleast_1d(zs).reshape(-1)
-    inside = np.zeros(pts.shape, dtype=bool)
-    for chain in boundary.polylines:
-        p = chain.points
-        q = np.roll(p, -1)
-        x0, y0 = p.real[None, :], p.imag[None, :]
-        x1, y1 = q.real[None, :], q.imag[None, :]
-        px, py = pts.real[:, None], pts.imag[:, None]
-        cond = (y0 > py) != (y1 > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = x0 + (py - y0) * (x1 - x0) / (y1 - y0)
-        crosses = cond & (px < xint)
-        inside ^= (crosses.sum(axis=1) % 2).astype(bool)
-    return bool(inside[0]) if scalar else inside.reshape(zs.shape)
+    pts = zs.reshape(-1, 1)
+    p, q = _segments(boundary, close_all=True)
+    x0, y0, x1, y1 = p.real, p.imag, q.real, q.imag
+    px, py = pts.real, pts.imag
+    cond = (y0 > py) != (y1 > py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xint = x0 + (py - y0) * (x1 - x0) / (y1 - y0)
+    inside = (cond & (px < xint)).sum(axis=1) % 2 == 1
+    return bool(inside[0]) if zs.ndim == 0 else inside.reshape(zs.shape)
 
 
 def distance_to_boundary(boundary: Boundary, z) -> np.ndarray | float:
     """Euclidean distance to the nearest polyline segment."""
     zs = np.asarray(z, dtype=complex)
-    scalar = zs.ndim == 0
-    pts = np.atleast_1d(zs).reshape(-1)
-    best = np.full(pts.shape, np.inf)
-    for chain in boundary.polylines:
-        p = chain.points
-        if chain.closed:
-            a, b = p, np.roll(p, -1)
-        else:
-            a, b = p[:-1], p[1:]
-        ab = b - a
-        denom = np.abs(ab) ** 2
-        denom = np.where(denom == 0, 1.0, denom)
-        t = ((pts[:, None] - a[None, :]) * np.conj(ab[None, :])).real / denom[None, :]
-        t = np.clip(t, 0.0, 1.0)
-        proj = a[None, :] + t * ab[None, :]
-        d = np.abs(pts[:, None] - proj).min(axis=1)
-        best = np.minimum(best, d)
-    return float(best[0]) if scalar else best.reshape(zs.shape)
+    pts = zs.reshape(-1, 1)
+    a, b = _segments(boundary, close_all=False)
+    ab = b - a
+    denom = np.abs(ab) ** 2
+    denom = np.where(denom == 0, 1.0, denom)
+    t = np.clip(((pts - a) * np.conj(ab)).real / denom, 0.0, 1.0)
+    best = np.abs(pts - (a + t * ab)).min(axis=1, initial=np.inf)
+    return float(best[0]) if zs.ndim == 0 else best.reshape(zs.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from brownscope import (ContinuationFailed, EvaluationOnSupport,
-                        LifetimeExceeded, Membership, SpectralMeasure,
+                        InversionFailed, LifetimeExceeded, Membership,
+                        NegativeEpsilon, SpectralMeasure,
                         T_additive, Verdict, analytic_extension_trace,
                         evaluate_grid, extension_margin, extract_levelset,
                         flow_additive, laplacian_identity_check, map_boundary,
@@ -191,6 +192,30 @@ def test_extension_margin_positive_and_usable():
     assert delta > 0
     v = analytic_extension_trace(mu, 2.5, 1.0, -0.5 * delta)
     assert np.isfinite(v) and v > 0
+
+
+def test_extension_refused_past_the_margin():
+    # the margin at 2.5 is 0.30989; eps0 -> eps(t) turns back before
+    # -1.5 delta, and no eps0 > -d^2 = -2.25 reaches -10
+    mu = bernoulli()
+    delta = extension_margin(mu, 2.5, 1.0)
+    assert delta == pytest.approx(0.30989, abs=1e-5)
+    with pytest.raises(InversionFailed, match="invertibility"):
+        analytic_extension_trace(mu, 2.5, 1.0, -1.5 * delta)
+    with pytest.raises(InversionFailed, match="past the") as info:
+        analytic_extension_trace(mu, 2.5, 1.0, -10.0)
+    assert isinstance(info.value.__cause__, NegativeEpsilon)
+
+
+def test_extension_refused_inside_the_domain():
+    # T(0.5) = 0.45 < t: no margin, and no extension at eps = 0 or above
+    mu = bernoulli()
+    assert T_additive(mu, 0.5) == pytest.approx(0.45)
+    assert extension_margin(mu, 0.5, 1.0) == 0.0
+    with pytest.raises(InversionFailed, match="into the domain"):
+        analytic_extension_trace(mu, 0.5, 1.0, 1e-3)
+    with pytest.raises(InversionFailed, match="not outside"):
+        analytic_extension_trace(mu, 0.5, 1.0, 0.0)
 
 
 # --- push-forward map ----------------------------------------------------------

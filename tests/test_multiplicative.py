@@ -17,6 +17,7 @@ from brownscope import (BlowUp, BrownscopeError, ContinuationFailed,
                         neg2_trace, point_in_region, preimage,
                         psi_derivative, psi_formula, reg_resolvent,
                         sigma_boundary_positive, spectral_test)
+from brownscope import multiplicative
 from brownscope.additive import _band_membership
 from brownscope.multiplicative import (_atom_mass_at_zero, _characteristic,
                                        _initial_state, _landing, _T_at_zero,
@@ -80,7 +81,7 @@ def test_T_unitary_series_branch_on_circle():
         lam = np.exp(1j * th)
         assert T_mult_unitary(mu, lam) == pytest.approx(
             abs(lam - 1) ** 2, abs=1e-10)
-    # continuity across the series switchover
+    # continuity across |lam| = 1, where u = a/p2 - 1 changes sign
     for s in (1 - 2e-8, 1 - 1e-9, 1 + 1e-9, 1 + 2e-8):
         lam = s * np.exp(2.0j)
         ref = T_mult_unitary(mu, np.exp(2.0j))
@@ -382,9 +383,26 @@ def _riccati(mu, lam, t):
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("eps", [1e-3, 0.3])
 def test_flow_reference_agrees_with_solve_ivp(law, lam, t, eps):
+    _assert_landing_agrees_with_solve_ivp(law(), lam, t, eps)
+
+
+# shootings whose Newton steps must be halved: 6 halvings in all on delta_1
+# (at most 2 in one step, so 3 trial steps), 1 on the fourth roots
+@pytest.mark.parametrize("law, lam, eps, trials", [
+    (delta1_circle, 0.35 + 0.25j, 1e-5, 3),
+    (fourth_roots, 0.76 + 1.11j, 2e-3, 2)])
+def test_flow_reference_agrees_with_solve_ivp_after_step_halvings(
+        monkeypatch, law, lam, eps, trials):
+    _assert_landing_agrees_with_solve_ivp(law(), lam, 1.0, eps)
+    # one trial step fewer, and a Newton step finds no shorter residual
+    monkeypatch.setattr(multiplicative, "_SHOOT_HALVINGS", trials - 1)
+    with pytest.raises(ContinuationFailed, match="no shooting step reduced"):
+        _landing(law(), lam, 1.0, eps)
+
+
+def _assert_landing_agrees_with_solve_ivp(mu, lam, t, eps):
     # the shooting lands on (lam, eps); an ODE solve of the system from
     # the same start lands there too, with the same p_eps
-    mu = law()
     lam0, eps0, state = _landing(mu, lam, t, eps)
     assert state.p_epsilon == flow_dSde(mu, lam, t, eps)
     got_lam, got_eps, got_pl, got_pe = _ode_state(
@@ -481,7 +499,7 @@ def test_p0_p2_equal_when_mass_on_unit_modulus():
 def test_T_positive_reduces_to_unitary_at_delta1():
     mu1 = SpectralMeasure.atomic([1.0], [1.0], support="nonneg")
     assert T_mult_positive(mu1, -1.0) == pytest.approx(4.0, abs=1e-12)
-    # |lam| = 1 hits the series branch: value 1/p2
+    # |lam| = 1 gives a = p2, where the log-ratio factor is 1: value 1/p2
     assert T_mult_positive(mu1, 1j) == pytest.approx(2.0, abs=1e-10)
 
 

@@ -346,7 +346,7 @@ def test_map_error_formats_the_point_as_a_python_complex():
 
 
 
-def test_map_calls_once_per_chain_and_once_per_midpoint():
+def test_map_calls_once_per_chain_and_once_per_level():
     ang = 2 * np.pi * np.arange(24) / 24
     b = Boundary([Chain(np.exp(1j * ang), True),
                   Chain(np.linspace(2.0, 3.0, 9) + 0.5j, False)], 1.0)
@@ -357,14 +357,13 @@ def test_map_calls_once_per_chain_and_once_per_midpoint():
         return 40.0 * np.asarray(z) ** 3
 
     out = map_boundary(b, m)
-    inserted = sum(len(c.points) for c in out.polylines) \
-        - sum(len(c.points) for c in b.polylines)
-    assert inserted > 0
-    assert len(calls) == len(b.polylines) + inserted
+    # |m'| = 120 |z|^2 > 5 everywhere, so every source segment is bisected
+    # down to the depth cap
+    assert [len(c.points) for c in out.polylines] == [24 * 4096, 8 * 4096 + 1]
     # each chain's source points (a closed chain's first one again at its
-    # end) in one call, every midpoint in its own
-    assert calls.count((25,)) == 1 and calls.count((9,)) == 1
-    assert calls.count(()) == inserted
+    # end) in one call, then each level's midpoints in one
+    assert calls == ([(25,)] + [(24 << k,) for k in range(12)]
+                     + [(9,)] + [(8 << k,) for k in range(12)])
 
 
 def test_map_names_the_guard_band_point_of_a_batch():
@@ -390,6 +389,29 @@ def test_map_names_the_guard_band_point_of_a_batch():
     # the refused batch, then the points up to the one that fails
     assert calls == [(12,)] + [()] * 6
 
+def test_map_names_the_segment_end_of_a_failing_midpoint():
+    # m expands every segment 10-fold, so each is bisected level by level;
+    # it refuses only 1.25, the midpoint the second level inserts between
+    # 1 and 1.5, both on the source segment that ends at point 2
+    calls = []
+
+    def m(z):
+        z = np.asarray(z)
+        calls.append(z.shape)
+        if np.any(z == 1.25):
+            raise ValueError("refused")
+        return 10.0 * z
+
+    with pytest.raises(MapEvaluationError) as info:
+        map_boundary(Boundary([Chain(np.array([0.0, 1.0, 2.0]) + 0j, False)],
+                              1.0), m)
+    assert info.value.index == 2 and info.value.point == 1.25
+    assert isinstance(info.value.cause, ValueError)
+    # the chain, the first level, the refused second level, then its
+    # midpoints up to the one that fails
+    assert calls == [(3,), (2,), (4,), (), (), ()]
+
+
 # --- point membership and ray crossing ---------------------------------------
 
 def test_point_in_region():
@@ -406,6 +428,17 @@ def test_distance_to_boundary():
     b = unit_circle_boundary(2048)
     assert distance_to_boundary(b, 0.0) == pytest.approx(1.0, abs=1e-5)
     assert distance_to_boundary(b, 3.0) == pytest.approx(2.0, abs=1e-5)
+
+
+def test_distance_to_an_open_polyline():
+    # the L from 0 to 1 to 1+i: -1-i is nearest the end 0, 0.5-0.25i the
+    # inside of the first segment, and 0.2+0.8i the second segment, since
+    # no chord closes an open chain (the chord from 1+i to 0 is 0.42 away)
+    b = Boundary([Chain(np.array([0.0, 1.0, 1.0 + 1.0j]), False)], 1.0)
+    got = distance_to_boundary(b, np.array([-1.0 - 1.0j, 0.5 - 0.25j,
+                                            0.2 + 0.8j]))
+    assert got == pytest.approx([np.sqrt(2.0), 0.25, 0.8], abs=1e-15)
+    assert distance_to_boundary(b, 2.0 + 2.0j) == pytest.approx(np.sqrt(2.0))
 
 
 # --- emission ---------------------------------------------------------------

@@ -36,10 +36,15 @@ last two runs are mult-positive lifetime in json on 16^2 grids where
 |lam|^2 leaves the normal range: over [-1e-154, 1e-154]^2 on a law with an
 atom at 0, where p0 would overflow and the lifetime is its radial limit,
 and over [-1e-165, 1e-165]^2 on the two-atom law, where it is finite.
-The very last run is add-circ `domain` in json on half a unit atom at
-(1+i)/sqrt(2) and half at its negative, on the 48^2 grid: the cell in the
-middle of the grid is a marching-squares saddle (corner code 10), so the
-extractor's saddle resolution shows in the bytes.
+Then add-circ runs `domain` in json on half a unit atom at (1+i)/sqrt(2)
+and half at its negative, on the 48^2 grid: the cell in the middle of the
+grid is a marching-squares saddle (corner code 10), so the extractor's
+saddle resolution shows in the bytes.  The very last run is add-elliptic
+`map --in` in json at t = 1, gamma = 0.9 on the boundary of the Bernoulli
+domain at t = 0.05, which `domain` writes first on a 48^2 grid over
+[-2, 2]^2: phi expands its two small loops far more than 5-fold, so
+boundary mapping bisects every one of the 32 source segments down to the
+depth cap, 131,072 points in all.
 Each run prints one tab-separated line:
 
     model  command  format  exit-code  sha256(stdout)  last stderr line
@@ -160,6 +165,14 @@ DIAGONAL = dict(MODELS["add-circ"], model="add-circ", measure={
               [-math.sqrt(0.5), -math.sqrt(0.5), 0.5]]},
     grid={"re_min": -3.0, "re_max": 3.0, "im_min": -3.0, "im_max": 3.0,
           "nx": 48, "ny": 48})
+# the Bernoulli domain at t = 0.05, two loops of 16 points each, which the
+# last run maps under gamma = 0.9
+SMALL_LOOPS = dict(MODELS["add-elliptic"], model="add-elliptic", t=0.05,
+                   gamma=[0.0, 0.0],
+                   grid={"re_min": -2.0, "re_max": 2.0, "im_min": -2.0,
+                         "im_max": 2.0, "nx": 48, "ny": 48})
+SMALL_LOOPS_DOMAIN = ["domain", "--config", "small-loops.json", "--format",
+                      "json", "--out", "small-loops-domain.json"]
 # the add-elliptic domain at t = 4 covers the grid [-1, 1]^2: its level set
 # crosses no cell, and the oracle refuses the run
 COVERED = dict(MODELS["add-elliptic"], model="add-elliptic", t=4.0,
@@ -193,6 +206,7 @@ def write_inputs(work: Path) -> None:
     (work / "covered.json").write_text(json.dumps(COVERED))
     (work / "near-zero.json").write_text(json.dumps(NEAR_ZERO_GRID))
     (work / "diagonal.json").write_text(json.dumps(DIAGONAL))
+    (work / "small-loops.json").write_text(json.dumps(SMALL_LOOPS))
     for name, cfg in TINY_GRIDS.items():
         (work / f"{name}.json").write_text(json.dumps(cfg))
     (work / "negative-dilation.json").write_text(json.dumps(dict(
@@ -308,9 +322,15 @@ def main(argv=None) -> int:
                       "json"]))
     jobs.append((("add-circ/diagonal-atoms", "domain", "json"),
                  ["domain", "--config", "diagonal.json", "--format", "json"]))
+    jobs.append((("add-elliptic/gamma-0.9", "map-small-loops", "json"),
+                 ["map", "--in", "small-loops-domain.json", "--config",
+                  "elliptic-0.9.json", "--format", "json"]))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_inputs(work)
+        subprocess.run([sys.executable, "-m", "brownscope.cli",
+                        *SMALL_LOOPS_DOMAIN], cwd=work, env=env,
+                       capture_output=True, timeout=600)
         for label, extra in jobs:
             print(run(work, env, label, extra, args.keep), flush=True)
     return 0
