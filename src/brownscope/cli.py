@@ -356,16 +356,17 @@ def cmd_oracle(cfg, args, mu) -> dict:
     n, k, seed = int(o["n"]), int(o["k"]), int(o["seed"])
     dil = float(o["dilation"] if o["dilation"] is not None else 3.0 / np.sqrt(n))
     report = {"schema": "brownscope-oracle/1", "model": model, "n": n, "t": t,
-              "gamma": [gamma.real, gamma.imag], "seed": seed}
+              "gamma": [gamma.real, gamma.imag], "seed": seed,
+              "sampler": rmt.SAMPLER_VERSION}
     if mu.kind != "atomic":
         raise ConfigError("the oracle command needs an atomic measure")
-    # resolve_measure has checked the support, so one diagonal sampler
-    # serves every model
-    def atomic():
-        return rmt.sample_atomic(n, mu.positions, mu.weights, seed, stream=0)
+    # resolve_measure has checked the support.  The atoms' diagonal stands
+    # for their Haar-conjugated matrix, since every perturbation below is
+    # unitarily invariant (the rmt docstring)
+    diag = np.repeat(mu.positions, rmt.multiplicities(mu.weights, n))
 
     if model == "rdiag":
-        a = (rmt.sample_haar_unitary(n, seed, stream=1) @ atomic()
+        a = (rmt.sample_haar_unitary(n, seed, stream=1) * diag[None, :]
              + rmt.sample_ginibre(n, t, seed, stream=2))
         moduli = np.abs(rmt.eigenvalues(a))
         ann = rdiagonal.hl_radii(mu)
@@ -388,17 +389,13 @@ def cmd_oracle(cfg, args, mu) -> dict:
             "covers the grid or falls between its nodes), so there is no "
             "boundary to test the eigenvalues against")
     if model.startswith("add-"):
-        a = atomic() + rmt.sample_elliptic(n, t, gamma, seed, stream=1)
+        a = rmt.sample_elliptic(n, t, gamma, seed, stream=1)
+        a.flat[:: n + 1] += diag
     else:
-        # the atomic matrix is drawn first, so the Haar draw's QR, the
-        # oracle's peak, runs before b exists, and sample_b's three
-        # buffers are then held beside one matrix.  The streams are
-        # keyed, so the bytes are those of the other order
-        a = atomic()
-        a = a @ rmt.sample_b(n, t, gamma, k=k, seed=seed, stream=1)
+        a = rmt.sample_b(n, t, gamma, k=k, seed=seed, stream=1)
+        a *= diag[:, None]  # D b, scaling row i by the i-th atom
         report["k"] = k
     eig = rmt.eigenvalues(a)
-    report["sampler"] = rmt.SAMPLER_VERSION
     report["support"] = rmt.support_report(eig, boundary=mapped, dilation=dil)
 
     probes = o["probes"]

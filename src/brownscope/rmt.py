@@ -1,10 +1,10 @@
 """Finite-N matrix ensembles used to cross-check the analytic predictions.
 
-Randomness is counter-based: every matrix draw owns a Philox generator
-keyed by (seed, stream), so draws are reproducible independently of the
-order in which they happen.  Factor j of sample_b's stream s is keyed
-s * 2^20 + j + 1, which differs from every base stream the CLI draws from
-(0 to 2) as long as s = 1 and k <= 2^16.
+Randomness is keyed: every matrix draw owns an SFC64 generator seeded by
+SeedSequence from (seed, stream), each mod 2^64, so draws are reproducible
+independently of the order in which they happen.  Factor j of sample_b's
+stream s is keyed s * 2^20 + j + 1, which differs from every base stream
+the CLI draws from (1 and 2) as long as s = 1 and k <= 2^16.
 
 Normalizations.  The time-t rotation-invariant (Ginibre) family has entry
 variance t/n, so its empirical spectrum fills the disk of radius sqrt(t).
@@ -16,18 +16,23 @@ left factors
 
     I + i G_j / sqrt(k) - (gamma / (2k)) I,      G_j elliptic(t, gamma) draws
 
-with k = 200 by default.  These are the draws of SAMPLER_VERSION 2; under
-version 1 a (seed, stream) key gave other elliptic matrices.
+with k = 200 by default.  These are the draws of SAMPLER_VERSION 3;
+version 2 drew them from Philox, a Ginibre matrix's real parts before its
+imaginary parts, and version 1 formed other elliptic matrices.
 
-Every Ginibre and elliptic draw is written in place, through one scratch
-matrix: the Philox normals fill its float view and are scaled into the
-real, then the imaginary parts of the output, and the scratch then holds
-the elliptic G^* term.  Each entry gets the bits that forming
-scale * (A + 1j * B), a G and b conj(G)^T as new arrays gave it: the same
-roundings in the same order, with the scalar on the same side of each
-product.  sample_b draws each factor into a buffer that the product no
-longer needs, so a call holds three n x n complex matrices: two products
-that take turns and one factor (9.6 MB at n = 400).
+A Ginibre draw writes its 2 n^2 normals into the float view of the
+output, real and imaginary parts interleaved, and scales them once in
+place; an elliptic draw then forms b conj(G) in one scratch matrix.
+sample_b draws each factor into a buffer that the product no longer
+needs, so a call holds three n x n complex matrices: two products that
+take turns and one factor (9.6 MB at n = 400).
+
+The oracle needs no Haar conjugation.  Ginibre, elliptic and sample_b
+draws E are unitarily invariant (V* E V has the law of E), so for
+X = V D V* with V independent of E, X + E = V (D + V* E V) V* and
+X E = V (D V* E V) V* have the eigenvalue and singular-value laws of
+D + E and D E.  rdiag's U X + G, U Haar, is likewise similar to
+(V* U V) D + V* G V, and V* U V is Haar.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import numpy as np
 from .errors import _check_gamma
 from .region import Boundary, distance_to_boundary, point_in_region
 
-SAMPLER_VERSION = 2
+SAMPLER_VERSION = 3
 _DEFAULT_K = 200
 _STREAM_STRIDE = 1 << 20
 # Eigenvalues per block of support_report's region tests.
@@ -45,24 +50,20 @@ _REPORT_ROWS = 64
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-                    np.uint64(stream & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    # seed and stream mod 2^64 as four fixed-width words, so that no two
+    # keys give one entropy list
+    words = [(v >> s) & 0xFFFFFFFF for v in (seed, stream) for s in (0, 32)]
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
 
 
-def _fill_ginibre(out, scratch, t: float, seed: int, stream: int) -> None:
+def _fill_ginibre(out, t: float, seed: int, stream: int) -> None:
     """Write the (seed, stream) Ginibre draw of entry variance t/n into the
-    square complex array out.  The key's 2 n^2 normals go into a float view
-    of scratch, an array like out: the first n^2 (A), times sqrt(t / 2n),
-    become the real parts, and the next n^2 (B) the imaginary parts.  That
-    is scale * (A + 1j * B) bit for bit, since multiplying by a real scale
-    rounds each part on its own."""
-    n = out.shape[0]
-    normals = scratch.reshape(-1).view(np.float64)
+    square C-contiguous complex array out: the key's 2 n^2 normals fill
+    its float view, real and imaginary parts interleaved, and are scaled
+    by sqrt(t / 2n) in place."""
+    normals = out.reshape(-1).view(np.float64)
     _rng(seed, stream).standard_normal(out=normals)
-    scale = np.sqrt(t / (2.0 * n))
-    np.multiply(scale, normals[: n * n].reshape(n, n), out=out.real)
-    np.multiply(scale, normals[n * n :].reshape(n, n), out=out.imag)
+    normals *= np.sqrt(t / (2.0 * out.shape[0]))
 
 
 def _elliptic_coefficients(t: float, gamma: complex):
@@ -88,9 +89,9 @@ def _scale(c, x: np.ndarray) -> None:
 
 def _fill_elliptic(out, scratch, coef, seed: int, stream: int) -> None:
     """Write a G + b G^* into out, G the t = 1 Ginibre draw of the key;
-    scratch, an array like out, takes the normals and then b conj(G)
-    until it is added transposed."""
-    _fill_ginibre(out, scratch, 1.0, seed, stream)
+    scratch, an array like out, takes b conj(G) until it is added
+    transposed."""
+    _fill_ginibre(out, 1.0, seed, stream)
     a, b = coef
     if b is not None:
         np.conjugate(out, out=scratch)
@@ -103,7 +104,7 @@ def _fill_elliptic(out, scratch, coef, seed: int, stream: int) -> None:
 def sample_ginibre(n: int, t: float, seed: int, stream: int = 0) -> np.ndarray:
     """Rotation-invariant Gaussian matrix with entry variance t/n."""
     out = np.empty((n, n), dtype=complex)
-    _fill_ginibre(out, np.empty_like(out), t, seed, stream)
+    _fill_ginibre(out, t, seed, stream)
     return out
 
 
@@ -122,9 +123,9 @@ def sample_haar_unitary(n: int, seed: int, stream: int = 0) -> np.ndarray:
     """Haar-distributed unitary via QR of a Gaussian matrix with the phase
     normalization that makes the factorization unique.  The Gaussian is
     the key's Ginibre draw at t = 2n, whose scale sqrt(t / 2n) is exactly
-    1: the bits of A + 1j * B, written in place."""
+    1."""
     a = np.empty((n, n), dtype=complex)
-    _fill_ginibre(a, np.empty_like(a), 2.0 * n, seed, stream)
+    _fill_ginibre(a, 2.0 * n, seed, stream)
     q, r = np.linalg.qr(a)
     d = np.diagonal(r)
     return q * (d / np.abs(d))[None, :]
@@ -161,8 +162,8 @@ def sample_b(n: int, t: float, gamma: complex, k: int = _DEFAULT_K,
     derived stream, so the draw set is independent of evaluation order.
 
     Factor 0 is drawn where the product starts and every later one into
-    one factor buffer.  Each draw's scratch is spare, the product buffer
-    that is free until it receives out @ factor."""
+    one factor buffer.  Each elliptic draw's scratch is spare, the product
+    buffer that is free until it receives out @ factor."""
     if k < 1:
         raise ValueError("k must be at least 1")
     scale = 1j / np.sqrt(k)

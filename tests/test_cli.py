@@ -505,6 +505,7 @@ def test_oracle_rdiag_report(tmp_path):
     assert doc["annulus"]["outer"] == pytest.approx(np.sqrt(2.5))
     assert doc["predicted_inner"] == pytest.approx(np.sqrt(1.1))
     assert 0.0 < doc["min_modulus"] < doc["max_modulus"]
+    assert doc["sampler"] == rmt.SAMPLER_VERSION == 3
 
 
 def test_oracle_include_eigenvalues(tmp_path):
@@ -518,9 +519,9 @@ def test_oracle_include_eigenvalues(tmp_path):
         "oracle", "--config", cfg_file(tmp_path, "f.json.cfg", cfg)]))
     eig = full.pop("eigenvalues")
     mu = SpectralMeasure.load(BERN_REAL)
-    x = rmt.sample_atomic(40, mu.positions, mu.weights, 4, stream=0)
-    want = rmt.eigenvalues(x + rmt.sample_elliptic(40, 1.0, 0.3 + 0.1j, 4,
-                                                   stream=1))
+    a = rmt.sample_elliptic(40, 1.0, 0.3 + 0.1j, 4, stream=1)
+    a.flat[::41] += np.repeat(mu.positions, rmt.multiplicities(mu.weights, 40))
+    want = rmt.eigenvalues(a)
     assert eig == [[float(z.real), float(z.imag)] for z in want]
     del full["meta"], plain["meta"]  # the config hashes differ
     assert full == plain

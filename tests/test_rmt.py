@@ -191,7 +191,19 @@ def test_support_report_boundary_dilation():
     assert support_report(eig, boundary=_circle(1.0))["inside"] == 0
 
 
-# --- sampler draws (SAMPLER_VERSION 2) ------------------------------------------
+# --- sampler draws (SAMPLER_VERSION 3) ------------------------------------------
+
+def test_ginibre_parts_are_uncorrelated_with_variance_t_over_2n():
+    # real and imaginary parts are consecutive normals of one stream; the
+    # n^2 entries are independent, so the statistics below have CLT
+    # standard errors sd / n ~ 0.0035
+    n, t = 400, 0.5
+    g = np.sqrt(2 * n / t) * sample_ginibre(n, t, seed=21).reshape(-1)
+    for stat, expected in ((g.real ** 2, 1.0), (g.imag ** 2, 1.0),
+                           (g.real * g.imag, 0.0)):
+        se = np.std(stat) / np.sqrt(stat.size)
+        assert abs(np.mean(stat) - expected) <= 5.0 * se, expected
+
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.3j, 0.4 + 0.3j, 1.0])
 def test_elliptic_entry_covariances(gamma):
@@ -245,35 +257,38 @@ def test_sample_b_is_the_serial_product_byte_for_byte(n, gamma, k):
     assert b.tobytes() == expected.tobytes()
 
 
-# sha256 of the samplers' output bytes, computed with the allocating
-# samplers they replace (numpy 2.4, OpenBLAS, x86-64); the one-element
-# cases take numpy's other in-place loop
+# sha256 of the samplers' output bytes under SAMPLER_VERSION 3, which an
+# allocating reference gives too: the normals drawn as a new array, its
+# even entries times the scale as real parts and its odd ones as
+# imaginary parts, a G + (b conj(G))^T, and the factors formed and
+# multiplied as new arrays (numpy 2.4, OpenBLAS, x86-64).  The
+# one-element cases take numpy's other in-place loop
 _SAMPLER_DIGESTS = {
     "ginibre": (lambda: sample_ginibre(30, 0.5, seed=7, stream=3),
-                "e4da87d8ac74fbf617a276ce556aa7c8f4221549119a439e66a25c1094888ed4"),
+                "4f5c17308e3e1091afdcac1e025633325acebdda02e5479061bb4a8bfbc8ce6e"),
     "ginibre-n1": (lambda: sample_ginibre(1, 0.5, seed=7, stream=3),
-                   "1a22d0c910f764fc23992f12705ae2c1e81dee61e85a63e42ea451f6661003a4"),
+                   "c5b9be616133a1bc02c9126452421731f742958660c3092e6713f9c3be6b1bcc"),
     "elliptic-0": (lambda: sample_elliptic(30, 1.0, 0.0, seed=7, stream=5),
-                   "9acdb4db3381727f9b6d039ac434ca484dd71ee83433fb242884bc633f31b751"),
+                   "0a1b050c599af58bf03f6dd5c38789da08f0941923f18653154dbc3bfd718385"),
     "elliptic-t": (lambda: sample_elliptic(30, 1.0, 1.0, seed=7, stream=5),
-                   "48b055a32118ebe1d7fa13dc0c562896db26970c4aef8ec2f2d726e79460821f"),
+                   "7629767cd9cde49f9f9543209bb86e8bfe292f88f0cc303158c2c8fe0456b443"),
     "elliptic-complex": (
         lambda: sample_elliptic(30, 1.0, 0.2 - 0.1j, seed=7, stream=5),
-        "bb74d03410124aff506d921b9b72de4a37406a035a410f8e48fb8864920baadb"),
+        "76807eb6db9e8fd586956a1c14c3a79f8333dfc6f2293699eb9158f909f73820"),
     "elliptic-complex-n1": (
         lambda: sample_elliptic(1, 1.0, 0.2 - 0.1j, seed=7, stream=5),
-        "fddd5a6251060d984d3c5ad9adc6df08e3967e6b1cf523925f997cd1d8dc652e"),
+        "f99a4d3bafa71bc2d97fe1dfe9e41f305dd212377459f3e3132815f8f30376d7"),
     "b-complex-k7": (
         lambda: sample_b(30, 0.5, 0.2 - 0.1j, k=7, seed=12, stream=3),
-        "21f036bc68dec946070d104adebd657f70ce7d54b35b8d80c6d3212b1a8a4219"),
+        "b55c91fe5d95ae920b3159b6b2a3ce370884378cb970190893c73d6f59d79a98"),
     "b-complex-n1": (
         lambda: sample_b(1, 0.5, 0.2 - 0.1j, k=3, seed=12, stream=3),
-        "e8e652d4e4c80886799e07337c4ab58efb577620483d7237a3541a6411294fe0"),
+        "35badf5570fa7bd70d6175222491c59368e82d83cbd04aaea2013444b6cb5568"),
     "b-0-k3": (lambda: sample_b(30, 0.5, 0.0, k=3, seed=12, stream=3),
-               "86034fef51ce52199c5889cbc802a8ad7cd8e7bc0d6ca3f81aeec230e14c5133"),
+               "ae45d5a788a190f6d5718ff8ebbde5422b372144dd1e54612adb09ca98dbefdc"),
     "b-oracle-gamma": (
         lambda: sample_b(100, 1.0, complex(0.0, -0.5), k=20, seed=7, stream=1),
-        "88cb86a380d07de9e317f2b93b0cabfce80e8b33dc99daec63016a03fa78eb48"),
+        "ac54df4372c0cfbb84af27703611152b3741c17a6bd0937c407c24e41c48c183"),
 }
 
 
@@ -306,11 +321,11 @@ def test_sample_b_holds_three_matrices():
     assert _peak_buffers(lambda: sample_b(200, 1.0, -0.5j, k=9), 200) <= 3.5
 
 
-def test_mult_oracle_draws_the_atomic_matrix_before_b(tmp_path):
-    # the atomic matrix is drawn before sample_b, so the Haar draw's QR
-    # runs with no b beside it (4.32 here; 5.30 with the atomic matrix
-    # drawn after sample_b returns, 8.30 with it drawn first and two
-    # helper threads in sample_b)
+def test_mult_oracle_holds_no_more_than_sample_b(tmp_path):
+    # the oracle scales sample_b's product by the atoms' diagonal in place
+    # and draws no Haar matrix, so its peak is sample_b's three matrices
+    # (3.24 here; 4.24 with a Haar-conjugated atomic matrix drawn before
+    # sample_b, 5.30 with it drawn after sample_b returns)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
         "model": "mult-unitary", "t": 1.0, "gamma": [0.0, -0.5],
@@ -323,7 +338,39 @@ def test_mult_oracle_draws_the_atomic_matrix_before_b(tmp_path):
     def run():
         assert cli.main(argv) == 0
 
-    assert _peak_buffers(run, 200) <= 4.5
+    assert _peak_buffers(run, 200) <= 3.4
+
+
+# --- the oracle's diagonal matrices ------------------------------------------------
+
+def _similar_pair(model, n=60, seed=3):
+    """The model's matrix on X = V D V*, and its conjugate V* (.) V: the
+    matrix the oracle builds on the diagonal D, with the perturbation
+    conjugated by V, which leaves its law as it is."""
+    pos, weights = [1.0, -1.0, 0.5j, 2.0], [0.4, 0.3, 0.2, 0.1]
+    d = np.repeat(np.asarray(pos, dtype=complex), multiplicities(weights, n))
+    x = sample_atomic(n, pos, weights, seed, stream=0)
+    v = sample_haar_unitary(n, seed, stream=0)
+    vh = v.conj().T
+    if model == "mult":
+        b = sample_b(n, 1.0, -0.5j, k=6, seed=seed, stream=1)
+        return x @ b, d[:, None] * (vh @ b @ v)
+    if model == "add":
+        e = sample_elliptic(n, 1.0, 0.3 + 0.1j, seed, stream=1)
+        return x + e, np.diag(d) + vh @ e @ v
+    u1 = sample_haar_unitary(n, seed, stream=1)
+    g = sample_ginibre(n, 0.5, seed, stream=2)
+    return u1 @ x + g, (vh @ u1 @ v) * d[None, :] + vh @ g @ v
+
+
+@pytest.mark.parametrize("model", ["mult", "add", "rdiag"])
+def test_the_diagonal_form_is_unitarily_similar(model):
+    conjugated, diagonal = _similar_pair(model)
+    assert np.max(np.abs(np.sort_complex(eigenvalues(conjugated))
+                         - np.sort_complex(eigenvalues(diagonal)))) <= 1e-10
+    for lam in (0.0, 0.3 + 0.2j, 2.5):
+        assert np.max(np.abs(shifted_singular_values(conjugated, lam)
+                             - shifted_singular_values(diagonal, lam))) <= 1e-10
 
 
 def test_support_report_blocks_equal_the_unblocked_rule(monkeypatch):
