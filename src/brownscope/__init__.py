@@ -2,9 +2,8 @@
 with finite-matrix cross-checks."""
 
 from .errors import (BadGamma, BlowUp, BrownscopeError, ContinuationFailed,
-                     EvaluationOnSupport, InversionFailed, LifetimeExceeded,
-                     MapEvaluationError, NegativeEpsilon, OriginExcluded,
-                     OutsideOmega, TMaxExceeded, WrongSupportKind)
+                     EvaluationOnSupport, InversionFailed, MapEvaluationError,
+                     NegativeEpsilon, OutsideOmega, WrongSupportKind)
 from .measures import (SpectralMeasure, cauchy_derivative, cauchy_transform,
                        herglotz, log_potential, neg2_moments, neg2_trace,
                        neg4_trace, reg_cauchy_transform, reg_resolvent,
@@ -34,10 +33,10 @@ __all__ = [
     "AnnulusSpec", "BadGamma", "BlowUp", "Boundary", "BrownscopeError",
     "Chain", "ContinuationFailed", "EvaluationOnSupport",
     "Grid", "HamiltonState", "HamiltonStateMult", "InversionFailed",
-    "LifetimeExceeded", "MEMBERSHIP_TOL", "MapEvaluationError", "Membership",
-    "NegativeEpsilon", "OriginExcluded", "OutsideOmega", "SpectralMeasure",
-    "TMaxExceeded", "T_additive", "T_mult_positive", "T_mult_unitary",
-    "Verdict", "WrongSupportKind", "analytic_extension_trace", "biane_Ht",
+    "MEMBERSHIP_TOL", "MapEvaluationError", "Membership", "NegativeEpsilon",
+    "OutsideOmega", "SpectralMeasure", "T_additive", "T_mult_positive",
+    "T_mult_unitary", "Verdict", "WrongSupportKind",
+    "analytic_extension_trace", "biane_Ht",
     "blow_up_time", "cauchy_derivative", "cauchy_transform",
     "circ_inner_radius", "curvature_check_circle", "distance_to_boundary",
     "eigenvalues", "emit", "empirical_S", "empirical_dSde", "evaluate_grid",

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ContinuationFailed, EvaluationOnSupport, InversionFailed,
-                     LifetimeExceeded, NegativeEpsilon)
+from .errors import (BlowUp, ContinuationFailed, EvaluationOnSupport,
+                     InversionFailed, NegativeEpsilon)
 from .measures import (SpectralMeasure, cauchy_derivative, cauchy_transform,
                        neg2_trace, neg4_trace, reg_resolvent,
                        reg_resolvent_deps)
@@ -56,13 +56,14 @@ class Verdict(enum.Enum):
 def flow_additive(eps0: float, p0: float, t: float) -> HamiltonState:
     """Closed-form characteristic state at time t from (eps0, p0).
 
-    Valid strictly before the lifetime 1/p0; at or past it the flow has
-    blown up and LifetimeExceeded is raised.  p0 = 0 freezes the flow.
+    Valid strictly before the lifetime 1/p0; at or past it p blows up, and
+    BlowUp carries that time, as the multiplicative flow's does.  p0 = 0
+    freezes the flow.
     """
     if eps0 < 0 or p0 < 0:
         raise ValueError("eps0 and p0 must be nonnegative")
     if p0 > 0 and t >= 1.0 / p0:
-        raise LifetimeExceeded(f"t = {t:.6g} is past the lifetime {1.0 / p0:.6g}")
+        raise BlowUp(1.0 / p0)
     shrink = 1.0 - t * p0
     return HamiltonState(eps0 * shrink * shrink, p0 / shrink, t)
 

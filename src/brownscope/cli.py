@@ -32,7 +32,7 @@ except ImportError:  # Python 3.10 and 3.11
 from . import additive, multiplicative, rdiagonal, rmt
 from . import region as region_mod
 from .errors import (BadGamma, BrownscopeError, ContinuationFailed,
-                     TMaxExceeded, WrongSupportKind, _check_gamma)
+                     WrongSupportKind, _check_gamma)
 from .measures import SpectralMeasure
 
 # The model table: the support kind a model's measure needs (None: any),
@@ -323,7 +323,7 @@ def cmd_spectest(cfg, args, mu) -> dict:
            "point": [args.re, args.im], "t": t, "gamma": cfg["gamma"],
            "zero_atom": None, "preimage": None, "lifetime": None}
     lifetime, verdict = _LIFETIME[model], additive.Verdict.UNDETERMINED
-    if model == "mult-positive" and z == 0:  # its lifetime excludes z = 0
+    if model == "mult-positive" and z == 0:  # the zero-atom dichotomy decides
         if multiplicative._zero_outside_closed_domain(mu, t):
             verdict = additive.Verdict.ZERO_ATOM_CASE
             doc["zero_atom"] = multiplicative._atom_mass_at_zero(mu) > 0
@@ -373,10 +373,7 @@ def cmd_oracle(cfg, args, mu) -> dict:
         report["annulus"] = {"inner": ann.inner, "outer": ann.outer}
         report["min_modulus"] = float(moduli.min())
         report["max_modulus"] = float(moduli.max())
-        try:
-            report["predicted_inner"] = rdiagonal.circ_inner_radius(mu, t)
-        except TMaxExceeded:
-            report["predicted_inner"] = 0.0
+        report["predicted_inner"] = rdiagonal.circ_inner_radius(mu, t)
         return report
 
     # the boundary comes first, so a run refused for want of one draws
@@ -437,19 +434,14 @@ def cmd_radii(cfg, args, mu):
     t_max = args.t_max
     if t_max is None:  # short of the time inner ** 2 at which the hole closes
         t_max = 0.9 * ann.inner ** 2 if ann.inner ** 2 else 1.0
-    rows = []
-    for tv in np.linspace(0.0, t_max, args.steps):
-        try:
-            rows.append((float(tv), rdiagonal.circ_inner_radius(mu, float(tv))))
-        except TMaxExceeded:
-            rows.append((float(tv), float("nan")))
+    rows = [(float(tv), rdiagonal.circ_inner_radius(mu, float(tv)))
+            for tv in np.linspace(0.0, t_max, args.steps)]
     if cfg["format"] == "csv":
         return region_mod.Table("t,inner_radius", rows, (
             ("annulus_inner", ann.inner), ("annulus_outer", ann.outer)))
     return {"schema": "brownscope-radii/1",
             "annulus": {"inner": ann.inner, "outer": ann.outer},
-            "sweep": [{"t": tv, "inner_radius": region_mod.json_float(rv)}
-                      for tv, rv in rows]}
+            "sweep": [{"t": tv, "inner_radius": rv} for tv, rv in rows]}
 
 
 # run(cfg, args, mu) returns what region.emit writes: a Grid, a Boundary, a

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Divergent-but-meaningful quantities (an infinite inverse-square trace, a
-vanishing lifetime) are returned as float infinities, not raised.  The
-exceptions below mark genuine contract violations or numerical failures.
+Meaningful limits (an infinite trace or lifetime, a vanishing lifetime,
+the inner radius 0 of a closed hole) are returned as values, not raised.
+The exceptions below mark genuine contract violations or numerical failures.
 """
 
 
@@ -22,10 +22,6 @@ class NegativeEpsilon(BrownscopeError):
     """Negative regularization requested where the integrand turns singular."""
 
 
-class LifetimeExceeded(BrownscopeError):
-    """A closed-form flow was driven past its blow-up time."""
-
-
 class InversionFailed(BrownscopeError):
     """Newton inversion of the time-t regularization map did not converge."""
 
@@ -33,14 +29,6 @@ class InversionFailed(BrownscopeError):
 class OutsideOmega(BrownscopeError):
     """Evaluation point lies below the subordination graph, where the
     half-plane map is not defined."""
-
-
-class OriginExcluded(BrownscopeError):
-    """The origin is excluded from this formula's domain."""
-
-
-class TMaxExceeded(BrownscopeError):
-    """Time parameter exceeds the largest value the formula admits."""
 
 
 class BadGamma(BrownscopeError):

@@ -57,7 +57,7 @@ import numpy as np
 from . import region as _region
 from .additive import Membership, _band_membership
 from .errors import (BlowUp, ContinuationFailed, EvaluationOnSupport,
-                     NegativeEpsilon, OriginExcluded, WrongSupportKind)
+                     NegativeEpsilon, WrongSupportKind)
 from .measures import (SpectralMeasure, cauchy_derivative, cauchy_transform,
                        herglotz, neg2_moments, neg2_trace, neg4_trace,
                        reg_cauchy_transform)
@@ -169,13 +169,11 @@ def T_mult_unitary(mu_u: SpectralMeasure, lam):
 
 def T_mult_positive(mu_x: SpectralMeasure, lam):
     """Positive-case lifetime log(a/p2) / (a - p2), a = |lam|^2 p0: _T_mult
-    on a half-line law.  Vectorized; a scalar lam = 0 is refused, and an
-    array's lam = 0 takes the radial limit _T_at_zero.  On the circle
-    |lam|^2 p0 = p2 the value is 1/p2; at an atom it is 0."""
+    on a half-line law.  Vectorized; lam = 0 takes the radial limit
+    _T_at_zero.  On the circle |lam|^2 p0 = p2 the value is 1/p2; at an
+    atom it is 0."""
     if mu_x.support != "nonneg":
         raise WrongSupportKind("T_mult_positive needs a nonneg-supported law")
-    if np.ndim(lam) == 0 and complex(lam) == 0:
-        raise OriginExcluded("the positive-case lifetime excludes lam = 0")
     return _T_mult(mu_x, lam)
 
 
@@ -264,28 +262,29 @@ def _characteristic(start, t: float):
     """(state, t_blow): the characteristic from start = (y, p2) at time t,
     by the closed form of the module docstring, and the time p_eps blows
     up (+inf if never); the state is None when t_blow <= t.
-    ContinuationFailed when the state at t leaves the float range."""
+    ContinuationFailed once any number on the way leaves the float range."""
     y, p2 = start
     lam0, pe0 = y.lam, y.p_epsilon
-    phi0, a0 = y.epsilon * pe0, abs(lam0) ** 2 * pe0
-    lp0 = lam0 * y.p_lambda
-    b = 1.0 - 2.0 * (phi0 + lp0.real)
-    w = 0.5 * b + phi0
-    m = w + a0  # m + b/2 = p2, which b + Phi0 + A0 would reach by cancelling
-    k2 = w * w + phi0 * a0  # b^2/4 - H
-    if k2 > 0:
-        k = math.sqrt(k2)
-        # k - w and k - m, without cancellation where w or m is positive
-        kw = phi0 * a0 / (k + w) if w > 0 else k - w
-        km = -a0 * p2 / (k + m) if m > 0 else k - m
-        t_blow = math.log1p(-2.0 * k / km) / (2.0 * k) if km < 0 else math.inf
-    else:
-        kappa = math.sqrt(-k2)
-        t_blow = (math.atan2(kappa, m) / kappa if kappa
-                  else 1.0 / m if m > 0 else math.inf)
-    if t >= t_blow:
-        return None, t_blow
     try:
+        phi0, a0 = y.epsilon * pe0, abs(lam0) ** 2 * pe0
+        lp0 = lam0 * y.p_lambda
+        b = 1.0 - 2.0 * (phi0 + lp0.real)
+        w = 0.5 * b + phi0
+        m = w + a0  # m + b/2 = p2, which b + Phi0 + A0 would reach by cancelling
+        k2 = w * w + phi0 * a0  # b^2/4 - H
+        if k2 > 0:
+            k = math.sqrt(k2)
+            # k - w and k - m, without cancellation where w or m is positive
+            kw = phi0 * a0 / (k + w) if w > 0 else k - w
+            km = -a0 * p2 / (k + m) if m > 0 else k - m
+            t_blow = (math.log1p(-2.0 * k / km) / (2.0 * k) if km < 0
+                      else math.inf)
+        else:
+            kappa = math.sqrt(-k2)
+            t_blow = (math.atan2(kappa, m) / kappa if kappa
+                      else 1.0 / m if m > 0 else math.inf)
+        if t >= t_blow:
+            return None, t_blow
         if k2 > 0:  # c = cosh kt, s = sinh(kt)/k, g and f, all times e^{-kt}
             e, scale = math.exp(-2.0 * k * t), k * t
             c, s = 0.5 * (1.0 + e), -0.5 * math.expm1(-2.0 * k * t) / k
@@ -303,7 +302,7 @@ def _characteristic(start, t: float):
         lam = lam0 / u
         pl = (complex(phi0 + lp0.real - phi, lp0.imag) / lam if lam0
               else y.p_lambda * u)
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
         raise ContinuationFailed(
             f"the characteristic left the float range before time t: {exc}"
         ) from exc
@@ -322,8 +321,8 @@ def hamilton_flow_mult(mu_u: SpectralMeasure, lam0, eps0: float,
     complex spatial gradient.
 
     Raises BlowUp when p_eps blows up by time t; the exception carries
-    the exact blow-up time.  Raises ContinuationFailed when the state at
-    t leaves the float range.
+    the exact blow-up time.  Raises ContinuationFailed when the start's
+    constants or the state at t leave the float range, as at |lam0| = 1e200.
     """
     eps0 = float(eps0)
     if eps0 < 0:
@@ -342,9 +341,10 @@ def _landing(mu: SpectralMeasure, lam, t: float, eps: float):
     Along a characteristic dlam/dt = eps p_eps lam, so arg lam is fixed
     and the start is (r0 e^{i arg lam}, eps0); Newton in (log r0, log eps0)
     with a forward-difference Jacobian, seeded at (|lam|, eps), drives the
-    log residuals of |lam(t)| and eps(t) to zero.  At lam = 0 only eps0 is
-    solved for; at eps = 0 the characteristic from (lam, 0) keeps both, so
-    one evaluation serves.  NegativeEpsilon for eps < 0, BlowUp for
+    log residuals of |lam(t)| and eps(t) to zero.  Below |lam| = _TINY_MOD
+    (lam = 0 included) only eps0 is solved for, from lam0 = 0: |lam|^2
+    underflows there; at eps = 0 the characteristic from (lam, 0) keeps
+    both, so one evaluation serves.  NegativeEpsilon for eps < 0, BlowUp for
     eps = 0 on an atom, ContinuationFailed when the seed's flow blows up
     or Newton does not converge within _SHOOT_MAX_ITER steps."""
     lam, eps, t = complex(lam), float(eps), float(t)
@@ -359,7 +359,7 @@ def _landing(mu: SpectralMeasure, lam, t: float, eps: float):
 
     if eps == 0:
         return lam, 0.0, flow(lam, 0.0)
-    radius = abs(lam)
+    radius = abs(lam) if abs(lam) >= _TINY_MOD else 0.0
     phase = lam / radius if radius else 1.0
     # plain floats throughout: u is (log r0, log eps0), or log eps0 alone
     target = [math.log(radius), math.log(eps)] if radius else [math.log(eps)]

@@ -12,7 +12,9 @@ circular perturbation at time t moves the inner radius to
 
     sqrt(1 / integral xi^-2 dmu_h  -  t),
 
-defined while t stays below that inverse second moment's reciprocal.
+until t reaches that inverse second moment's reciprocal, and 0 from then
+on: the hole has closed (Haagerup and Larsen: the inner radius of an
+R-diagonal T is ||T^-1||_2^-1, which is 0 once T^-1 is not in L^2).
 
 The half-plane support machinery: for the symmetrized law mu of |x|, the
 constraint function
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .additive import phi_derivative, phi_formula
-from .errors import InversionFailed, OutsideOmega, TMaxExceeded, WrongSupportKind
+from .errors import InversionFailed, OutsideOmega, WrongSupportKind
 from .measures import (SpectralMeasure, cauchy_transform, reg_resolvent,
                        symmetrize, _trapezoid_weights)
 
@@ -79,20 +81,14 @@ def hl_radii(mu_h: SpectralMeasure) -> AnnulusSpec:
 
 def circ_inner_radius(mu_h: SpectralMeasure, t: float) -> float:
     """Inner Brown radius of the product after time-t circular addition:
-    sqrt(1/m - t) with m the inverse second moment of mu_h.  t = 0 must
-    reproduce the unperturbed inner radius; t past 1/m is refused."""
+    sqrt(max(1/m - t, 0)) with m the inverse second moment of mu_h, and
+    1/m = 0 where m diverges.  t = 0 reproduces the unperturbed inner
+    radius; from t = 1/m on the hole has closed and the radius is 0."""
     if mu_h.support != "nonneg":
         raise WrongSupportKind("circ_inner_radius needs a nonneg-supported law")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    m = _moment(mu_h, -2.0)
-    if np.isinf(m):
-        if t == 0:
-            return 0.0
-        raise TMaxExceeded("inverse second moment diverges; only t = 0 works")
-    cap = 1.0 / m
-    if t > cap + 1e-15:
-        raise TMaxExceeded(f"t = {t:.6g} exceeds the cap {cap:.6g}")
+    cap = 1.0 / _moment(mu_h, -2.0)  # a float: 1/inf is 0
     return float(np.sqrt(max(cap - t, 0.0)))
 
 

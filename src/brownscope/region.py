@@ -169,9 +169,10 @@ def extract_levelset(grid: Grid, level: float, *, wrap_im: bool = False) -> Boun
     """Trace the level set {f = level} and assemble it into polylines.
 
     A corner counts as above when value > level, with +-inf clamped to
-    +-1e30 first (so +inf is always above, -inf always below).  A shared
-    edge gives the same point to both of its segments, which makes chains
-    join exactly.  Closed chains are flagged.
+    +-1e30 first (so +inf is always above, -inf always below).  A cell
+    with a nan corner is not traced, so chains reaching it end there as
+    open chains.  A shared edge gives the same point to both of its
+    segments, which makes chains join exactly.  Closed chains are flagged.
 
     wrap_im=True makes the imaginary axis periodic: the cells between the
     last node row and the first are traced too, so chains crossing that seam
@@ -196,6 +197,9 @@ def _crossings(grid: Grid, level: float, wrap_im: bool):
              + 8 * above[:-1, 1:].astype(np.int8))
     i, j = np.nonzero((codes > 0) & (codes < 15))
     center = 0.25 * (v[i, j] + v[i + 1, j] + v[i + 1, j + 1] + v[i, j + 1])
+    # the clamped mean is nan exactly where a corner is nan: not traced
+    traced = ~np.isnan(center)
+    i, j, center = i[traced], j[traced], center[traced]
 
     # the segments, cell by cell, as the slots of their two ends
     slots = _SEGMENTS[codes[i, j], (center > level).astype(np.int8)]

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from brownscope import (ContinuationFailed, EvaluationOnSupport,
-                        InversionFailed, LifetimeExceeded, Membership,
-                        NegativeEpsilon, SpectralMeasure,
+from brownscope import (BlowUp, ContinuationFailed, EvaluationOnSupport,
+                        InversionFailed, Membership, NegativeEpsilon,
+                        SpectralMeasure,
                         T_additive, Verdict, analytic_extension_trace,
                         evaluate_grid, extension_margin, extract_levelset,
                         flow_additive, laplacian_identity_check, map_boundary,
@@ -50,10 +50,12 @@ def test_flow_closed_form_values():
 
 
 def test_flow_lifetime_exceeded():
-    with pytest.raises(LifetimeExceeded):
-        flow_additive(1.0, 2.0, 0.5)
-    with pytest.raises(LifetimeExceeded):
-        flow_additive(1.0, 2.0, 0.7)
+    # at and past the lifetime 1/p0 the flow has blown up: BlowUp carries
+    # 1/p0, as the multiplicative flow's carries its blow-up time
+    for t in (0.5, 0.7):
+        with pytest.raises(BlowUp) as exc:
+            flow_additive(1.0, 2.0, t)
+        assert exc.value.t_detected == 0.5
 
 
 def test_flow_conservation_random_triples():

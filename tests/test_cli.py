@@ -508,6 +508,17 @@ def test_oracle_rdiag_report(tmp_path):
     assert doc["sampler"] == rmt.SAMPLER_VERSION == 3
 
 
+def test_oracle_rdiag_past_the_cap_predicts_a_closed_hole(tmp_path):
+    # past t = 1/m = 1.6 the hole has closed: the predicted inner radius is 0
+    c = cfg_file(tmp_path, "c.json", {
+        "model": "rdiag", "measure": TWO_ATOMS, "t": 2.0,
+        "oracle": {"n": 60, "seed": 3}})
+    doc = _strict_json(run_to_file(tmp_path, "r.json",
+                                   ["oracle", "--config", c]).decode())
+    assert doc["predicted_inner"] == 0.0
+    assert 0.0 < doc["min_modulus"] < doc["max_modulus"]
+
+
 def test_oracle_include_eigenvalues(tmp_path):
     cfg = {"model": "add-elliptic", "measure": BERN_REAL, "t": 1.0,
            "gamma": [0.3, 0.1], "grid": {"nx": 32, "ny": 32},
@@ -579,6 +590,24 @@ def test_oracle_mult_probe_failures_print_no_warning(tmp_path):
     assert "reference" not in atom and "reference" not in negative
     assert "blew up" in atom["reference_error"]
     assert "eps >= 0" in negative["reference_error"]
+
+
+def test_oracle_mult_probe_where_lam_squared_overflows(tmp_path):
+    # |lam|^2 overflows at 1e200: that row carries reference_error, and the
+    # run goes on to the next probe with no traceback
+    c = cfg_file(tmp_path, "c.json", {
+        "model": "mult-unitary", "measure": FOURTH_ROOTS, "t": 1.0,
+        "gamma": [0.0, -0.5], "grid": {"nx": 32, "ny": 32},
+        "oracle": {"n": 40, "k": 4, "seed": 4,
+                   "probes": [[1e200, 0, 0], [3, 0, 1e-3]]}})
+    run = _cli_subprocess(["oracle", "--config", c])
+    assert run.returncode == 0
+    assert run.stderr == ""
+    huge, plain = json.loads(run.stdout)["dsde_probes"]
+    assert "reference" not in huge
+    assert "float range" in huge["reference_error"]
+    assert "reference_error" not in plain
+    assert np.isfinite(plain["reference"])
 
 
 def test_oracle_mult_positive_default_probes_are_outside_the_domain(tmp_path):
@@ -690,18 +719,21 @@ def test_radii_json_past_cap(tmp_path):
     sweep = doc["sweep"]
     assert sweep[0]["inner_radius"] == pytest.approx(np.sqrt(1.6))
     assert sweep[1]["inner_radius"] == pytest.approx(np.sqrt(0.6))
-    assert sweep[2]["inner_radius"] == "nan"
+    # past the cap 1.6 the hole has closed
+    assert sweep[2]["inner_radius"] == 0.0
 
 
 def test_radii_json_past_cap_is_strict_json(tmp_path):
-    # past the time the hole closes the radius is spelled "nan", as in the
-    # grid documents, not as the non-standard NaN
+    # past the time the hole closes the radius is 0.0, in json and csv alike
     c = cfg_file(tmp_path, "c.json", {"model": "rdiag", "measure": TWO_ATOMS})
-    doc = _strict_json(run_to_file(tmp_path, "r.json", [
-        "radii", "--config", c, "--t-max", "3", "--steps", "4"]).decode())
+    argv = ["radii", "--config", c, "--t-max", "3", "--steps", "4"]
+    doc = _strict_json(run_to_file(tmp_path, "r.json", argv).decode())
     radii = [row["inner_radius"] for row in doc["sweep"]]
     assert radii[:2] == pytest.approx([np.sqrt(1.6), np.sqrt(0.6)])
-    assert radii[2:] == ["nan", "nan"]
+    assert radii[2:] == [0.0, 0.0]
+    rows = parse_csv(run_to_file(tmp_path, "r.csv",
+                                 argv + ["--format", "csv"]))
+    assert [r for _, r in rows] == radii
 
 
 # --- error contract and config validation -------------------------------------------

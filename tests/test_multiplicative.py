@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from brownscope import (BlowUp, BrownscopeError, ContinuationFailed,
                         EvaluationOnSupport, Membership, NegativeEpsilon,
-                        OriginExcluded, SpectralMeasure, T_mult_positive,
+                        SpectralMeasure, T_mult_positive,
                         T_mult_unitary, Verdict, WrongSupportKind,
                         blow_up_time, curvature_check_circle, evaluate_grid,
                         extract_levelset, f_gamma_formula, flow_dSde,
@@ -354,12 +354,17 @@ def test_flow_from_a_negative_eps0_agrees_with_solve_ivp():
     lambda mu: hamilton_flow_mult(mu, 3.0, 0.1, 1e4),
     lambda mu: flow_dSde(mu, 3.0, 1e6, 0.0),
     lambda mu: hamilton_flow_mult(mu, 1.0 + 1e-9, 0.0, 1.0),
-    lambda mu: hamilton_flow_mult(mu, 0.0, 1e-3, 800.0)],
+    lambda mu: hamilton_flow_mult(mu, 0.0, 1e-3, 800.0),
+    lambda mu: hamilton_flow_mult(mu, 1e200, 0.0, 1.0),
+    lambda mu: flow_dSde(mu, 1e200, 1.0, 0.0),
+    lambda mu: blow_up_time(mu, 1e200, 0.0)],
     ids=["past-blow-up", "reference-past-blow-up", "next-to-an-atom",
-         "p-eps-overflows"])
+         "p-eps-overflows", "lam0-squared-overflows",
+         "reference-lam-squared-overflows", "blow-up-time-lam0-overflows"])
 def test_flow_raises_only_package_errors(call):
-    # far past the blow-up time, next to an atom, or where p_eps = p_eps0
-    # e^{bt} leaves the float range (lam0 = 0, b near 1)
+    # far past the blow-up time, next to an atom, where p_eps = p_eps0
+    # e^{bt} leaves the float range (lam0 = 0, b near 1), or where the
+    # start's |lam0|^2 does (|lam0| = 1e200)
     with pytest.raises(BrownscopeError):
         call(fourth_roots())
 
@@ -437,11 +442,21 @@ def test_flow_reference_decreases_in_eps(law, r, theta, t, log_eps, log_ratio):
     mu = law()
     lam = r * np.exp(1j * theta)
     lifetime = T_mult_unitary if law is fourth_roots else T_mult_positive
-    assume(lam != 0 or law is fourth_roots)  # T_mult_positive excludes 0
     assume(_band_membership(lifetime(mu, lam), t) is Membership.OUTSIDE)
     eps = 10.0 ** log_eps
     assert flow_dSde(mu, lam, t, eps) > flow_dSde(mu, lam, t,
                                                   eps * 10.0 ** log_ratio)
+
+
+@pytest.mark.parametrize("law", [fourth_roots, two_atoms])
+def test_flow_reference_at_a_subnormal_lam_is_its_value_at_0(law):
+    # |lam|^2 underflows below _TINY_MOD, and a forward difference in
+    # log |lam| cannot move a subnormal: the shooting starts from lam0 = 0
+    mu = law()
+    for eps in (1e-3, 1.0, 10.0):
+        at_zero = flow_dSde(mu, 0.0, 0.5, eps)
+        for lam in (5e-324, 1e-310j, -1e-160):
+            assert flow_dSde(mu, lam, 0.5, eps) == at_zero
 
 
 def test_flow_reference_failures_are_package_errors():
@@ -515,9 +530,13 @@ def test_T_positive_two_atoms():
 
 
 def test_T_positive_origin_excluded():
+    # a scalar 0 takes the radial limit _T_at_zero, as a 0 inside an array
+    # does (+inf here, with no atom at 0)
     mu = SpectralMeasure.atomic([1.0, 2.0], [0.5, 0.5], support="nonneg")
-    with pytest.raises(OriginExcluded):
-        T_mult_positive(mu, 0.0)
+    assert T_mult_positive(mu, 0.0) == _T_at_zero(mu) == np.inf
+    mu0 = SpectralMeasure.atomic([0.0, 1.0], [0.3, 0.7], support="nonneg")
+    assert T_mult_positive(mu0, 0j) == _T_at_zero(mu0)
+    assert T_mult_positive(mu0, 0.0) == T_mult_positive(mu0, np.zeros(2))[1]
 
 
 @pytest.mark.parametrize("atoms, weights, at_zero", [
@@ -549,8 +568,8 @@ def test_T_positive_array_at_the_origin_is_the_radial_limit(atoms, weights,
     # the other entries are the values they take without the origin
     others = T_mult_positive(mu, np.array([0.5 + 0.5j, 1j, 3.0, 1j]))
     assert vals[[0, 2]].tobytes() == others[[0, 2]].tobytes()
-    with pytest.raises(OriginExcluded):
-        T_mult_positive(mu, 0.0)
+    # and a scalar 0 takes the same limit
+    assert T_mult_positive(mu, 0.0) == vals[1]
 
 
 def test_T_positive_zero_at_atoms():

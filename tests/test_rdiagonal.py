@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from brownscope import (AnnulusSpec, InversionFailed, OutsideOmega,
-                        SpectralMeasure, TMaxExceeded, WrongSupportKind,
+                        SpectralMeasure, WrongSupportKind,
                         biane_Ht, cauchy_transform, circ_inner_radius,
                         hl_radii, perturbed_symmetrized_law, rdiagonal,
                         stieltjes_invert, symmetrize, vt)
@@ -72,16 +72,17 @@ def test_circ_inner_values():
 
 
 def test_circ_inner_cap_and_monotonicity():
+    # past the cap 1/m the hole has closed: the radius is 0, and with an atom
+    # at 0 (m diverges) it is 0 from t = 0 on
     mu = two_atoms()
-    with pytest.raises(TMaxExceeded):
-        circ_inner_radius(mu, 1.7)
+    assert circ_inner_radius(mu, 1.7) == 0.0
+    assert circ_inner_radius(mu, 1e300) == 0.0
     ts = np.linspace(0, 1.5, 7)
     vals = [circ_inner_radius(mu, t) for t in ts]
     assert np.all(np.diff(vals) < 0)
     mu0 = SpectralMeasure.atomic([0.0, 1.0], [0.5, 0.5], support="nonneg")
     assert circ_inner_radius(mu0, 0.0) == 0.0
-    with pytest.raises(TMaxExceeded):
-        circ_inner_radius(mu0, 0.1)
+    assert circ_inner_radius(mu0, 0.1) == 0.0
 
 
 # --- constraint graph -----------------------------------------------------------

@@ -240,14 +240,16 @@ _CODES_GRID = Grid(0.0, 7.0, 0.0, 6.0, 7, 6, np.array([
 
 
 def _cell_cases(v, level):
-    """The corner code of every mixed cell, with the saddles 5 and 10 paired
-    with whether their centre mean is above the level."""
-    v = np.clip(np.nan_to_num(v, nan=np.nan), -1e30, 1e30)
+    """The corner code of every traced cell (mixed, with no nan corner),
+    with the saddles 5 and 10 paired with whether their centre mean is
+    above the level."""
+    v = np.clip(v, -1e30, 1e30)
     a = v > level
     codes = a[:-1, :-1] + 2 * a[1:, :-1] + 4 * a[1:, 1:] + 8 * a[:-1, 1:]
-    centre = (v[:-1, :-1] + v[1:, :-1] + v[1:, 1:] + v[:-1, 1:]) / 4 > level
-    return {(int(c), bool(m)) if c in (5, 10) else int(c)
-            for c, m in zip(codes.ravel(), centre.ravel()) if 0 < c < 15}
+    mean = (v[:-1, :-1] + v[1:, :-1] + v[1:, 1:] + v[:-1, 1:]) / 4
+    return {(int(c), bool(m > level)) if c in (5, 10) else int(c)
+            for c, m in zip(codes.ravel(), mean.ravel())
+            if 0 < c < 15 and not np.isnan(m)}
 
 
 def test_codes_grid_reaches_every_cell_case():
@@ -260,20 +262,38 @@ def test_codes_grid_reaches_every_cell_case():
 
 @pytest.mark.parametrize("level, wrap, digest", [
     (0.5, False,
-     "df876a6d30e845ff66dba3e5a026dad974ef0651a8cad39750f0967148369e10"),
+     "6d7258d1d51f82f0a17763e927c21fa8b9a8115cf361f3cf5ec576d43c2c8515"),
     (0.5, True,
-     "76c50fa7148a3d3a7acb2792c766a5e640b38be5371c2f5383942ff7e5f33b47"),
+     "bc4754366920b5c924e37fcacaaca171fa86e58aa9f693ac432bf81b30cae25e"),
     (1.0, False,
-     "cf733f13649d54c7d34b14e7bab740029804296c9d6b341d0436a0ef089776fe"),
+     "914460e3f69971a3b97781e629058fff735ba400bbfacd84d2d6659e18ee453b"),
     (1.0, True,
-     "28a3eb422c75a7fbf8dc8309be509e016f8ce1a3febf92b73e29424df61800ee"),
+     "60d9de95f489ebba3f3e69621bc83fa0bbd08b7624f309ec2ad727ea7f012e0c"),
 ])
 def test_levelset_bytes_over_every_cell_case(level, wrap, digest):
-    # corners equal to the level 1.0 put points on nodes; the digests are the
-    # per-cell tracer's output, so the segment order and every point's bits
-    # are pinned
+    # corners equal to the level 1.0 put points on nodes; the digests pin the
+    # segment order and every point's bits, with the four cells around the
+    # nan corner left untraced
     out = emit(extract_levelset(_CODES_GRID, level, wrap_im=wrap), "json")
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_levelset_ends_open_at_a_nan_cell():
+    # a 2 x 2 block of 2s in 0s whose corner (2, 2) is nan: the four cells
+    # around it are not traced, so the loop round the block becomes one open
+    # chain of its 6 finite crossings, with no jump across the block
+    v = np.zeros((4, 4))
+    v[1:3, 1:3] = 2.0
+    v[2, 2] = np.nan
+    g = Grid(0.0, 3.0, 0.0, 3.0, 4, 4, v)
+    for wrap in (False, True):
+        (chain,) = extract_levelset(g, 0.5, wrap_im=wrap).polylines
+        assert not chain.closed
+        np.testing.assert_array_equal(chain.points, [
+            2.4375 + 1.125j, 1.875 + 0.5625j, 1.125 + 0.5625j,
+            0.5625 + 1.125j, 0.5625 + 1.875j, 1.125 + 2.4375j])
+        # consecutive crossings share a cell: at most its diagonal apart
+        assert np.abs(np.diff(chain.points)).max() <= 0.75 * np.sqrt(2.0)
 
 
 # --- map_boundary -----------------------------------------------------------

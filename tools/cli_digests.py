@@ -18,33 +18,36 @@ json: 48^2 points x 2,048 nodes is the largest direct kernel sum here.
 mult-unitary's oracle also runs at n = 400, k = 60, the benchmark's size.
 add-elliptic at gamma = 0.9 runs spectest at 2.3 and 2.7: its map phi
 carries the domain's real-axis tip out to 2.51, so 2.3 is the image of a
-point inside the domain and 2.7 of one outside.  Two groups reach the
-non-finite spellings: mult-unitary lifetime on a 5^2 grid whose middle
-node is 0, where the lifetime is infinite, in json, csv and pgm, and
-rdiag `radii --t-max 3 --steps 4`, whose sweep passes the time the hole
-closes, in json and csv.  A few
-error runs close the list: |gamma| > t, usage errors, an unwritable
---out, an oracle on a grid the domain covers and a negative
-oracle.dilation.  Last, mult-unitary and mult-positive run the oracle
+point inside the domain and 2.7 of one outside.  mult-unitary lifetime on
+a 5^2 grid whose middle node is 0, where the lifetime is infinite, reaches
+the non-finite spellings, in json, csv and pgm.  rdiag `radii --t-max 3
+--steps 4` passes the time the hole closes, where the radius is 0.0, in
+json and csv.  A few error runs close the list: |gamma| > t, usage
+errors, an unwritable --out, an oracle on a grid the domain covers and a
+negative oracle.dilation.  Last, mult-unitary and mult-positive run the oracle
 with explicit probes, which reach the flow reference's other paths: one
 at eps = 0, where no shooting is needed, one where the lifetime is
 about 1.07 t, and one inside the time-t domain, where the reference
 fails and the row carries reference_error.  Then mult-positive runs
 lifetime in json on a 48^2 grid over [-1e-4, 1e-4]^2, where |lam|^2 p0 is
-far below p2 and the lifetime takes log(a/p2) through 2 log|lam|.  The
-last two runs are mult-positive lifetime in json on 16^2 grids where
+far below p2 and the lifetime takes log(a/p2) through 2 log|lam|.  Next
+come two mult-positive lifetime runs in json on 16^2 grids where
 |lam|^2 leaves the normal range: over [-1e-154, 1e-154]^2 on a law with an
 atom at 0, where p0 would overflow and the lifetime is its radial limit,
 and over [-1e-165, 1e-165]^2 on the two-atom law, where it is finite.
 Then add-circ runs `domain` in json on half a unit atom at (1+i)/sqrt(2)
 and half at its negative, on the 48^2 grid: the cell in the middle of the
 grid is a marching-squares saddle (corner code 10), so the extractor's
-saddle resolution shows in the bytes.  The very last run is add-elliptic
+saddle resolution shows in the bytes.  Then add-elliptic runs
 `map --in` in json at t = 1, gamma = 0.9 on the boundary of the Bernoulli
 domain at t = 0.05, which `domain` writes first on a 48^2 grid over
 [-2, 2]^2: phi expands its two small loops far more than 5-fold, so
 boundary mapping bisects every one of the 32 source segments down to the
-depth cap, 131,072 points in all.
+depth cap, 131,072 points in all.  The last two runs are oracles:
+mult-unitary with a probe at lam = 1e200, eps = 0, where |lam|^2 leaves
+the float range and the row carries reference_error, and rdiag at t = 2,
+past the time 1.6 at which the hole closes, where the predicted inner
+radius is 0.
 Each run prints one tab-separated line:
 
     model  command  format  exit-code  sha256(stdout)  last stderr line
@@ -173,6 +176,11 @@ SMALL_LOOPS = dict(MODELS["add-elliptic"], model="add-elliptic", t=0.05,
                          "im_max": 2.0, "nx": 48, "ny": 48})
 SMALL_LOOPS_DOMAIN = ["domain", "--config", "small-loops.json", "--format",
                       "json", "--out", "small-loops-domain.json"]
+# a mult-unitary probe row where |lam|^2 overflows, and rdiag past the time
+# 1.6 at which the two-atom law's hole closes
+HUGE_PROBE = [[1e200, 0.0, 0.0]]
+RDIAG_PAST_CLOSING = dict(MODELS["rdiag"], model="rdiag", t=2.0,
+                          oracle={"n": 60, "seed": 5})
 # the add-elliptic domain at t = 4 covers the grid [-1, 1]^2: its level set
 # crosses no cell, and the oracle refuses the run
 COVERED = dict(MODELS["add-elliptic"], model="add-elliptic", t=4.0,
@@ -197,6 +205,9 @@ def write_inputs(work: Path) -> None:
         if model in FLOW_PROBES:
             (work / f"{model}-probes.json").write_text(json.dumps(dict(
                 cfg, oracle=dict(cfg["oracle"], probes=FLOW_PROBES[model]))))
+        if model == "mult-unitary":
+            (work / "huge-probe.json").write_text(json.dumps(dict(
+                cfg, oracle=dict(cfg["oracle"], probes=HUGE_PROBE))))
     (work / "oracle-400.json").write_text(json.dumps(dict(
         MODELS["mult-unitary"], model="mult-unitary", oracle=ORACLE_400,
         grid={"re_min": -3.0, "re_max": 3.0, "im_min": -3.0, "im_max": 3.0,
@@ -207,6 +218,8 @@ def write_inputs(work: Path) -> None:
     (work / "near-zero.json").write_text(json.dumps(NEAR_ZERO_GRID))
     (work / "diagonal.json").write_text(json.dumps(DIAGONAL))
     (work / "small-loops.json").write_text(json.dumps(SMALL_LOOPS))
+    (work / "rdiag-past-closing.json").write_text(
+        json.dumps(RDIAG_PAST_CLOSING))
     for name, cfg in TINY_GRIDS.items():
         (work / f"{name}.json").write_text(json.dumps(cfg))
     (work / "negative-dilation.json").write_text(json.dumps(dict(
@@ -325,6 +338,10 @@ def main(argv=None) -> int:
     jobs.append((("add-elliptic/gamma-0.9", "map-small-loops", "json"),
                  ["map", "--in", "small-loops-domain.json", "--config",
                   "elliptic-0.9.json", "--format", "json"]))
+    jobs.append((("mult-unitary/huge-probe", "oracle", "json"),
+                 ["oracle", "--config", "huge-probe.json"]))
+    jobs.append((("rdiag/past-closing", "oracle", "json"),
+                 ["oracle", "--config", "rdiag-past-closing.json"]))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_inputs(work)
