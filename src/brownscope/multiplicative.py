@@ -469,7 +469,9 @@ def sigma_boundary_positive(mu_x: SpectralMeasure, t: float,
     """Positive-case domain boundary on a log-polar grid (the domain hugs
     the origin at small t near an atom at 0, so uniform rectangular grids
     resolve it poorly).  The disk of radius r_min is excluded.  The angle
-    axis is periodic, so chains crossing the positive axis close exactly."""
+    axis is periodic, so chains crossing the positive axis close exactly.
+    exp is conformal, so the chains keep the side T > t on their left: each
+    runs clockwise round its piece of the domain."""
     if r_max is None:
         r_max = default_r_max(mu_x)
     bounds = (np.log(r_min), np.log(r_max), 0.0, 2.0 * np.pi)

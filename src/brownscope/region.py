@@ -4,13 +4,13 @@ Scalar fields are sampled on rectangular grids whose nodes sit at cell
 centers.  Level sets are traced with marching squares: linear interpolation
 along grid edges, saddle cells disambiguated by the cell-center sample
 (mean of the four corners), infinities clamped to a large finite stand-in
-so "+inf is above any level" holds throughout.  The extractor is
-sign-agnostic; callers decide which side of the level is "inside".  It
-works on arrays: every mixed cell's case (its corner code, or a saddle's
-resolution) looks its segments up in one table of edge slots, the slots
-become integer edge ids (horizontal edges row-major, then vertical ones),
-and every crossing edge is interpolated at once.  Only joining the
-segments into chains walks in Python.
+so "+inf is above any level" holds throughout.  Every chain keeps the
+side above the level on its left.  The extractor works on arrays: every
+mixed cell's case (its corner code, or a saddle's resolution) looks its
+directed segments up in one table of edge slots, the slots become integer
+edge ids (horizontal edges row-major, then vertical ones), and every
+crossing edge is interpolated at once.  Only joining the segments into
+chains, one walk over their successor map, runs in Python.
 
 The boundary utilities work on arrays too.  map_boundary calls the map
 once on each chain's points and once on each level of midpoints it
@@ -135,29 +135,31 @@ def evaluate_grid(f, bounds, nx: int, ny: int, *,
 # marching squares
 # ---------------------------------------------------------------------------
 
-# The segment table: _SEGMENTS[code, center] lists the edge slots that a
-# cell's segments join, one segment or two, padded with -1.  code is the
-# 4-bit corner code (bit k set when corner k is above the level; corners
-# 0 = (i, j), 1 = (i+1, j), 2 = (i+1, j+1), 3 = (i, j+1)) and center is 1
-# when the cell-center mean is above the level.  Only the saddles 5 and 10
-# depend on it: a center above connects the diagonal of above corners.
+# The segment table: _SEGMENTS[code, center] lists a cell's segments, one
+# or two, each as its (from, to) pair of edge slots, padded with -1.  code
+# is the 4-bit corner code (bit k set when corner k is above the level;
+# corners 0 = (i, j), 1 = (i+1, j), 2 = (i+1, j+1), 3 = (i, j+1)) and
+# center is 1 when the cell-center mean is above the level.  Only the
+# saddles 5 and 10 depend on it: a center above connects the diagonal of
+# above corners.  Each pair is ordered so that the corners above the level
+# lie on the segment's left.
 # Slots: 0 bottom (c0-c1), 1 right (c1-c2), 2 top (c3-c2), 3 left (c0-c3).
 _SEGMENTS = np.array([
     [[[-1, -1], [-1, -1]], [[-1, -1], [-1, -1]]],
     [[[0, 3], [-1, -1]], [[0, 3], [-1, -1]]],
-    [[[0, 1], [-1, -1]], [[0, 1], [-1, -1]]],
-    [[[3, 1], [-1, -1]], [[3, 1], [-1, -1]]],
-    [[[1, 2], [-1, -1]], [[1, 2], [-1, -1]]],
-    [[[0, 3], [1, 2]], [[3, 2], [0, 1]]],  # 5
-    [[[0, 2], [-1, -1]], [[0, 2], [-1, -1]]],
-    [[[3, 2], [-1, -1]], [[3, 2], [-1, -1]]],
-    [[[2, 3], [-1, -1]], [[2, 3], [-1, -1]]],
-    [[[0, 2], [-1, -1]], [[0, 2], [-1, -1]]],
-    [[[0, 1], [2, 3]], [[0, 3], [1, 2]]],  # 10
-    [[[1, 2], [-1, -1]], [[1, 2], [-1, -1]]],
+    [[[1, 0], [-1, -1]], [[1, 0], [-1, -1]]],
     [[[1, 3], [-1, -1]], [[1, 3], [-1, -1]]],
+    [[[2, 1], [-1, -1]], [[2, 1], [-1, -1]]],
+    [[[0, 3], [2, 1]], [[2, 3], [0, 1]]],  # 5
+    [[[2, 0], [-1, -1]], [[2, 0], [-1, -1]]],
+    [[[2, 3], [-1, -1]], [[2, 3], [-1, -1]]],
+    [[[3, 2], [-1, -1]], [[3, 2], [-1, -1]]],
+    [[[0, 2], [-1, -1]], [[0, 2], [-1, -1]]],
+    [[[1, 0], [3, 2]], [[3, 0], [1, 2]]],  # 10
+    [[[1, 2], [-1, -1]], [[1, 2], [-1, -1]]],
+    [[[3, 1], [-1, -1]], [[3, 1], [-1, -1]]],
     [[[0, 1], [-1, -1]], [[0, 1], [-1, -1]]],
-    [[[0, 3], [-1, -1]], [[0, 3], [-1, -1]]],
+    [[[3, 0], [-1, -1]], [[3, 0], [-1, -1]]],
     [[[-1, -1], [-1, -1]], [[-1, -1], [-1, -1]]],
 ])
 # by slot: whether its edge is vertical, and the edge's first node minus the
@@ -173,6 +175,9 @@ def extract_levelset(grid: Grid, level: float, *, wrap_im: bool = False) -> Boun
     with a nan corner is not traced, so chains reaching it end there as
     open chains.  A shared edge gives the same point to both of its
     segments, which makes chains join exactly.  Closed chains are flagged.
+    Every chain keeps the side above the level on its left.  Open chains
+    come first, by the edge id each starts at, then closed ones, each
+    starting at its least edge id.
 
     wrap_im=True makes the imaginary axis periodic: the cells between the
     last node row and the first are traced too, so chains crossing that seam
@@ -183,8 +188,8 @@ def extract_levelset(grid: Grid, level: float, *, wrap_im: bool = False) -> Boun
 
 
 def _crossings(grid: Grid, level: float, wrap_im: bool):
-    """The segments of extract_levelset as pairs of edge ids, and the
-    crossing point of each of their edges by id."""
+    """The segments of extract_levelset as (from, to) pairs of edge ids, the
+    side above the level on their left, and each edge's crossing by id."""
     v = np.clip(grid.values, -_BIG, _BIG)  # nan stays nan
     xs, ys, ny = grid.node_re(), grid.node_im(), grid.ny
     if wrap_im:
@@ -226,58 +231,26 @@ def _crossings(grid: Grid, level: float, wrap_im: bool):
 
 
 def _assemble_chains(segments, point_at, level) -> Boundary:
-    """Join segments, given as pairs of edge ids, into chains of the points
-    point_at gives each edge."""
-    adj = {}
-    for s_idx, (ka, kb) in enumerate(segments):
-        adj.setdefault(ka, []).append((s_idx, kb))
-        adj.setdefault(kb, []).append((s_idx, ka))
-
-    used = [False] * len(segments)
-    chains = []
-
-    def walk(start_key):
-        path = [start_key]
-        cur = start_key
-        while True:
-            nxt = None
-            for s_idx, other in adj[cur]:
-                if not used[s_idx]:
-                    used[s_idx] = True
-                    nxt = other
-                    break
-            if nxt is None:
-                return path
-            path.append(nxt)
-            cur = nxt
-
-    # open chains first (odd-degree endpoints, e.g. where the level set
-    # leaves the grid), then closed loops; sorted starts keep the output
-    # deterministic
-    odd_keys = sorted(k for k, lst in adj.items() if len(lst) % 2 == 1)
-    for k in odd_keys:
-        if any(not used[s] for s, _ in adj[k]):
-            path = walk(k)
-            chains.append((path, False))
-    for ka, kb in sorted(segments):
-        for k in (ka, kb):
-            if any(not used[s] for s, _ in adj[k]):
-                path = walk(k)
-                closed = len(path) > 2 and path[0] == path[-1]
-                chains.append((path, closed))
-
+    """Join segments, given as (from, to) pairs of edge ids, into chains of
+    the points point_at gives each edge.  An edge starts at most one
+    segment and ends at most one, so each chain follows the successor map:
+    open ones from the edges no segment ends at, then closed ones from
+    their least edge id.  A chain is closed when it returns to its start."""
+    succ = dict(segments)
     out = []
-    for path, closed in chains:
-        pts = np.asarray([point_at[k] for k in path], dtype=complex)
+    for start in [*sorted(succ.keys() - succ.values()), *sorted(succ)]:
+        if start not in succ:  # walked already
+            continue
+        path = [start]
+        while path[-1] in succ:
+            path.append(succ.pop(path[-1]))
+        closed = path[-1] == start
+        pts = np.array([point_at[k] for k in path], dtype=complex)
+        # drop repeated points (interpolation can land on a node), and a
+        # closed walk's return to its start
+        pts = pts[np.append(True, pts[1:] != pts[:-1])]
         if closed:
             pts = pts[:-1]
-        # drop consecutive duplicates (interpolation can land on a node)
-        if len(pts) > 1:
-            keep = np.ones(len(pts), dtype=bool)
-            keep[1:] = np.abs(np.diff(pts)) > 0
-            pts = pts[keep]
-            if closed and len(pts) > 1 and pts[0] == pts[-1]:
-                pts = pts[:-1]
         if len(pts) >= 2:
             out.append(Chain(pts, closed))
     return Boundary(out, float(level))
@@ -295,7 +268,8 @@ def map_boundary(boundary: Boundary, m) -> Boundary:
     called once on each chain's points and once on each level's
     midpoints.  If a call raises, its points are mapped one at a time, so a
     failure names the point it happened at, as a midpoint's names the end
-    of the source segment that inserted it."""
+    of the source segment that inserted it.  Chains keep their start and
+    direction, so an injective conformal map keeps each one's left side."""
     mapped_chains = []
     for chain in boundary.polylines:
         src = np.asarray(chain.points, dtype=complex)

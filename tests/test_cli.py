@@ -337,11 +337,27 @@ def test_spectest_certifies_no_eigenvalue_inside_the_mapped_region(
         "nx": 256, "ny": 256}))
     doc = json.loads(run_to_file(tmp_path, "d.json", ["domain", "--config", c]))
     mapped = region.read_boundary(doc["mapped"])
+    # probes: the midpoint of every 24th segment of each mapped chain, moved
+    # 0.05 (two grid cells) along its left normal, to the side the chains
+    # keep on their left; a probe that lands within half that distance of
+    # the boundary has crossed a notch narrower than 0.05, and is left out
+    probes = []
+    for chain in mapped.polylines:
+        a = chain.points
+        b = np.roll(a, -1) if chain.closed else a[1:]
+        a, b = a[:len(b)][::24], b[::24]
+        probes.append(0.5 * (a + b) + 0.05j * (b - a) / np.abs(b - a))
+    probes = np.concatenate(probes)
+    clear = region.distance_to_boundary(mapped, probes) >= 0.025
+    assert clear.mean() >= 0.9
+    probes = probes[clear]
+    assert not np.any(point_in_region(mapped, probes))
     eig = rmt.eigenvalues(draw())
-    certified = np.array([z for z in eig if spectest(tmp_path, c, z)["verdict"]
-                          == "outside-spectrum"])
-    assert len(certified) > 0
-    assert not np.any(point_in_region(mapped, certified))
+    points = np.concatenate([probes, eig])
+    certified = np.array([spectest(tmp_path, c, z)["verdict"]
+                          == "outside-spectrum" for z in points])
+    assert 2 * certified[:len(probes)].sum() >= len(probes)
+    assert not np.any(point_in_region(mapped, points[certified]))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brownscope import (Boundary, Chain, EvaluationOnSupport, Grid,
-                        MapEvaluationError, distance_to_boundary, emit,
-                        evaluate_grid, extract_levelset, map_boundary,
-                        parse_pgm, point_in_region)
-from brownscope.region import document, read_boundary
+                        MapEvaluationError, SpectralMeasure, T_mult_positive,
+                        distance_to_boundary, emit, evaluate_grid,
+                        extract_levelset, map_boundary, parse_pgm,
+                        point_in_region, sigma_boundary_positive)
+from brownscope.region import _SEGMENTS, document, read_boundary
 
 
 def all_points(b: Boundary) -> np.ndarray:
@@ -212,15 +213,16 @@ def test_wrap_closes_a_band_winding_around_the_axis():
 
 @pytest.mark.parametrize("field, level, digest", [
     (seam_blob, 10.5,
-     "f7c2bd9bfa62f2bdab7f8356ed9ad89a1e4c90acba5846679fb3852fb9cedc42"),
+     "fe776fe744d21cf5da3145a425c597a946d7dd1943a7d3712dd5259eba94a791"),
     (winding_band, 6.5,
-     "7c72ae441736c7c699a68b9433a0b075cd61d175e0c1e94bbec60d23088dd149"),
+     "5197182eccb35cb153552016b67ed60dd69ca04f8ed854ddaca99722d217ad0e"),
 ])
 def test_no_wrap_keeps_the_rectangular_trace(field, level, digest):
     g = field()
     plain = emit(extract_levelset(g, level, wrap_im=False), "json")
     assert plain == emit(extract_levelset(g, level), "json")
-    # the trace as it was before wrap_im existed, seam chains left open
+    # the trace of the rectangle alone, with the chains crossing the seam
+    # left open
     assert hashlib.sha256(plain).hexdigest() == digest
     assert not any(c.closed for c in extract_levelset(g, level).polylines)
 
@@ -262,18 +264,18 @@ def test_codes_grid_reaches_every_cell_case():
 
 @pytest.mark.parametrize("level, wrap, digest", [
     (0.5, False,
-     "6d7258d1d51f82f0a17763e927c21fa8b9a8115cf361f3cf5ec576d43c2c8515"),
+     "51f3aecae22dc7aedf8e32b58bf9748b172fbfa9a36ff914b0bb603bfd9d54f7"),
     (0.5, True,
-     "bc4754366920b5c924e37fcacaaca171fa86e58aa9f693ac432bf81b30cae25e"),
+     "8cd678b9e990dc2fa70f34feb3e91ac0f679b0c9a170c7e6753f233c43d572ec"),
     (1.0, False,
-     "914460e3f69971a3b97781e629058fff735ba400bbfacd84d2d6659e18ee453b"),
+     "bc3ba5cef395b2b8c9ab364a2d670f299535c7bb5cb139ecbbdc3a87f5c2d060"),
     (1.0, True,
-     "60d9de95f489ebba3f3e69621bc83fa0bbd08b7624f309ec2ad727ea7f012e0c"),
+     "95ce0d76a96967f68546942d945d5036b0699d99c440462d82c2da956db4f921"),
 ])
 def test_levelset_bytes_over_every_cell_case(level, wrap, digest):
     # corners equal to the level 1.0 put points on nodes; the digests pin the
-    # segment order and every point's bits, with the four cells around the
-    # nan corner left untraced
+    # chains' order and direction and every point's bits, with the four cells
+    # around the nan corner left untraced
     out = emit(extract_levelset(_CODES_GRID, level, wrap_im=wrap), "json")
     assert hashlib.sha256(out).hexdigest() == digest
 
@@ -281,7 +283,8 @@ def test_levelset_bytes_over_every_cell_case(level, wrap, digest):
 def test_levelset_ends_open_at_a_nan_cell():
     # a 2 x 2 block of 2s in 0s whose corner (2, 2) is nan: the four cells
     # around it are not traced, so the loop round the block becomes one open
-    # chain of its 6 finite crossings, with no jump across the block
+    # chain of its 6 finite crossings, with no jump across the block; it
+    # keeps the block on its left, so it runs counterclockwise
     v = np.zeros((4, 4))
     v[1:3, 1:3] = 2.0
     v[2, 2] = np.nan
@@ -290,10 +293,154 @@ def test_levelset_ends_open_at_a_nan_cell():
         (chain,) = extract_levelset(g, 0.5, wrap_im=wrap).polylines
         assert not chain.closed
         np.testing.assert_array_equal(chain.points, [
-            2.4375 + 1.125j, 1.875 + 0.5625j, 1.125 + 0.5625j,
-            0.5625 + 1.125j, 0.5625 + 1.875j, 1.125 + 2.4375j])
+            1.125 + 2.4375j, 0.5625 + 1.875j, 0.5625 + 1.125j,
+            1.125 + 0.5625j, 1.875 + 0.5625j, 2.4375 + 1.125j])
         # consecutive crossings share a cell: at most its diagonal apart
         assert np.abs(np.diff(chain.points)).max() <= 0.75 * np.sqrt(2.0)
+
+
+# --- orientation -------------------------------------------------------------
+
+def _left_of(a, b, z):
+    """The cross product of b - a and z - a: positive when z lies left of
+    the line from a to b."""
+    return (np.conj(b - a) * (z - a)).imag
+
+
+def test_segments_keep_the_above_corners_on_their_left():
+    # cell corners 0-3 and, by slot, the corners of its edge
+    corner = np.array([0, 1, 1 + 1j, 1j])
+    slot_corners = np.array([[0, 1], [1, 2], [3, 2], [0, 3]])
+    mid = corner[slot_corners].mean(axis=1)
+    for code in range(1, 15):
+        above = [code >> k & 1 for k in range(4)]
+        for center in (0, 1):
+            segs = [s for s in _SEGMENTS[code, center].tolist() if s[0] >= 0]
+            # each crossing edge of the cell is an end of exactly one segment
+            assert sorted(k for s in segs for k in s) == [
+                k for k, (c0, c1) in enumerate(slot_corners)
+                if above[c0] != above[c1]]
+            for a, b in segs:
+                for k in slot_corners[[a, b]].ravel():
+                    side = _left_of(mid[a], mid[b], corner[k])
+                    assert side > 0 if above[k] else side < 0
+                if code in (5, 10):  # the centre is on its mean's side
+                    side = _left_of(mid[a], mid[b], 0.5 + 0.5j)
+                    assert side > 0 if center else side < 0
+
+
+def signed_area(p):
+    """Shoelace area of the closed polygon p: positive counterclockwise."""
+    return 0.5 * np.sum((np.conj(p) * np.roll(p, -1)).imag)
+
+
+def test_chains_run_clockwise_round_the_side_below():
+    g = evaluate_grid(sq_modulus, (-2, 2, -2, 2), 64, 64)
+    (chain,) = extract_levelset(g, 1.0).polylines
+    assert chain.closed and signed_area(chain.points) < 0
+    neg = Grid(g.re_min, g.re_max, g.im_min, g.im_max, g.nx, g.ny, -g.values)
+    (chain,) = extract_levelset(neg, -1.0).polylines
+    assert chain.closed and signed_area(chain.points) > 0
+
+
+def _sides(boundary, f):
+    """f a quarter of each segment's length off its midpoint, along the
+    left normal and along the right one, over every chain's segments."""
+    left, right = [], []
+    for c in boundary.polylines:
+        a = c.points
+        b = np.roll(a, -1) if c.closed else a[1:]
+        a = a[:len(b)]
+        mid, step = 0.5 * (a + b), 0.25j * (b - a)
+        left.append(f(mid + step))
+        right.append(f(mid - step))
+    return np.concatenate(left), np.concatenate(right)
+
+
+def two_bumps(z):
+    return (np.exp(-np.abs(z - 0.7) ** 2)
+            + 0.8 * np.exp(-2.0 * np.abs(z + 0.6 - 0.5j) ** 2))
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_smooth_field_is_above_its_level_left_of_every_segment(n):
+    b = extract_levelset(evaluate_grid(two_bumps, (-2.5, 2.5, -2.5, 2.5), n, n),
+                         0.5)
+    left, right = _sides(b, two_bumps)
+    assert left.size > n
+    assert np.all(left > 0.5) and np.all(right < 0.5)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_log_polar_domain_keeps_the_exterior_on_its_left(n):
+    # exp is conformal, so the chains keep the side T > t on their left in
+    # the lambda plane: each runs clockwise round its piece of {T < t}
+    mu = SpectralMeasure.load({"kind": "atomic", "support": "nonneg",
+                               "atoms": [[1.0, 0.0, 0.5], [2.0, 0.0, 0.5]]})
+    b = sigma_boundary_positive(mu, 0.5, n_r=n, n_theta=n)
+    left, right = _sides(b, lambda z: T_mult_positive(mu, z))
+    assert left.size > n / 2
+    assert np.all(left > 0.5) and np.all(right < 0.5)
+    assert all(c.closed and signed_area(c.points) < 0 for c in b.polylines)
+
+
+@st.composite
+def integer_grids(draw):
+    """Integer corners in [-3, 3] with some nan, at a half-integer level, so
+    that no corner equals the level and every crossing point is its own."""
+    nx, ny = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    cells = st.sampled_from([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, np.nan])
+    v = np.array(draw(st.lists(cells, min_size=nx * ny, max_size=nx * ny)))
+    level = draw(st.integers(-3, 2)) + 0.5
+    return Grid(0.0, float(nx), 0.0, float(ny), nx, ny, v.reshape(nx, ny)), level
+
+
+def _crossing_points(g: Grid, level: float, wrap: bool) -> np.ndarray:
+    """The crossing point of every edge of a traced cell, by a loop over
+    the cells.  With wrap, node row ny is row 0 one period up: a horizontal
+    edge there is row 0's, and a vertical one reaches above the grid."""
+    v, xs, ny = g.values, g.node_re(), g.ny
+    ys = np.append(g.node_im(), g.node_im()[-1] + g.dim)
+    points = {}
+    for i in range(g.nx - 1):
+        for j in range(ny if wrap else ny - 1):
+            cell = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+            vals = [v[a, b % ny] for a, b in cell]
+            if np.any(np.isnan(vals)):
+                continue
+            for c0, c1 in [(0, 1), (1, 2), (3, 2), (0, 3)]:
+                va, vb = vals[c0], vals[c1]
+                if (va > level) == (vb > level):
+                    continue
+                (a0, b0), (a1, b1) = cell[c0], cell[c1]
+                if b0 == b1:
+                    b0 = b1 = b0 % ny
+                z0, z1 = xs[a0] + 1j * ys[b0], xs[a1] + 1j * ys[b1]
+                points[a0, b0 % ny, a1, b1 % ny] = (
+                    z0 + (level - va) / (vb - va) * (z1 - z0))
+    return np.array(list(points.values()), dtype=complex)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(integer_grids(), st.booleans())
+def test_every_crossing_is_traced_once_property(grid_level, wrap):
+    g, level = grid_level
+    chains = extract_levelset(g, level, wrap_im=wrap).polylines
+    want = _crossing_points(g, level, wrap)
+    got = np.concatenate([np.empty(0, complex), *(c.points for c in chains)])
+    assert len(got) == len(want)
+    assert np.all((np.abs(got[:, None] - want[None, :]) < 1e-12).sum(0) == 1)
+    for c in chains:
+        # consecutive points share a cell: one step of at most a cell's size
+        # in each axis, the angle axis taken round the seam when wrapped
+        pts = np.append(c.points, c.points[:1]) if c.closed else c.points
+        step = np.diff(pts)
+        d_im = np.abs(step.imag)
+        if wrap:
+            d_im = np.minimum(d_im, g.ny * g.dim - d_im)
+        slack = 1 + 1e-12
+        assert np.all(np.abs(step.real) <= g.dre * slack)
+        assert np.all(d_im <= g.dim * slack)
 
 
 # --- map_boundary -----------------------------------------------------------

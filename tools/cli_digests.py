@@ -43,11 +43,14 @@ saddle resolution shows in the bytes.  Then add-elliptic runs
 domain at t = 0.05, which `domain` writes first on a 48^2 grid over
 [-2, 2]^2: phi expands its two small loops far more than 5-fold, so
 boundary mapping bisects every one of the 32 source segments down to the
-depth cap, 131,072 points in all.  The last two runs are oracles:
+depth cap, 131,072 points in all.  Then come two oracle runs:
 mult-unitary with a probe at lam = 1e200, eps = 0, where |lam|^2 leaves
 the float range and the row carries reference_error, and rdiag at t = 2,
 past the time 1.6 at which the hole closes, where the predicted inner
-radius is 0.
+radius is 0.  Last, add-elliptic at gamma = 0.5 runs `domain` in json
+on [0, 2] x [-1.5, 1.5] at 48^2: the level set leaves the grid, so sigma
+and mapped are one open chain each, which shows the direction the
+extractor gives an open chain.
 Each run prints one tab-separated line:
 
     model  command  format  exit-code  sha256(stdout)  last stderr line
@@ -181,6 +184,13 @@ SMALL_LOOPS_DOMAIN = ["domain", "--config", "small-loops.json", "--format",
 HUGE_PROBE = [[1e200, 0.0, 0.0]]
 RDIAG_PAST_CLOSING = dict(MODELS["rdiag"], model="rdiag", t=2.0,
                           oracle={"n": 60, "seed": 5})
+# add-elliptic at gamma = 0.5 on the grid [0, 2] x [-1.5, 1.5], which cuts
+# the domain in half: the level set leaves the grid, and sigma and mapped
+# are one open chain each
+OPEN_CHAIN = dict(MODELS["add-elliptic"], model="add-elliptic",
+                  gamma=[0.5, 0.0],
+                  grid={"re_min": 0.0, "re_max": 2.0, "im_min": -1.5,
+                        "im_max": 1.5, "nx": 48, "ny": 48})
 # the add-elliptic domain at t = 4 covers the grid [-1, 1]^2: its level set
 # crosses no cell, and the oracle refuses the run
 COVERED = dict(MODELS["add-elliptic"], model="add-elliptic", t=4.0,
@@ -218,6 +228,7 @@ def write_inputs(work: Path) -> None:
     (work / "near-zero.json").write_text(json.dumps(NEAR_ZERO_GRID))
     (work / "diagonal.json").write_text(json.dumps(DIAGONAL))
     (work / "small-loops.json").write_text(json.dumps(SMALL_LOOPS))
+    (work / "open-chain.json").write_text(json.dumps(OPEN_CHAIN))
     (work / "rdiag-past-closing.json").write_text(
         json.dumps(RDIAG_PAST_CLOSING))
     for name, cfg in TINY_GRIDS.items():
@@ -342,6 +353,8 @@ def main(argv=None) -> int:
                  ["oracle", "--config", "huge-probe.json"]))
     jobs.append((("rdiag/past-closing", "oracle", "json"),
                  ["oracle", "--config", "rdiag-past-closing.json"]))
+    jobs.append((("add-elliptic/open-chain", "domain", "json"),
+                 ["domain", "--config", "open-chain.json", "--format", "json"]))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_inputs(work)
